@@ -9,10 +9,11 @@
 //! reads a history buffer, giving the noisy analogue of the fluid DDE
 //! limit cycles and the ensemble spread around them.
 
+use crate::montecarlo::Ziggurat;
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for a delayed stochastic path simulation.
 #[derive(Debug, Clone)]
@@ -65,6 +66,7 @@ pub fn simulate_delayed_path<L: RateControl>(
         });
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let zig = Ziggurat::new();
     let lag_steps = (cfg.tau / cfg.dt).ceil() as usize;
     let n_steps = (cfg.t_end / cfg.dt).ceil() as usize;
     let sigma = cfg.sigma2.sqrt();
@@ -95,7 +97,7 @@ pub fn simulate_delayed_path<L: RateControl>(
         // Sticky wall for the drift (paper convention), reflecting for
         // the noise — matching the PDE boundary treatment.
         let q_det = (q + nu * cfg.dt).max(0.0);
-        let mut q_new = q_det + sigma * sq_dt * gauss(&mut rng);
+        let mut q_new = q_det + sigma * sq_dt * zig.sample(&mut rng);
         if q_new < 0.0 {
             q_new = -q_new;
         }
@@ -157,17 +159,6 @@ pub fn ensemble_cycle_amplitude<L: RateControl>(
     let mean = fpk_numerics::stats::mean(&amps);
     let std = fpk_numerics::stats::variance(&amps).sqrt();
     Ok((mean, std))
-}
-
-fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
 }
 
 #[cfg(test)]

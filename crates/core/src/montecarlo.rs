@@ -13,11 +13,20 @@
 //! parallel with `std::thread::scope`, one deterministic RNG stream
 //! per chunk, so results are bit-reproducible for a fixed (seed, thread
 //! count) pair and statistically identical across thread counts.
+//!
+//! Gaussian noise comes from a 128-layer ziggurat (`Ziggurat`, Marsaglia
+//! & Tsang 2000 in Doornik's ZIGNOR layout) over the vendored
+//! xoshiro256++: one 64-bit word per normal on the ~99% fast path, exact
+//! wedge rejection and Marsaglia's exponential tail otherwise. The tables
+//! are built once per call and shared by reference across the workers.
+//! It replaced a Box–Muller sampler, so sample paths are not bitwise
+//! those of older builds; `tests/mc_sampler_equivalence.rs` pins the
+//! ensemble to a Box–Muller reference in moments and two-sample KS.
 
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Configuration of a Monte-Carlo ensemble run.
 #[derive(Debug, Clone)]
@@ -107,9 +116,12 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
         });
     }
     let n = cfg.n_particles;
-    let threads = cfg.threads.min(n);
-    let chunk = n.div_ceil(threads);
+    let chunk = n.div_ceil(cfg.threads.min(n));
+    // One stream per non-empty chunk: `threads` chunks of `chunk` may
+    // overshoot `n` (10 particles on 8 threads fill only 5 chunks of 2).
+    let streams = n.div_ceil(chunk);
     let sigma = cfg.sigma2.sqrt();
+    let zig = Ziggurat::new();
 
     // Pre-allocate snapshot stores.
     let mut snaps: Vec<McSnapshot> = snapshot_times
@@ -123,14 +135,14 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
 
     // Split the per-snapshot buffers into per-chunk windows so worker
     // threads write disjoint slices.
-    let mut snap_views: Vec<Vec<(&mut [f64], &mut [f64])>> = Vec::with_capacity(threads);
+    let mut snap_views: Vec<Vec<(&mut [f64], &mut [f64])>> = Vec::with_capacity(streams);
     {
-        // Decompose each snapshot's q/nu into `threads` chunks.
+        // Decompose each snapshot's q/nu into `streams` chunks.
         let mut remaining: Vec<(&mut [f64], &mut [f64])> = snaps
             .iter_mut()
             .map(|s| (s.q.as_mut_slice(), s.nu.as_mut_slice()))
             .collect();
-        for c in 0..threads {
+        for c in 0..streams {
             let size = chunk.min(n - c * chunk);
             let mut this_chunk = Vec::with_capacity(remaining.len());
             let mut rest = Vec::with_capacity(remaining.len());
@@ -148,6 +160,7 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
     std::thread::scope(|scope| {
         for (c, views) in snap_views.into_iter().enumerate() {
             let law = &law;
+            let zig = &zig;
             let times = snapshot_times;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64));
@@ -155,8 +168,8 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
                 let mut qs = vec![0.0f64; count];
                 let mut nus = vec![0.0f64; count];
                 for p in 0..count {
-                    qs[p] = (cfg.init_mean.0 + cfg.init_std.0 * gauss(&mut rng)).max(0.0);
-                    nus[p] = (cfg.init_mean.1 + cfg.init_std.1 * gauss(&mut rng)).max(-cfg.mu);
+                    qs[p] = (cfg.init_mean.0 + cfg.init_std.0 * zig.sample(&mut rng)).max(0.0);
+                    nus[p] = (cfg.init_mean.1 + cfg.init_std.1 * zig.sample(&mut rng)).max(-cfg.mu);
                 }
                 let mut t = 0.0f64;
                 let mut views = views;
@@ -174,7 +187,7 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
                             // only the noise reflects (zero-flux
                             // diffusion).
                             let q_det = (q + nu * dt).max(0.0);
-                            let mut q_new = q_det + sigma * sq_dt * gauss(&mut rng);
+                            let mut q_new = q_det + sigma * sq_dt * zig.sample(&mut rng);
                             if q_new < 0.0 {
                                 q_new = -q_new;
                             }
@@ -198,16 +211,91 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
     Ok(snaps)
 }
 
-/// Standard-normal sample via Box–Muller (avoids a rand_distr
-/// dependency).
-fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
+/// Number of ziggurat layers; the low 7 bits of a word pick one.
+const ZIG_LAYERS: usize = 128;
+/// Right edge of the base layer's rectangle (Doornik's ZIGNOR constant).
+const ZIG_R: f64 = 3.442_619_855_899;
+/// Common area of every layer, the base layer's tail included.
+const ZIG_V: f64 = 9.912_563_035_262_17e-3;
+
+/// Ziggurat sampler for the standard normal (Marsaglia & Tsang 2000,
+/// 128 layers in Doornik's ZIGNOR layout), with its precomputed tables.
+///
+/// Layer `i ≥ 1` is the rectangle of width `x[i]` between the heights
+/// `f(x[i])` and `f(x[i + 1])` of `f(x) = exp(−x²/2)`; layer 0 is the
+/// strip under `f(R)` plus the tail beyond `R`, and its `x[0] = V/f(R)`
+/// is the width of a rectangle of the same area. Build one per run and
+/// share it by reference: the tables are read-only.
+pub(crate) struct Ziggurat {
+    /// Layer widths, `x[0] = V/f(R)`, `x[1] = R`, falling to `x[128] = 0`.
+    x: [f64; ZIG_LAYERS + 1],
+    /// `x[i + 1] / x[i]`: the share of layer `i` that lies under `f`.
+    ratio: [f64; ZIG_LAYERS],
+}
+
+impl Ziggurat {
+    /// Build the tables (128 `exp`/`ln` evaluations).
+    pub(crate) fn new() -> Self {
+        let mut x = [0.0; ZIG_LAYERS + 1];
+        let mut f = (-0.5 * ZIG_R * ZIG_R).exp();
+        x[0] = ZIG_V / f;
+        x[1] = ZIG_R;
+        // Each layer has area V: x[i-1]·(f(x[i]) − f(x[i-1])) = V.
+        for i in 2..ZIG_LAYERS {
+            x[i] = (-2.0 * (ZIG_V / x[i - 1] + f).ln()).sqrt();
+            f = (-0.5 * x[i] * x[i]).exp();
         }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let mut ratio = [0.0; ZIG_LAYERS];
+        for i in 0..ZIG_LAYERS {
+            ratio[i] = x[i + 1] / x[i];
+        }
+        Ziggurat { x, ratio }
+    }
+
+    /// One standard-normal draw. The fast path uses a single RNG word:
+    /// its low 7 bits pick the layer and bits 11..63 give a signed
+    /// uniform, so the two fields share no bits.
+    #[inline]
+    pub(crate) fn sample<R: RngCore>(&self, rng: &mut R) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & (ZIG_LAYERS as u64 - 1)) as usize;
+            let u = (bits >> 11) as f64 * f64::EPSILON - 1.0; // [-1, 1)
+            if u.abs() < self.ratio[i] {
+                return u * self.x[i];
+            }
+            if let Some(z) = self.edge(i, u, rng) {
+                return z;
+            }
+        }
+    }
+
+    /// The ~1% of draws outside a layer's inner rectangle: the exact
+    /// wedge test for layers `i ≥ 1`, the tail for layer 0. `None` means
+    /// rejected; the caller draws afresh.
+    #[cold]
+    fn edge<R: RngCore>(&self, i: usize, u: f64, rng: &mut R) -> Option<f64> {
+        if i == 0 {
+            return Some(normal_tail(rng, u < 0.0));
+        }
+        let x = u * self.x[i];
+        // f(x) relative to the layer's bottom (f0 ≤ 1) and top (f1 ≥ 1)
+        // edges; a uniform height in between lies under f iff it is < 1.
+        let f0 = (-0.5 * (self.x[i] * self.x[i] - x * x)).exp();
+        let f1 = (-0.5 * (self.x[i + 1] * self.x[i + 1] - x * x)).exp();
+        (f1 + rng.gen::<f64>() * (f0 - f1) < 1.0).then_some(x)
+    }
+}
+
+/// Marsaglia's exact sampler for the normal tail beyond `ZIG_R`.
+fn normal_tail<R: RngCore>(rng: &mut R, negative: bool) -> f64 {
+    loop {
+        // 1 − U lies in (0, 1], so both logarithms are finite.
+        let x = (1.0 - rng.gen::<f64>()).ln() / ZIG_R;
+        let y = (1.0 - rng.gen::<f64>()).ln();
+        if -2.0 * y >= x * x {
+            return if negative { x - ZIG_R } else { ZIG_R - x };
+        }
     }
 }
 
@@ -319,12 +407,83 @@ mod tests {
     }
 
     #[test]
-    fn gauss_moments() {
+    fn uneven_chunking_keeps_every_particle() {
+        // `threads` chunks of `n.div_ceil(threads)` overshoot n here
+        // (10 on 8 threads fills 5 chunks of 2; 5 on 4 fills 3).
+        let law = LinearExp::new(1.0, 0.5, 10.0);
+        for (n, threads) in [(10, 8), (5, 4)] {
+            let mut c = cfg();
+            c.n_particles = n;
+            c.threads = threads;
+            let snaps = simulate_ensemble(&law, &c, &[0.5]).unwrap();
+            let s = &snaps[0];
+            assert_eq!(s.q.len(), n);
+            // Unwritten slots would keep their zero fill.
+            assert!(s.nu.iter().all(|&nu| nu != 0.0), "missing particle {s:?}");
+            assert!(s.q.iter().all(|&q| q >= 0.0), "negative queue {s:?}");
+        }
+    }
+
+    #[test]
+    fn ziggurat_matches_standard_normal() {
+        const N: usize = 1_000_000;
+        // 2·Φ(−3): the two-sided normal mass beyond |x| = 3.
+        const P_BEYOND_3: f64 = 0.002_699_796;
+        // E[Z | Z > 0] = √(2/π), and the half-normal's standard deviation.
+        const HALF_MEAN: f64 = 0.797_884_560_802_865_4;
+        const HALF_STD: f64 = 0.602_810_274_989_372_4;
+        let zig = Ziggurat::new();
         let mut rng = StdRng::seed_from_u64(7);
-        let xs: Vec<f64> = (0..50_000).map(|_| gauss(&mut rng)).collect();
-        let m = fpk_numerics::stats::mean(&xs);
-        let v = fpk_numerics::stats::variance(&xs);
-        assert!(m.abs() < 0.02, "mean {m}");
-        assert!((v - 1.0).abs() < 0.03, "var {v}");
+        let (mut s1, mut s2, mut s4) = (0.0, 0.0, 0.0);
+        let (mut pos_sum, mut neg_sum) = (0.0, 0.0);
+        let (mut n_pos, mut beyond_3) = (0usize, 0usize);
+        let (mut tail_pos, mut tail_neg) = (0usize, 0usize);
+        for _ in 0..N {
+            let z = zig.sample(&mut rng);
+            s1 += z;
+            s2 += z * z;
+            s4 += z * z * z * z;
+            if z > 0.0 {
+                n_pos += 1;
+                pos_sum += z;
+            } else {
+                neg_sum -= z;
+            }
+            beyond_3 += usize::from(z.abs() > 3.0);
+            tail_pos += usize::from(z > ZIG_R);
+            tail_neg += usize::from(z < -ZIG_R);
+        }
+        let n = N as f64;
+        let (mean, m2, m4) = (s1 / n, s2 / n, s4 / n);
+        let var = m2 - mean * mean;
+        assert!(mean.abs() < 4.0 / n.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 4.0 * (2.0 / n).sqrt(), "variance {var}");
+        let kurt = m4 / (m2 * m2);
+        assert!(
+            (kurt - 3.0).abs() < 4.0 * (24.0 / n).sqrt(),
+            "kurtosis {kurt}"
+        );
+        let p3 = beyond_3 as f64 / n;
+        let se3 = (P_BEYOND_3 * (1.0 - P_BEYOND_3) / n).sqrt();
+        assert!((p3 - P_BEYOND_3).abs() < 4.0 * se3, "P(|x| > 3) = {p3}");
+        // The layer-0 tail branch runs, on both sides.
+        assert!(tail_pos > 0 && tail_neg > 0, "tail {tail_pos}/{tail_neg}");
+        // Symmetry: as many draws on each side, with mirrored means.
+        let n_neg = N - n_pos;
+        let frac_pos = n_pos as f64 / n;
+        assert!(
+            (frac_pos - 0.5).abs() < 4.0 * 0.5 / n.sqrt(),
+            "P(x > 0) = {frac_pos}"
+        );
+        let (pos_mean, neg_mean) = (pos_sum / n_pos as f64, neg_sum / n_neg as f64);
+        let se_half = HALF_STD / (n / 2.0).sqrt();
+        assert!(
+            (pos_mean - HALF_MEAN).abs() < 4.0 * se_half,
+            "E[x | x > 0] {pos_mean}"
+        );
+        assert!(
+            (neg_mean - HALF_MEAN).abs() < 4.0 * se_half,
+            "E[-x | x < 0] {neg_mean}"
+        );
     }
 }
