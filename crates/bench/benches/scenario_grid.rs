@@ -1,23 +1,24 @@
 //! Criterion benchmark of the `fpk-scenarios` runner across three grid
-//! sizes, pitting the production executor against the legacy one:
+//! sizes, pitting one worker against the machine's worker count:
 //!
-//! * `serial/<size>` — the pre-pool reference path
-//!   ([`run_sweep_unpooled`] at width 1): spawn-per-call semantics, a
-//!   fresh `NetArena` per call, every `RunSummary` collected and then
-//!   aggregated per cell.
-//! * `parallel/<size>` — the production path ([`run_sweep_on`] at the
-//!   machine's worker count): the persistent worker pool with
-//!   per-worker arenas kept across calls, streaming per-cell
-//!   aggregation, no spawn/join per sweep.
+//! * `serial/<size>` — [`run_sweep_on`] at width 1: the calling thread
+//!   runs every cell itself, with its own cached `NetArena`.
+//! * `parallel/<size>` — [`run_sweep_on`] at the machine's worker count:
+//!   the persistent worker pool with per-worker arenas kept across
+//!   calls.
+//!
+//! Both rows aggregate each cell streamingly and spawn nothing per
+//! sweep.
 //!
 //! The three sizes share one base workload (a short rate-controlled
 //! run, 5 replications per cell — the experiment bins' ensemble width)
-//! and differ only in grid size, so the pair of rows isolates executor
-//! cost as the grid scales: `small` is a 6-cell table grid, `medium` a
-//! 24-cell table grid, `large` a 1000-cell stress-tier slice. The two
-//! rows produce bit-identical reports at every size (tested in
-//! `fpk-scenarios`); the ratio tracks the executor bug this layout was
-//! built to catch — parallel losing to serial on per-call overhead.
+//! and differ only in grid size, so the pair of rows isolates the
+//! parallel speedup as the grid scales: `small` is a 6-cell table grid,
+//! `medium` a 24-cell table grid, `large` a 1000-cell stress-tier
+//! slice. The two rows produce bit-identical reports at every size
+//! (tested in `fpk-scenarios`); the ratio tracks the executor bug this
+//! layout was built to catch — parallel losing to serial on per-call
+//! overhead.
 //!
 //! The executor margins are a few percent on a single-core box, so the
 //! group overrides the quick-mode sample cap (`sample_size(41)`) — five
@@ -26,7 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_congestion::LinearExp;
-use fpk_scenarios::{run_sweep_on, run_sweep_unpooled, thread_count, Axis, Scenario, Sweep};
+use fpk_scenarios::{run_sweep_on, thread_count, Axis, Scenario, Sweep};
 use fpk_sim::{Service, SimConfig, SourceSpec};
 use std::hint::black_box;
 
@@ -84,7 +85,7 @@ fn bench_scenario_grid(c: &mut Criterion) {
     let parallel = thread_count();
     for (size, sweep) in grids() {
         group.bench_with_input(BenchmarkId::new("serial", size), &sweep, |b, sweep| {
-            b.iter(|| run_sweep_unpooled(black_box(sweep), REPLICATIONS, 1).expect("sweep"));
+            b.iter(|| run_sweep_on(black_box(sweep), REPLICATIONS, 1).expect("sweep"));
         });
         group.bench_with_input(BenchmarkId::new("parallel", size), &sweep, |b, sweep| {
             b.iter(|| run_sweep_on(black_box(sweep), REPLICATIONS, parallel).expect("sweep"));

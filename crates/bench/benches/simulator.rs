@@ -5,9 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_congestion::{LinearExp, WindowAimd};
 use fpk_sim::{
-    run, run_network, run_network_workload, ArrivalProcess, FaultConfig, FlowSizeDist, FlowSpec,
-    Link, NetConfig, QdiscKind, Route, Service, SimConfig, SourceSpec, Topology, TraceMode,
-    Workload,
+    run_network, run_network_workload, ArrivalProcess, FaultConfig, FlowSizeDist, FlowSpec, Link,
+    NetConfig, QdiscKind, Route, Service, SimConfig, SourceSpec, Topology, TraceMode, Workload,
 };
 use std::hint::black_box;
 
@@ -23,22 +22,28 @@ fn config(seed: u64) -> SimConfig {
     }
 }
 
-fn rate_source() -> SourceSpec {
-    SourceSpec::Rate {
+fn rate_flow() -> FlowSpec {
+    FlowSpec::single_hop(SourceSpec::Rate {
         law: LinearExp::new(8.0, 0.5, 10.0),
         lambda0: 20.0,
         update_interval: 0.1,
         prop_delay: 0.01,
         poisson: true,
-    }
+    })
+}
+
+/// One fault-free run of `flows` on the single link `cfg` describes.
+fn run_single_link(cfg: &SimConfig, flows: &[FlowSpec]) {
+    let net = NetConfig::single_link(cfg, FaultConfig::default());
+    black_box(run_network(&net, flows).expect("sim"));
 }
 
 fn bench_rate_flows(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_rate_by_flows");
     for n in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let sources = vec![rate_source(); n];
-            b.iter(|| run(black_box(&config(1)), black_box(&sources)).expect("sim"));
+            let flows = vec![rate_flow(); n];
+            b.iter(|| run_single_link(black_box(&config(1)), black_box(&flows)));
         });
     }
     group.finish();
@@ -46,12 +51,14 @@ fn bench_rate_flows(c: &mut Criterion) {
 
 fn bench_window_flows(c: &mut Criterion) {
     c.bench_function("sim_window_2flows_20s", |b| {
-        let mk = |rtt: f64| SourceSpec::Window {
-            aimd: WindowAimd::new(1.0, 0.5, rtt, 15.0),
-            w0: 2.0,
+        let mk = |rtt: f64| {
+            FlowSpec::single_hop(SourceSpec::Window {
+                aimd: WindowAimd::new(1.0, 0.5, rtt, 15.0),
+                w0: 2.0,
+            })
         };
-        let sources = vec![mk(0.03), mk(0.12)];
-        b.iter(|| run(black_box(&config(2)), black_box(&sources)).expect("sim"));
+        let flows = vec![mk(0.03), mk(0.12)];
+        b.iter(|| run_single_link(black_box(&config(2)), black_box(&flows)));
     });
 }
 
@@ -64,8 +71,8 @@ fn bench_service_disciplines(c: &mut Criterion) {
             |b, &svc| {
                 let mut cfg = config(3);
                 cfg.service = svc;
-                let sources = vec![rate_source()];
-                b.iter(|| run(black_box(&cfg), black_box(&sources)).expect("sim"));
+                let flows = vec![rate_flow()];
+                b.iter(|| run_single_link(black_box(&cfg), black_box(&flows)));
             },
         );
     }

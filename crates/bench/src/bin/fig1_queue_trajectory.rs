@@ -9,7 +9,7 @@ use fpk_bench::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
 use fpk_core::delayed::{simulate_delayed_path, DelayedMcConfig};
 use fpk_fluid::single::{simulate, FluidParams};
-use fpk_sim::{run, Service, SimConfig, SourceSpec};
+use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -58,23 +58,26 @@ fn main() {
     .expect("langevin");
 
     // Packet path (packet units: scale rates ×10).
-    let packet = run(
-        &SimConfig {
-            mu: 50.0,
-            service: Service::Exponential,
-            buffer: None,
-            t_end,
-            warmup: 0.0,
-            sample_interval: 0.05,
-            seed,
-        },
-        &[SourceSpec::Rate {
+    let packet = run_network(
+        &NetConfig::single_link(
+            &SimConfig {
+                mu: 50.0,
+                service: Service::Exponential,
+                buffer: None,
+                t_end,
+                warmup: 0.0,
+                sample_interval: 0.05,
+                seed,
+            },
+            FaultConfig::default(),
+        ),
+        &[FlowSpec::single_hop(SourceSpec::Rate {
             law: LinearExp::new(8.0, 0.5, 10.0),
             lambda0: 5.0,
             update_interval: 0.1,
             prop_delay: 0.01,
             poisson: true,
-        }],
+        })],
     )
     .expect("packets");
 
@@ -90,7 +93,7 @@ fn main() {
     };
     let fluid_q = sample(&fluid.t, &fluid.q);
     let langevin_q = sample(&langevin.t, &langevin.q);
-    let packet_q = sample(&packet.trace_t, &packet.trace_q);
+    let packet_q = sample(&packet.trace_t, &packet.trace_q[0]);
 
     let rows: Vec<Vec<String>> = grid
         .iter()

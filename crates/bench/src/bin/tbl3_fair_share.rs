@@ -5,7 +5,7 @@ use fpk_bench::{fmt, print_table, write_json};
 use fpk_congestion::fairness::jain_index;
 use fpk_congestion::LinearExp;
 use fpk_fluid::multi::{simulate_multi, MultiParams};
-use fpk_sim::{run, Service, SimConfig, SourceSpec};
+use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -42,42 +42,46 @@ fn main() {
 
         // Packet run (packet units, matched probe slope per source).
         let seed = 1000 + n as u64;
-        let src = SourceSpec::Rate {
+        let src = FlowSpec::single_hop(SourceSpec::Rate {
             law: LinearExp::new(4.0, 0.5, 12.0),
             lambda0: 5.0,
             update_interval: 0.1,
             prop_delay: 0.01,
             poisson: true,
-        };
-        let out = run(
-            &SimConfig {
-                mu: 100.0,
-                service: Service::Exponential,
-                buffer: None,
-                t_end: 400.0,
-                warmup: 100.0,
-                sample_interval: 0.1,
-                seed,
-            },
+        });
+        let out = run_network(
+            &NetConfig::single_link(
+                &SimConfig {
+                    mu: 100.0,
+                    service: Service::Exponential,
+                    buffer: None,
+                    t_end: 400.0,
+                    warmup: 100.0,
+                    sample_interval: 0.1,
+                    seed,
+                },
+                FaultConfig::default(),
+            ),
             &vec![src; n],
         )
         .expect("packets");
         let tputs: Vec<f64> = out.flows.iter().map(|f| f.throughput).collect();
         let packet_jain = jain_index(&tputs).expect("jain");
+        let packet_utilization = out.total_throughput / out.capacity;
 
         table.push(vec![
             n.to_string(),
             fmt(fluid_jain, 5),
             fmt(fluid_total, 2),
             fmt(packet_jain, 4),
-            fmt(out.utilization, 3),
+            fmt(packet_utilization, 3),
         ]);
         rows.push(Row {
             n_sources: n,
             fluid_jain,
             fluid_total,
             packet_jain,
-            packet_utilization: out.utilization,
+            packet_utilization,
             seed,
         });
     }

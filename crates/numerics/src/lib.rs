@@ -16,7 +16,6 @@
 //! * [`sparse`] — CSR sparse matrices and sparse matrix–vector products.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
-//! * [`quad`] — trapezoid, Simpson and adaptive-Simpson quadrature.
 //! * [`roots`] — bisection and Brent root finding.
 //! * [`fft`] — radix-2 complex FFT and power spectra.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
@@ -58,12 +57,9 @@ pub mod grid;
 pub mod interp;
 pub mod linalg;
 pub mod ode;
-pub mod optimize;
-pub mod quad;
 pub mod roots;
 pub mod signal;
 pub mod sparse;
-pub mod special;
 pub mod stats;
 
 /// Errors produced by the numerical routines in this crate.

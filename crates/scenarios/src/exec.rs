@@ -15,9 +15,7 @@
 //! made `scenario_grid/parallel` *lose* to serial at table-sized grids).
 //! Workers *stride* the index space (worker `w` takes jobs
 //! `w, w+T, w+2T, …`) and stripes are interleaved back into index order
-//! after the batch. Setting `FPK_POOL=off` (or `0`) routes every batch
-//! through the spawn-per-call scoped fallback ([`run_indexed_scoped`])
-//! instead — same results, pre-pool cost profile.
+//! after the batch.
 //!
 //! Sweeps aggregate **streamingly**: parallelism is per *cell*, each
 //! worker folds its cell's replications one at a time through
@@ -29,12 +27,11 @@
 //! shard parts — bit-identical to the unsharded run.
 
 use crate::ensemble::{CellAccum, Ensemble, EnsembleStats};
-use crate::pool::{pool, resume_with_index, JobPanic};
+use crate::pool::pool;
 use crate::sweep::{Cell, Sweep};
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::NetArena;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Worker count: the `FPK_THREADS` override when set, otherwise the
@@ -67,22 +64,10 @@ fn default_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// True unless `FPK_POOL` is set to `off`, `0`, or `false` — the
-/// kill-switch that routes batches through the spawn-per-call scoped
-/// fallback instead of the persistent pool.
-#[must_use]
-pub fn pool_enabled() -> bool {
-    !matches!(
-        // lint: allow(env-var) — FPK_POOL is a designated config accessor (DESIGN §3h); pool routing is bit-identical either way.
-        std::env::var("FPK_POOL").as_deref(),
-        Ok("off" | "0" | "false")
-    )
-}
-
 /// Run `n_jobs` independent jobs on `threads` workers and return their
-/// results in job order. Runs on the persistent pool (or the scoped
-/// fallback under `FPK_POOL=off`); either way the output is
-/// bit-identical as long as `f` is a pure function of the index.
+/// results in job order, on the persistent pool. The output is
+/// bit-identical for any `threads` as long as `f` is a pure function of
+/// the index.
 ///
 /// # Panics
 /// Re-raises a panicking job on the calling thread, naming the failing
@@ -104,9 +89,7 @@ where
 /// information between jobs.
 ///
 /// The `'static` bounds exist because pool workers outlive the call;
-/// move [`Arc`]s into the closure for shared inputs, or use
-/// [`run_indexed_scoped`] when borrowing locals matters more than pool
-/// reuse.
+/// move [`Arc`]s into the closure for shared inputs.
 ///
 /// # Panics
 /// See [`run_indexed`].
@@ -117,79 +100,7 @@ where
     I: Fn() -> C + Send + Sync + 'static,
     F: Fn(&mut C, usize) -> T + Send + Sync + 'static,
 {
-    if pool_enabled() {
-        pool().run_batch(n_jobs, threads, init, f)
-    } else {
-        run_indexed_scoped(n_jobs, threads, init, f)
-    }
-}
-
-/// The no-pool fallback executor: spawn `threads` scoped workers for
-/// this one batch and join them before returning. Accepts borrowing
-/// closures (no `'static`), costs a thread spawn per worker per call,
-/// and reports job panics exactly like the pool (failing index +
-/// original payload, smallest index wins).
-///
-/// # Panics
-/// See [`run_indexed`].
-pub fn run_indexed_scoped<T, C, I, F>(n_jobs: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize) -> T + Sync,
-{
-    if n_jobs == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n_jobs);
-    let run_stripe = |w: usize| -> std::result::Result<Vec<T>, JobPanic> {
-        let mut ctx = init();
-        let mut stripe = Vec::with_capacity(n_jobs / threads + 1);
-        let mut i = w;
-        while i < n_jobs {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut ctx, i))) {
-                Ok(v) => stripe.push(v),
-                Err(payload) => return Err(JobPanic { index: i, payload }),
-            }
-            i += threads;
-        }
-        Ok(stripe)
-    };
-    let stripes: Vec<std::result::Result<Vec<T>, JobPanic>> = if threads == 1 {
-        vec![run_stripe(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let run_stripe = &run_stripe;
-                    scope.spawn(move || run_stripe(w))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe worker catches its own panics"))
-                .collect()
-        })
-    };
-    let mut iters = Vec::with_capacity(threads);
-    let mut first_panic: Option<JobPanic> = None;
-    for outcome in stripes {
-        match outcome {
-            Ok(v) => iters.push(v.into_iter()),
-            Err(p) => {
-                if first_panic.as_ref().is_none_or(|q| p.index < q.index) {
-                    first_panic = Some(p);
-                }
-                iters.push(Vec::new().into_iter());
-            }
-        }
-    }
-    if let Some(p) = first_panic {
-        resume_with_index(p);
-    }
-    (0..n_jobs)
-        .map(|i| iters[i % threads].next().expect("stripe exhausted"))
-        .collect()
+    pool().run_batch(n_jobs, threads, init, f)
 }
 
 /// Evaluate every cell of a sweep with a custom function, in parallel,
@@ -460,61 +371,6 @@ fn run_sweep_filtered(
     })
 }
 
-/// The pre-pool sweep runner, kept as the reference/fallback path (and
-/// the bench baseline's "serial" row): spawn-per-call scoped workers
-/// over `(cell, replication)` jobs, collect every `RunSummary`, then
-/// aggregate each cell's slice. Bit-identical output to
-/// [`run_sweep_on`] — only the cost profile differs (O(cells × R)
-/// summaries live at once, a fresh arena per worker per call).
-///
-/// # Errors
-/// See [`run_sweep`].
-pub fn run_sweep_unpooled(
-    sweep: &Sweep,
-    replications: usize,
-    threads: usize,
-) -> Result<SweepReport> {
-    Ensemble::new(replications)?;
-    let cells = sweep.cells();
-    let n_jobs = cells.len() * replications;
-    let summaries: Vec<Result<fpk_sim::RunSummary>> =
-        run_indexed_scoped(n_jobs, threads, NetArena::new, |arena, job| {
-            let cell = &cells[job / replications];
-            let r = job % replications;
-            cell.scenario
-                .run_seeded_in(arena, Ensemble::replication_seed(cell.seed, r))
-        });
-    let mut reports = Vec::with_capacity(cells.len());
-    let mut iter = summaries.into_iter();
-    for cell in cells {
-        let runs: Vec<fpk_sim::RunSummary> = iter
-            .by_ref()
-            .take(replications)
-            .collect::<Result<Vec<_>>>()?;
-        reports.push(CellReport {
-            name: cell.scenario.name.clone(),
-            index: cell.index,
-            coords: cell.coords.clone(),
-            seed: cell.seed,
-            stats: crate::ensemble::aggregate(&runs)?,
-        });
-    }
-    Ok(SweepReport {
-        name: sweep.name().to_string(),
-        base_seed: sweep.base_seed(),
-        replications,
-        axes: sweep
-            .axes()
-            .iter()
-            .map(|a| AxisReport {
-                name: a.name.clone(),
-                values: a.values.clone(),
-            })
-            .collect(),
-        cells: reports,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +379,7 @@ mod tests {
     use crate::test_env;
     use fpk_congestion::LinearExp;
     use fpk_sim::{Service, SimConfig, SourceSpec};
+    use std::panic::catch_unwind;
 
     fn sweep() -> Sweep {
         let base = Scenario::new(
@@ -589,51 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_fallback_reuses_worker_state_within_a_call() {
-        // Each scoped worker counts its own jobs in its scratch state;
-        // the per-job output must still be a pure function of the
-        // index, and every job must run exactly once across workers.
-        // (The pooled path persists scratch *across* calls instead —
-        // covered by `pool::worker_scratch_persists_across_batches`.)
-        for threads in [1, 2, 5] {
-            let out = run_indexed_scoped(
-                17,
-                threads,
-                || 0usize,
-                |count, i| {
-                    *count += 1;
-                    (i, *count)
-                },
-            );
-            let indices: Vec<usize> = out.iter().map(|(i, _)| *i).collect();
-            assert_eq!(indices, (0..17).collect::<Vec<_>>());
-            let total: usize = out.iter().map(|(_, c)| *c).filter(|&c| c == 1).count();
-            assert_eq!(total, threads.min(17), "each worker starts at 1");
-        }
-    }
-
-    #[test]
-    fn scoped_fallback_names_panicking_job() {
-        for threads in [1, 3] {
-            let caught = catch_unwind(|| {
-                run_indexed_scoped(
-                    9,
-                    threads,
-                    || (),
-                    |(), i| {
-                        assert!(i != 5, "fallback boom");
-                        i
-                    },
-                )
-            })
-            .expect_err("the panicking job must propagate");
-            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("job 5"), "missing index: {msg}");
-            assert!(msg.contains("fallback boom"), "missing payload: {msg}");
-        }
-    }
-
-    #[test]
     fn thread_count_rejects_malformed_or_zero_override() {
         let _guard = test_env::lock();
         let _restore = test_env::VarGuard::capture("FPK_THREADS");
@@ -690,29 +502,44 @@ mod tests {
         assert_eq!(outputs[0], outputs[2]);
     }
 
-    #[test]
-    fn pooled_streaming_matches_unpooled_collected_bitwise() {
-        // The pooled streaming path and the legacy collect-then-
-        // aggregate fallback must agree to the bit, on the same sweep,
-        // at several widths.
-        let s = sweep();
-        let pooled = serde_json::to_string(&run_sweep_on(&s, 3, 4).unwrap()).unwrap();
-        for threads in [1, 4] {
-            let legacy =
-                serde_json::to_string(&run_sweep_unpooled(&s, 3, threads).unwrap()).unwrap();
-            assert_eq!(pooled, legacy, "threads = {threads}");
-        }
+    /// Test-only serial reference for the streaming executor: every
+    /// `(cell, replication)` pair through [`Scenario::run_seeded`] in
+    /// order, the summaries collected, then [`crate::aggregate`] per cell.
+    fn serial_reference(sweep: &Sweep, replications: usize) -> Vec<EnsembleStats> {
+        sweep
+            .cells()
+            .iter()
+            .map(|cell| {
+                let runs = (0..replications)
+                    .map(|r| {
+                        let seed = Ensemble::replication_seed(cell.seed, r);
+                        cell.scenario.run_seeded(seed)
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                crate::aggregate(&runs)
+            })
+            .collect::<Result<_>>()
+            .unwrap()
     }
 
     #[test]
-    fn pool_kill_switch_preserves_results() {
-        let _guard = test_env::lock();
-        let _restore = test_env::VarGuard::capture("FPK_POOL");
+    fn streaming_sweep_matches_serial_collected_reference() {
+        // The pooled CellAccum fold and the serial collect-then-
+        // aggregate reference must agree to the bit, at several widths.
         let s = sweep();
-        let on = serde_json::to_string(&run_sweep_on(&s, 2, 3).unwrap()).unwrap();
-        std::env::set_var("FPK_POOL", "off");
-        let report = run_sweep_on(&s, 2, 3);
-        assert_eq!(on, serde_json::to_string(&report.unwrap()).unwrap());
+        let reference: Vec<String> = serial_reference(&s, 3)
+            .iter()
+            .map(|st| serde_json::to_string(st).unwrap())
+            .collect();
+        for threads in [1, 4] {
+            let report = run_sweep_on(&s, 3, threads).unwrap();
+            let streamed: Vec<String> = report
+                .cells
+                .iter()
+                .map(|c| serde_json::to_string(&c.stats).unwrap())
+                .collect();
+            assert_eq!(streamed, reference, "threads = {threads}");
+        }
     }
 
     #[test]

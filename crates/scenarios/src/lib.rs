@@ -21,8 +21,7 @@
 //!   keeping its `NetArena` scratch) with the `montecarlo.rs`
 //!   determinism policy: bit-identical output for a fixed base seed
 //!   regardless of thread count (`FPK_THREADS` overrides the worker
-//!   count; `FPK_POOL=off` falls back to spawn-per-call scoped
-//!   threads), plus the shared `results/<name>.json` artifact writer
+//!   count), plus the shared `results/<name>.json` artifact writer
 //!   ([`write_json`]). Stress-scale grids shard across processes with
 //!   [`run_sweep_shard`] / [`SweepReport::merge`], and control-law A/B
 //!   contrasts pair seeds via [`Sweep::with_common_random_numbers`] and
@@ -74,9 +73,8 @@ pub use ensemble::{
     aggregate, paired_diff, CellAccum, Ensemble, EnsembleStats, Stat, WorkloadEnsemble,
 };
 pub use exec::{
-    pool_enabled, run_cells, run_indexed, run_indexed_scoped, run_indexed_with, run_sweep,
-    run_sweep_on, run_sweep_shard, run_sweep_unpooled, thread_count, AxisReport, CellReport, Shard,
-    SweepReport,
+    run_cells, run_indexed, run_indexed_with, run_sweep, run_sweep_on, run_sweep_shard,
+    thread_count, AxisReport, CellReport, Shard, SweepReport,
 };
 pub use scenario::Scenario;
 pub use sweep::{derive_seed, Axis, Cell, Sweep};
@@ -84,7 +82,7 @@ pub use sweep::{derive_seed, Axis, Cell, Sweep};
 #[cfg(test)]
 pub(crate) mod test_env {
     //! Shared lock for tests that touch process-global environment
-    //! variables (`FPK_THREADS`, `FPK_POOL`, `FPK_RESULTS_DIR`): the
+    //! variables (`FPK_THREADS`, `FPK_RESULTS_DIR`): the
     //! test runner is threaded, so an unguarded `set_var` in one test
     //! races every other test that reads the same variable.
     use std::sync::{Mutex, MutexGuard, PoisonError};

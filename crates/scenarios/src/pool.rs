@@ -20,8 +20,7 @@
 //!   `w` takes jobs `w, w+T, w+2T, …`), one helper per stripe, and the
 //!   stripes are interleaved back into job order. Because every job is a
 //!   pure function of its index, output is bit-identical for any stripe
-//!   count and any pool state — the same contract the scoped executor
-//!   had.
+//!   count and any pool state.
 //! * **Loud failure** — worker panics are caught per job, carried back
 //!   with the failing job index, and re-raised on the calling thread
 //!   naming both (the job index is the cell index for sweep batches, so
@@ -61,9 +60,9 @@ impl Scratch {
 }
 
 /// A job that panicked: which index died, and the original payload.
-pub(crate) struct JobPanic {
-    pub(crate) index: usize,
-    pub(crate) payload: Box<dyn Any + Send>,
+struct JobPanic {
+    index: usize,
+    payload: Box<dyn Any + Send>,
 }
 
 /// One stripe's outcome: the collected results (type-erased `Vec<T>`),
@@ -276,9 +275,8 @@ impl WorkerPool {
 }
 
 /// Re-raise a caught job panic on the calling thread, naming the failing
-/// job index alongside the original payload. Shared with the scoped
-/// fallback executor so both paths report failures identically.
-pub(crate) fn resume_with_index(p: JobPanic) -> ! {
+/// job index alongside the original payload.
+fn resume_with_index(p: JobPanic) -> ! {
     let msg = p
         .payload
         .downcast_ref::<&str>()

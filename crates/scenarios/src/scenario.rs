@@ -15,8 +15,7 @@
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::{
     run_network_summary, run_network_workload_summary, FaultConfig, FlowSpec, NetArena, NetConfig,
-    PacketBytes, QdiscKind, Route, RunSummary, SimConfig, SourceSpec, Topology, TraceMode,
-    Workload,
+    PacketBytes, QdiscKind, Route, RunSummary, SimConfig, SourceSpec, Topology, Workload,
 };
 use serde::{Deserialize, Serialize};
 
@@ -154,7 +153,9 @@ impl Scenario {
     }
 
     /// Assemble the [`NetConfig`] + [`FlowSpec`] list for a run under
-    /// `seed`.
+    /// `seed`: [`NetConfig::single_link`] of `config`, with this
+    /// scenario's topology, per-hop faults, discipline and packet sizing
+    /// layered on.
     ///
     /// # Errors
     /// [`NumericsError::InvalidParameter`] when `routes` is set but its
@@ -188,13 +189,10 @@ impl Scenario {
         let net = NetConfig {
             topology,
             faults,
-            t_end: self.config.t_end,
-            warmup: self.config.warmup,
-            sample_interval: self.config.sample_interval,
             seed,
-            trace: TraceMode::Full,
             qdisc: self.qdisc,
             packet_bytes: self.packet_bytes,
+            ..NetConfig::single_link(&self.config, self.faults)
         };
         Ok((net, flows))
     }
@@ -209,10 +207,11 @@ impl Scenario {
     }
 
     /// [`Self::run_seeded`] against caller-owned scratch state: the run
-    /// records its traces into the arena ([`TraceMode::Summary`]) and the
-    /// summary is computed straight from them, so a replication loop
-    /// holding one arena performs no per-run trace allocation. Output is
-    /// bit-identical to [`Self::run_seeded`].
+    /// records its traces into the arena
+    /// ([`fpk_sim::TraceMode::Summary`]) and the summary is computed
+    /// straight from them, so a replication loop holding one arena
+    /// performs no per-run trace allocation. Output is bit-identical to
+    /// [`Self::run_seeded`].
     ///
     /// # Errors
     /// Same contract as [`Self::run_seeded`].
@@ -229,7 +228,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use fpk_congestion::{LinearExp, WindowAimd};
-    use fpk_sim::{run_with_faults, summarize, Link, Service};
+    use fpk_sim::{run_network, summarize_network, Link, Service};
 
     fn base() -> Scenario {
         Scenario::new(
@@ -277,28 +276,34 @@ mod tests {
     }
 
     #[test]
-    fn single_bottleneck_summary_matches_legacy_path() {
-        // The fold onto the topology engine must not move any number:
-        // the scenario summary equals run_with_faults + summarize on the
-        // same seed, field for field.
+    fn single_bottleneck_summary_matches_full_trace_path() {
+        // The arena summary path must not move any number: the scenario
+        // summary equals run_network on the single link + summarize_network
+        // on the same seed, field for field.
         let sc = base().with_faults(FaultConfig::Iid { loss_prob: 0.02 });
         let via_scenario = sc.run_seeded(11).unwrap();
         let mut cfg = sc.config.clone();
         cfg.seed = 11;
-        let direct = run_with_faults(&cfg, &sc.sources, &sc.faults).unwrap();
-        let via_legacy = summarize(&direct, sc.tail_fraction).unwrap();
-        assert_eq!(via_scenario.throughputs, via_legacy.throughputs);
+        let flows: Vec<FlowSpec> = sc
+            .sources
+            .iter()
+            .cloned()
+            .map(FlowSpec::single_hop)
+            .collect();
+        let direct = run_network(&NetConfig::single_link(&cfg, sc.faults), &flows).unwrap();
+        let via_full = summarize_network(&direct, sc.tail_fraction).unwrap();
+        assert_eq!(via_scenario.throughputs, via_full.throughputs);
         assert_eq!(
             via_scenario.mean_queue.to_bits(),
-            via_legacy.mean_queue.to_bits()
+            via_full.mean_queue.to_bits()
         );
         assert_eq!(
             via_scenario.utilization.to_bits(),
-            via_legacy.utilization.to_bits()
+            via_full.utilization.to_bits()
         );
-        assert_eq!(via_scenario.jain.to_bits(), via_legacy.jain.to_bits());
-        assert_eq!(via_scenario.total_dropped, via_legacy.total_dropped);
-        assert_eq!(via_scenario.ctl_std, via_legacy.ctl_std);
+        assert_eq!(via_scenario.jain.to_bits(), via_full.jain.to_bits());
+        assert_eq!(via_scenario.total_dropped, via_full.total_dropped);
+        assert_eq!(via_scenario.ctl_std, via_full.ctl_std);
     }
 
     #[test]

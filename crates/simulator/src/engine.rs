@@ -1,5 +1,6 @@
-//! The classic single-bottleneck view of the simulator: one FIFO queue
-//! fed by adaptive sources.
+//! Configuration types of the classic single-bottleneck view of the
+//! simulator — one FIFO queue fed by adaptive sources — plus the
+//! per-hop fault model every topology shares.
 //!
 //! Packet timeline for a flow with one-way propagation delay `p`:
 //!
@@ -13,15 +14,13 @@
 //! interval (`source::rate_update`). Window sources are driven purely by
 //! acks carrying DECbit-style marks (queue above q̂ at packet arrival).
 //!
-//! Since the topology-first redesign the event loop itself lives in
-//! [`crate::network`]; [`run`] / [`run_with_faults`] are thin shims that
-//! build a 1-link [`Topology`] and reproduce
-//! the historical behaviour **bit-identically** (same seed → same
-//! traces and counters, pinned by `tests/engine_equivalence.rs`).
+//! The event loop lives in [`crate::network`]: a [`SimConfig`] becomes
+//! a 1-link topology through [`NetConfig::single_link`], and each source
+//! a [`FlowSpec::single_hop`] flow on it.
+//!
+//! [`NetConfig::single_link`]: crate::network::NetConfig::single_link
+//! [`FlowSpec::single_hop`]: crate::network::FlowSpec::single_hop
 
-use crate::network::{run_network, FlowSpec, NetConfig, Route, Topology, TraceMode};
-use crate::qdisc::QdiscKind;
-use crate::source::SourceSpec;
 use fpk_numerics::{NumericsError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +33,9 @@ pub enum Service {
     Exponential,
 }
 
-/// Simulation configuration.
+/// Single-bottleneck simulation configuration: the link (μ, service,
+/// buffer) plus run control. Run it through
+/// [`NetConfig::single_link`](crate::network::NetConfig::single_link).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Bottleneck service rate μ (packets/s).
@@ -51,55 +52,6 @@ pub struct SimConfig {
     pub sample_interval: f64,
     /// RNG seed (the run is fully deterministic given the seed).
     pub seed: u64,
-}
-
-impl SimConfig {
-    fn validate(&self) -> Result<()> {
-        if !(self.mu > 0.0 && self.t_end > 0.0 && self.sample_interval > 0.0) {
-            return Err(NumericsError::InvalidParameter {
-                context: "SimConfig: mu, t_end, sample_interval must be positive",
-            });
-        }
-        if !(0.0..self.t_end).contains(&self.warmup) {
-            return Err(NumericsError::InvalidParameter {
-                context: "SimConfig: warmup must lie in [0, t_end)",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Per-flow counters (collected after warm-up).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FlowStats {
-    /// Packets handed to the network.
-    pub sent: u64,
-    /// Packets that completed service at the bottleneck.
-    pub delivered: u64,
-    /// Packets dropped at a full buffer.
-    pub dropped: u64,
-    /// Delivered / measurement window (packets per second).
-    pub throughput: f64,
-}
-
-/// Result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimResult {
-    /// Trace sample times.
-    pub trace_t: Vec<f64>,
-    /// Queue length at each sample.
-    pub trace_q: Vec<f64>,
-    /// Per-flow control state at each sample (λ for rate sources, window
-    /// for window sources): `trace_ctl[k][i]`.
-    pub trace_ctl: Vec<Vec<f64>>,
-    /// Per-flow counters.
-    pub flows: Vec<FlowStats>,
-    /// Time-averaged queue length after warm-up.
-    pub mean_queue: f64,
-    /// Aggregate delivered throughput after warm-up (packets/s).
-    pub total_throughput: f64,
-    /// Bottleneck utilisation estimate (`total_throughput / μ`).
-    pub utilization: f64,
 }
 
 /// Fault-injection model for one hop (DESIGN §3i), in the spirit of the
@@ -234,77 +186,42 @@ impl FaultConfig {
     }
 }
 
-/// Run the simulation without fault injection.
+/// Single-link runs for the unit tests below: the sources become
+/// [`FlowSpec::single_hop`] flows on [`NetConfig::single_link`].
 ///
-/// # Errors
-/// Configuration validation errors; also rejects an empty source list.
-pub fn run(config: &SimConfig, sources: &[SourceSpec]) -> Result<SimResult> {
-    run_with_faults(config, sources, &FaultConfig::default())
-}
+/// [`FlowSpec::single_hop`]: crate::network::FlowSpec::single_hop
+/// [`NetConfig::single_link`]: crate::network::NetConfig::single_link
+#[cfg(test)]
+mod harness {
+    use super::{FaultConfig, SimConfig};
+    use crate::network::{run_network, FlowSpec, NetConfig, NetResult};
+    use crate::source::SourceSpec;
+    use fpk_numerics::Result;
 
-/// Run the simulation with fault injection. A shim over
-/// [`run_network`] on the 1-link topology `config` describes;
-/// bit-identical to the historical dedicated engine.
-///
-/// # Errors
-/// Configuration validation errors; rejects an empty source list and
-/// invalid fault parameters (see [`FaultConfig::validate`]).
-pub fn run_with_faults(
-    config: &SimConfig,
-    sources: &[SourceSpec],
-    faults: &FaultConfig,
-) -> Result<SimResult> {
-    faults.validate()?;
-    config.validate()?;
-    if sources.is_empty() {
-        return Err(NumericsError::InvalidParameter {
-            context: "run: need at least one source",
-        });
+    pub fn run_faulty(
+        cfg: &SimConfig,
+        sources: &[SourceSpec],
+        fault: FaultConfig,
+    ) -> Result<NetResult> {
+        let flows: Vec<FlowSpec> = sources.iter().cloned().map(FlowSpec::single_hop).collect();
+        run_network(&NetConfig::single_link(cfg, fault), &flows)
     }
-    let net = NetConfig {
-        topology: Topology::single(config.mu, config.service, config.buffer),
-        faults: vec![*faults],
-        t_end: config.t_end,
-        warmup: config.warmup,
-        sample_interval: config.sample_interval,
-        seed: config.seed,
-        // SimResult exposes the traces, so the shim always records them.
-        trace: TraceMode::Full,
-        qdisc: QdiscKind::Fifo,
-        packet_bytes: None,
-    };
-    let flows: Vec<FlowSpec> = sources
-        .iter()
-        .map(|s| FlowSpec {
-            source: s.clone(),
-            route: Route::single(0),
-        })
-        .collect();
-    let out = run_network(&net, &flows)?;
-    let flows: Vec<FlowStats> = out
-        .flows
-        .iter()
-        .map(|f| FlowStats {
-            sent: f.sent,
-            delivered: f.delivered,
-            dropped: f.dropped,
-            throughput: f.throughput,
-        })
-        .collect();
-    Ok(SimResult {
-        trace_t: out.trace_t,
-        trace_q: out.trace_q.into_iter().next().expect("one link"),
-        trace_ctl: out.trace_ctl,
-        mean_queue: out.mean_queue[0],
-        total_throughput: out.total_throughput,
-        utilization: out.total_throughput / config.mu,
-        flows,
-    })
+
+    pub fn run(cfg: &SimConfig, sources: &[SourceSpec]) -> Result<NetResult> {
+        run_faulty(cfg, sources, FaultConfig::default())
+    }
+
+    /// Bottleneck utilisation: delivered throughput over μ.
+    pub fn utilization(out: &NetResult) -> f64 {
+        out.total_throughput / out.capacity
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::harness::{run, run_faulty, utilization};
     use super::*;
+    use crate::source::SourceSpec;
     use fpk_congestion::{LinearExp, WindowAimd};
 
     fn rate_source(lambda0: f64, prop: f64) -> SourceSpec {
@@ -356,14 +273,14 @@ mod tests {
         };
         let out = run(&cfg, &[src]).unwrap();
         assert!(
-            out.utilization > 0.8 && out.utilization < 1.05,
+            utilization(&out) > 0.8 && utilization(&out) < 1.05,
             "utilization {}",
-            out.utilization
+            utilization(&out)
         );
         assert!(
-            out.mean_queue > 2.0 && out.mean_queue < 25.0,
+            out.mean_queue[0] > 2.0 && out.mean_queue[0] < 25.0,
             "mean queue {} should hover near q̂ = 10",
-            out.mean_queue
+            out.mean_queue[0]
         );
     }
 
@@ -387,9 +304,9 @@ mod tests {
         let rho: f64 = 0.5;
         let expected = rho / (1.0 - rho); // 1.0
         assert!(
-            (out.mean_queue - expected).abs() < 0.15,
+            (out.mean_queue[0] - expected).abs() < 0.15,
             "M/M/1 mean {} vs expected {expected}",
-            out.mean_queue
+            out.mean_queue[0]
         );
         assert!((out.total_throughput - 5.0).abs() < 0.2);
     }
@@ -422,7 +339,7 @@ mod tests {
         };
         let out = run(&cfg, &[src]).unwrap();
         assert!(out.flows[0].dropped > 0, "expected drops");
-        assert!(out.trace_q.iter().all(|&q| q <= 15.0));
+        assert!(out.trace_q[0].iter().all(|&q| q <= 15.0));
         // Server saturated → throughput ≈ μ.
         assert!((out.total_throughput - cfg.mu).abs() < 0.05 * cfg.mu);
     }
@@ -437,9 +354,9 @@ mod tests {
         };
         let out = run(&cfg, &[src]).unwrap();
         assert!(
-            out.utilization > 0.5,
+            utilization(&out) > 0.5,
             "window source should fill a good part of the pipe, got {}",
-            out.utilization
+            utilization(&out)
         );
         assert!(out.flows[0].delivered > 0);
     }
@@ -530,10 +447,10 @@ mod tests {
             w0: 4.0,
         };
         for loss_prob in [0.0, 0.05] {
-            let out = run_with_faults(
+            let out = run_faulty(
                 &cfg,
                 std::slice::from_ref(&src),
-                &FaultConfig::Iid { loss_prob },
+                FaultConfig::Iid { loss_prob },
             )
             .unwrap();
             let f = &out.flows[0];
@@ -603,6 +520,7 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::harness::{run, run_faulty};
     use super::*;
     use crate::source::SourceSpec;
     use fpk_congestion::WindowAimd;
@@ -628,10 +546,10 @@ mod fault_tests {
 
     #[test]
     fn loss_injection_counts_drops() {
-        let out = run_with_faults(
+        let out = run_faulty(
             &cfg(),
             &[window_src()],
-            &FaultConfig::Iid { loss_prob: 0.05 },
+            FaultConfig::Iid { loss_prob: 0.05 },
         )
         .unwrap();
         assert!(out.flows[0].dropped > 0, "expected injected drops");
@@ -643,10 +561,10 @@ mod fault_tests {
     #[test]
     fn loss_reduces_window_flow_throughput() {
         let clean = run(&cfg(), &[window_src()]).unwrap();
-        let lossy = run_with_faults(
+        let lossy = run_faulty(
             &cfg(),
             &[window_src()],
-            &FaultConfig::Iid { loss_prob: 0.08 },
+            FaultConfig::Iid { loss_prob: 0.08 },
         )
         .unwrap();
         assert!(
@@ -660,27 +578,17 @@ mod fault_tests {
     #[test]
     fn zero_loss_matches_plain_run() {
         let a = run(&cfg(), &[window_src()]).unwrap();
-        let b = run_with_faults(
-            &cfg(),
-            &[window_src()],
-            &FaultConfig::Iid { loss_prob: 0.0 },
-        )
-        .unwrap();
+        let b = run_faulty(&cfg(), &[window_src()], FaultConfig::Iid { loss_prob: 0.0 }).unwrap();
         assert_eq!(a.flows[0].delivered, b.flows[0].delivered);
     }
 
     #[test]
     fn rejects_invalid_loss_prob() {
-        assert!(run_with_faults(
+        assert!(run_faulty(&cfg(), &[window_src()], FaultConfig::Iid { loss_prob: 1.0 }).is_err());
+        assert!(run_faulty(
             &cfg(),
             &[window_src()],
-            &FaultConfig::Iid { loss_prob: 1.0 }
-        )
-        .is_err());
-        assert!(run_with_faults(
-            &cfg(),
-            &[window_src()],
-            &FaultConfig::Iid { loss_prob: -0.1 }
+            FaultConfig::Iid { loss_prob: -0.1 }
         )
         .is_err());
     }
@@ -742,6 +650,7 @@ mod fault_tests {
 
 #[cfg(test)]
 mod decbit_tests {
+    use super::harness::{run, utilization};
     use super::*;
     use crate::source::SourceSpec;
     use fpk_congestion::decbit::DecbitPolicy;
@@ -771,9 +680,9 @@ mod decbit_tests {
     fn decbit_source_sustains_throughput() {
         let out = run(&cfg(), &[decbit_src(3.0)]).unwrap();
         assert!(
-            out.utilization > 0.5,
+            utilization(&out) > 0.5,
             "DECbit source should use the pipe, got {}",
-            out.utilization
+            utilization(&out)
         );
         assert!(out.flows[0].delivered > 1000);
     }
@@ -791,9 +700,9 @@ mod decbit_tests {
         // RaJa tuned DECbit to operate near the knee (averaged queue ≈ 1–2).
         let out = run(&cfg(), &[decbit_src(1.0)]).unwrap();
         assert!(
-            out.mean_queue < 15.0,
+            out.mean_queue[0] < 15.0,
             "averaged marking should keep the queue modest: {}",
-            out.mean_queue
+            out.mean_queue[0]
         );
     }
 
@@ -831,6 +740,7 @@ mod decbit_tests {
 
 #[cfg(test)]
 mod onoff_tests {
+    use super::harness::run;
     use super::*;
     use crate::source::SourceSpec;
 
@@ -883,16 +793,16 @@ mod onoff_tests {
         let out_short = run(&cfg(3000.0), &[onoff(8.0, 0.5, 0.2)]).unwrap();
         let out_long = run(&cfg(3000.0), &[onoff(8.0, 0.5, 2.0)]).unwrap();
         assert!(
-            out_short.mean_queue > out_p.mean_queue,
+            out_short.mean_queue[0] > out_p.mean_queue[0],
             "on-off ({}) should beat Poisson ({})",
-            out_short.mean_queue,
-            out_p.mean_queue
+            out_short.mean_queue[0],
+            out_p.mean_queue[0]
         );
         assert!(
-            out_long.mean_queue > 1.5 * out_short.mean_queue,
+            out_long.mean_queue[0] > 1.5 * out_short.mean_queue[0],
             "longer sojourns should be burstier: {} vs {}",
-            out_long.mean_queue,
-            out_short.mean_queue
+            out_long.mean_queue[0],
+            out_short.mean_queue[0]
         );
     }
 

@@ -17,15 +17,16 @@
 //! * [`network`] — **the** simulation loop, topology-first: an ordered
 //!   chain of links ([`Topology`]) crossed by flows on contiguous
 //!   routes ([`FlowSpec`]), with per-hop service/buffers/faults/traces
-//!   and DECbit marking at any congested hop.
-//! * [`engine`] — the classic single-bottleneck API, now a 1-link shim
-//!   over [`network`] (bit-identical to the historical engine).
-//! * [`tandem`] — the legacy K-queue window-flows API, also a shim.
+//!   and DECbit marking at any congested hop. The classic single
+//!   bottleneck is [`NetConfig::single_link`] with
+//!   [`FlowSpec::single_hop`] flows.
+//! * [`engine`] — the single-bottleneck run control ([`SimConfig`],
+//!   [`Service`]) and the per-hop fault model ([`FaultConfig`]).
 //! * [`workload`] — finite-flow populations: open-loop arrivals
 //!   (Poisson / heavy-tailed Pareto), flow-size distributions, Zipf
 //!   route popularity, and FCT/slowdown summaries
 //!   ([`run_network_workload`]).
-//! * [`metrics`] — fairness/oscillation summaries and theory comparisons.
+//! * [`metrics`] — fairness/oscillation summaries of a run ([`RunSummary`]).
 //!
 //! Every run is reproducible from its seed; `EXPERIMENTS.md` (workspace
 //! root) records the seeds each experiment binary uses.
@@ -37,18 +38,19 @@
 //!
 //! ```
 //! use fpk_congestion::LinearExp;
-//! use fpk_sim::{run, Service, SimConfig, SourceSpec};
+//! use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 //!
 //! let cfg = SimConfig {
 //!     mu: 50.0, service: Service::Deterministic, buffer: None,
 //!     t_end: 5.0, warmup: 1.0, sample_interval: 0.1, seed: 7,
 //! };
-//! let src = SourceSpec::Rate {
+//! let flows = [FlowSpec::single_hop(SourceSpec::Rate {
 //!     law: LinearExp::new(8.0, 0.5, 10.0),
 //!     lambda0: 20.0, update_interval: 0.1, prop_delay: 0.01, poisson: true,
-//! };
-//! let out = run(&cfg, std::slice::from_ref(&src)).unwrap();
-//! let rerun = run(&cfg, std::slice::from_ref(&src)).unwrap();
+//! })];
+//! let net = NetConfig::single_link(&cfg, FaultConfig::default());
+//! let out = run_network(&net, &flows).unwrap();
+//! let rerun = run_network(&net, &flows).unwrap();
 //! assert!(out.total_throughput > 0.0);
 //! assert_eq!(out.trace_q, rerun.trace_q);
 //! ```
@@ -63,13 +65,12 @@ pub mod metrics;
 pub mod network;
 pub mod qdisc;
 pub mod source;
-pub mod tandem;
 pub mod units;
 pub mod workload;
 
-pub use engine::{run, run_with_faults, FaultConfig, FlowStats, Service, SimConfig, SimResult};
+pub use engine::{FaultConfig, Service, SimConfig};
 pub use metrics::{
-    run_network_summary, run_network_workload_summary, summarize, summarize_network, RunSummary,
+    run_network_summary, run_network_workload_summary, summarize_network, RunSummary,
 };
 pub use network::{
     run_network, run_network_in, run_network_workload, run_network_workload_in, FlowSpec, Link,
@@ -80,7 +81,6 @@ pub use qdisc::{
     RedMark, ThresholdMark,
 };
 pub use source::SourceSpec;
-pub use tandem::{run_tandem, TandemConfig, TandemFlow, TandemFlowStats, TandemResult};
 pub use units::{Bits, BitsPerSec, Bytes, Delay};
 pub use workload::{
     ideal_fct, ideal_fct_sized, zipf_weights, ArrivalProcess, DistSummary, FlowSizeDist,

@@ -2,12 +2,12 @@
 //! links crossed by flows on contiguous routes.
 //!
 //! This is the one event loop behind every public entry point of the
-//! crate. [`run_network`] subsumes both the single-bottleneck engine
-//! (`engine::run_with_faults` is a 1-link shim) and the legacy tandem
-//! simulator (`tandem::run_tandem` is a K-link window-flows shim), so
-//! parking-lot topologies, per-hop heterogeneous service, per-hop fault
-//! injection, DECbit marking at any congested hop, and mixed rate/window
-//! multi-hop flows are all expressible through a single API.
+//! crate. The classic single bottleneck is the 1-link case
+//! ([`NetConfig::single_link`] + [`FlowSpec::single_hop`]); K queues in
+//! series, parking-lot cross traffic, per-hop heterogeneous service,
+//! per-hop fault injection, DECbit marking at any congested hop, and
+//! mixed rate/window multi-hop flows are all expressible through the
+//! same API.
 //!
 //! Packet timeline for a flow routed over hops `first..=last` with
 //! per-hop one-way delay `d` (= [`SourceSpec::prop_delay`]):
@@ -23,7 +23,7 @@
 //! Rate sources observe the most congested queue on their route (the
 //! path bottleneck), one path delay stale.
 
-use crate::engine::{FaultConfig, Service};
+use crate::engine::{FaultConfig, Service, SimConfig};
 use crate::event::{EventKind, EventQueue};
 use crate::qdisc::{
     AveragedMark, Fifo, HopQdiscState, QDisc, QdiscKind, QdiscParams, RedMark, ThresholdMark,
@@ -48,8 +48,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TraceMode {
     /// Record nothing: `trace_t`/`trace_q`/`trace_ctl` come back empty.
-    /// For consumers that only read counters and per-hop means (the
-    /// legacy tandem shim, throughput-only sweeps).
+    /// For consumers that only read counters and per-hop means
+    /// (throughput-only sweeps, the tandem goldens).
     Off,
     /// Record traces into the reusable [`NetArena`] buffers only; the
     /// returned [`NetResult`]'s trace fields stay empty. This is the
@@ -155,7 +155,7 @@ impl Route {
 /// A flow: any [`SourceSpec`] plus the route it crosses. The source's
 /// propagation delay ([`SourceSpec::prop_delay`]) is the *per-hop*
 /// one-way delay, so a window flow's effective round trip grows with its
-/// hop count (`aimd.rtt` = 2 × per-hop delay — the legacy tandem
+/// hop count (`aimd.rtt` = 2 × per-hop delay — the historical tandem
 /// interpretation).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
@@ -209,6 +209,25 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
+    /// The classic single bottleneck: the one link `config` describes
+    /// (μ, service, buffer) with `fault` injected at it, full traces,
+    /// FIFO marking and unit packets. Pair it with
+    /// [`FlowSpec::single_hop`] flows.
+    #[must_use]
+    pub fn single_link(config: &SimConfig, fault: FaultConfig) -> Self {
+        Self {
+            topology: Topology::single(config.mu, config.service, config.buffer),
+            faults: vec![fault],
+            t_end: config.t_end,
+            warmup: config.warmup,
+            sample_interval: config.sample_interval,
+            seed: config.seed,
+            trace: TraceMode::Full,
+            qdisc: QdiscKind::Fifo,
+            packet_bytes: None,
+        }
+    }
+
     fn validate(&self, flows: &[FlowSpec], workload: Option<&Workload>) -> Result<()> {
         if self.topology.is_empty() {
             return Err(NumericsError::InvalidParameter {
@@ -344,8 +363,7 @@ impl NetConfig {
     }
 }
 
-/// Per-flow counters (collected after warm-up) — the unified superset of
-/// the legacy `FlowStats` and `TandemFlowStats`.
+/// Per-flow counters (collected after warm-up).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetFlowStats {
     /// Packets handed to the network.
@@ -734,10 +752,11 @@ fn fifo_flow_marked(word: u32) -> (usize, bool) {
 /// Run a network simulation: every flow crosses its route through the
 /// shared deterministic [`EventQueue`].
 ///
-/// For a 1-link topology this reproduces `engine::run_with_faults`
-/// bit-identically (same seed → same traces and counters); for a
-/// lossless all-window topology it reproduces the legacy `run_tandem`
-/// counters (pinned by `tests/engine_equivalence.rs`).
+/// For a 1-link topology this reproduces the historical dedicated
+/// single-bottleneck engine bit-identically (same seed → same traces
+/// and counters); for a lossless all-window topology it reproduces the
+/// historical tandem engine's counters (both pinned by golden constants
+/// in `tests/engine_equivalence.rs`).
 ///
 /// Allocates a fresh [`NetArena`] per call; use [`run_network_in`] to
 /// amortise the scratch state over many runs.
@@ -1055,8 +1074,8 @@ fn run_core<Q: QDisc, const BYTES: bool>(
     let mut chk_fault_moves: u64 = 0;
     let mut n_fault_boot: u64 = 0;
 
-    // Bootstrap events (flow order; identical schedule to the legacy
-    // engines so the shims stay bit-identical).
+    // Bootstrap events (flow order; identical schedule to the historical
+    // engines so their golden constants stay bit-identical).
     for (i, f) in flows.iter().enumerate() {
         match &f.source {
             SourceSpec::Rate {
@@ -2528,5 +2547,82 @@ mod tests {
             dist: crate::workload::FlowSizeDist::Exponential { mean: -2.0 },
             ref_bytes: crate::units::Bytes(1000.0),
         })));
+    }
+
+    /// Lossless tandem of exponential links, one per μ: 300 s horizon,
+    /// counters only.
+    fn tandem(mu: &[f64]) -> NetConfig {
+        NetConfig {
+            topology: Topology {
+                links: mu.iter().map(|&mu| link(mu)).collect(),
+            },
+            t_end: 300.0,
+            warmup: 60.0,
+            sample_interval: 300.0,
+            trace: TraceMode::Off,
+            ..net(mu.len())
+        }
+    }
+
+    #[test]
+    fn single_hop_single_flow_works() {
+        let out = run_network(&tandem(&[100.0]), &[window_flow(Route::single(0))]).unwrap();
+        assert!(
+            out.flows[0].delivered > 1000,
+            "delivered {}",
+            out.flows[0].delivered
+        );
+        assert_eq!(out.flows[0].hops, 1);
+        assert!(out.mean_queue[0] > 0.0);
+    }
+
+    #[test]
+    fn more_hops_means_less_throughput() {
+        // Three flows with 1, 2, 3 hops on a 3-queue tandem, all starting
+        // at hop 0: throughput ordering must be hops-monotone.
+        let flows: Vec<FlowSpec> = (0..3)
+            .map(|last| window_flow(Route { first: 0, last }))
+            .collect();
+        let out = run_network(&tandem(&[100.0; 3]), &flows).unwrap();
+        let t: Vec<f64> = out.flows.iter().map(|f| f.throughput).collect();
+        assert!(
+            t[0] > t[1] && t[1] > t[2],
+            "throughput must fall with hop count: {t:?}"
+        );
+    }
+
+    #[test]
+    fn lossless_tandem_books_balance() {
+        // On a lossless infinite-buffer tandem every sent packet is
+        // eventually delivered or still in flight.
+        let out = run_network(&tandem(&[100.0; 2]), &[window_flow(Route::full(2))]).unwrap();
+        let f = &out.flows[0];
+        assert!(f.sent > 0, "sent counter must be recorded");
+        assert_eq!(f.dropped, 0, "the tandem is lossless");
+        assert!(
+            f.sent >= f.delivered,
+            "sent {} < delivered {}",
+            f.sent,
+            f.delivered
+        );
+    }
+
+    #[test]
+    fn utilisation_sane_on_saturated_tandem() {
+        // A single aggressive flow across 2 hops: the first queue's
+        // throughput bounds the second's arrivals; both mean queues
+        // finite, end-to-end delivery positive.
+        let flow = FlowSpec {
+            source: SourceSpec::Window {
+                aimd: WindowAimd::new(4.0, 0.5, 0.02, 20.0),
+                w0: 8.0,
+            },
+            route: Route::full(2),
+        };
+        // Hop 0 is the bottleneck.
+        let out = run_network(&tandem(&[50.0, 100.0]), &[flow]).unwrap();
+        assert!(out.flows[0].throughput > 20.0);
+        assert!(out.flows[0].throughput <= 51.0);
+        assert!(out.mean_queue[0] > out.mean_queue[1]);
     }
 }

@@ -329,7 +329,8 @@ pub struct Workload {
     pub prop_delay: f64,
     /// Stop admitting after this many flows (`None` = unlimited;
     /// `Some(0)` turns the workload off without perturbing the RNG
-    /// stream — the static-flow shim pin relies on this).
+    /// stream — the zero-cap equality pin in
+    /// `tests/engine_equivalence.rs` relies on this).
     pub max_flows: Option<u64>,
     /// Recycle per-flow slots through the arena free list (default).
     /// `false` keeps one slot per arrived flow — the no-recycling

@@ -16,7 +16,9 @@ use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::fluid::delay::{
     cycle_summary, simulate_delayed, window_laws_for_delays, DelayParams,
 };
-use fpk_repro::sim::{run, Service, SimConfig, SourceSpec};
+use fpk_repro::sim::{
+    run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec,
+};
 
 fn main() {
     let mu = 5.0;
@@ -100,11 +102,17 @@ fn main() {
         sample_interval: 0.1,
         seed: 7,
     };
-    let mk = |rtt: f64| SourceSpec::Window {
-        aimd: WindowAimd::new(1.0, 0.5, rtt, 15.0),
-        w0: 2.0,
+    let mk = |rtt: f64| {
+        FlowSpec::single_hop(SourceSpec::Window {
+            aimd: WindowAimd::new(1.0, 0.5, rtt, 15.0),
+            w0: 2.0,
+        })
     };
-    let out = run(&cfg, &[mk(0.03), mk(0.12)]).expect("simulation");
+    let out = run_network(
+        &NetConfig::single_link(&cfg, FaultConfig::default()),
+        &[mk(0.03), mk(0.12)],
+    )
+    .expect("simulation");
     println!(
         "  RTTs 30ms vs 120ms: throughputs ({:.1}, {:.1}) pkts/s — short RTT wins {:.1}x",
         out.flows[0].throughput,

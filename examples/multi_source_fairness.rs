@@ -11,7 +11,9 @@ use fpk_repro::congestion::fairness::{jain_index, share_prediction_error};
 use fpk_repro::congestion::theory::sliding_share;
 use fpk_repro::congestion::LinearExp;
 use fpk_repro::fluid::multi::{simulate_multi, MultiParams};
-use fpk_repro::sim::{run, Service, SimConfig, SourceSpec};
+use fpk_repro::sim::{
+    run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec,
+};
 
 fn main() {
     let mu = 10.0;
@@ -69,15 +71,21 @@ fn main() {
         sample_interval: 0.1,
         seed: 11,
     };
-    let mk = |c0: f64| SourceSpec::Rate {
-        law: LinearExp::new(c0, 0.5, 12.0),
-        lambda0: 10.0,
-        update_interval: 0.1,
-        prop_delay: 0.01,
-        poisson: true,
+    let mk = |c0: f64| {
+        FlowSpec::single_hop(SourceSpec::Rate {
+            law: LinearExp::new(c0, 0.5, 12.0),
+            lambda0: 10.0,
+            update_interval: 0.1,
+            prop_delay: 0.01,
+            poisson: true,
+        })
     };
     // Packet-level heterogeneity: C0 of 4 vs 8 (C0/C1 ratios 8 vs 16 → 1:2).
-    let out = run(&cfg, &[mk(4.0), mk(8.0)]).expect("simulation");
+    let out = run_network(
+        &NetConfig::single_link(&cfg, FaultConfig::default()),
+        &[mk(4.0), mk(8.0)],
+    )
+    .expect("simulation");
     let rate_laws = [
         LinearExp::new(4.0, 0.5, 12.0),
         LinearExp::new(8.0, 0.5, 12.0),

@@ -16,10 +16,9 @@
 
 use fpk_repro::congestion::decbit::DecbitPolicy;
 use fpk_repro::congestion::{LinearExp, WindowAimd};
-use fpk_repro::sim::engine::{run_with_faults, FaultConfig};
 use fpk_repro::sim::{
-    run, run_network, FlowSpec, Link, NetConfig, QdiscKind, Route, Service, SimConfig, SourceSpec,
-    Topology, TraceMode,
+    run_network, FaultConfig, FlowSpec, Link, NetConfig, QdiscKind, Route, Service, SimConfig,
+    SourceSpec, Topology, TraceMode,
 };
 
 fn main() {
@@ -87,15 +86,14 @@ fn main() {
         sample_interval: 0.1,
         seed: 72,
     };
-    let src = SourceSpec::Window {
+    let src = FlowSpec::single_hop(SourceSpec::Window {
         aimd: WindowAimd::new(1.0, 0.5, 0.05, 15.0),
         w0: 2.0,
-    };
+    });
     for loss in [0.0, 0.02, 0.05, 0.10] {
-        let out = run_with_faults(
-            &cfg,
+        let out = run_network(
+            &NetConfig::single_link(&cfg, FaultConfig::Iid { loss_prob: loss }),
             std::slice::from_ref(&src),
-            &FaultConfig::Iid { loss_prob: loss },
         )
         .expect("sim");
         println!(
@@ -103,7 +101,7 @@ fn main() {
             loss * 100.0,
             out.flows[0].throughput,
             out.flows[0].dropped,
-            out.mean_queue
+            out.mean_queue[0]
         );
     }
     println!("  → throughput degrades smoothly with loss; no collapse.");
@@ -113,16 +111,22 @@ fn main() {
     // Part 3: DECbit sources (averaged marking).
     // ------------------------------------------------------------------
     println!("=== DECbit (Ramakrishnan–Jain) sources on one bottleneck ===");
-    let decbit = |q_hat: f64| SourceSpec::Decbit {
-        policy: DecbitPolicy::raja88(),
-        rtt: 0.05,
-        w0: 2.0,
-        q_hat,
+    let decbit = |q_hat: f64| {
+        FlowSpec::single_hop(SourceSpec::Decbit {
+            policy: DecbitPolicy::raja88(),
+            rtt: 0.05,
+            w0: 2.0,
+            q_hat,
+        })
     };
-    let out = run(&cfg, &[decbit(2.0), decbit(2.0)]).expect("sim");
+    let out = run_network(
+        &NetConfig::single_link(&cfg, FaultConfig::default()),
+        &[decbit(2.0), decbit(2.0)],
+    )
+    .expect("sim");
     println!(
         "  two DECbit flows: throughputs ({:.1}, {:.1}) pkts/s, mean queue {:.2}",
-        out.flows[0].throughput, out.flows[1].throughput, out.mean_queue
+        out.flows[0].throughput, out.flows[1].throughput, out.mean_queue[0]
     );
     println!("  → regeneration-cycle averaging holds the queue near the knee");
     println!("    while sharing the pipe — the mechanism the paper's Eq. 1/2");

@@ -16,7 +16,9 @@ use fpk_repro::congestion::LinearExp;
 use fpk_repro::fluid::single::{simulate, FluidParams};
 use fpk_repro::fpk::solver::{FpProblem, FpSolver};
 use fpk_repro::fpk::Density;
-use fpk_repro::sim::{run, Service, SimConfig, SourceSpec};
+use fpk_repro::sim::{
+    run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec,
+};
 
 fn main() {
     let mu = 5.0;
@@ -80,18 +82,22 @@ fn main() {
         sample_interval: 0.1,
         seed: 42,
     };
-    let src = SourceSpec::Rate {
+    let src = FlowSpec::single_hop(SourceSpec::Rate {
         law: LinearExp::new(8.0, 0.5, 10.0),
         lambda0: 10.0,
         update_interval: 0.1,
         prop_delay: 0.01,
         poisson: true,
-    };
-    let out = run(&cfg, &[src]).expect("simulation");
+    });
+    let out = run_network(
+        &NetConfig::single_link(&cfg, FaultConfig::default()),
+        &[src],
+    )
+    .expect("simulation");
     println!(
         "[packets] mean queue = {:.2} pkts, utilisation = {:.1}%, delivered = {}",
-        out.mean_queue,
-        100.0 * out.utilization,
+        out.mean_queue[0],
+        100.0 * out.total_throughput / out.capacity,
         out.flows[0].delivered
     );
     println!();

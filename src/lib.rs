@@ -5,7 +5,7 @@
 //! This crate re-exports the workspace members under stable paths so the
 //! examples and integration tests can depend on a single crate:
 //!
-//! * [`numerics`] — ODE/DDE integrators, linear algebra, quadrature, FFT…
+//! * [`numerics`] — ODE/DDE integrators, linear algebra, FFT, statistics…
 //! * [`congestion`] — control laws (JRJ linear-increase/exponential-
 //!   decrease and friends) and the fairness/equilibrium theory.
 //! * [`fluid`] — the Bolot–Shankar deterministic fluid baseline, the

@@ -11,7 +11,16 @@ use fpk_repro::fpk::montecarlo::{simulate_ensemble, McConfig};
 use fpk_repro::fpk::solver::{FpProblem, FpSolver};
 use fpk_repro::fpk::Density;
 use fpk_repro::numerics::stats::ks_sample_vs_density;
-use fpk_repro::sim::{run, Service, SimConfig, SourceSpec};
+use fpk_repro::numerics::Result;
+use fpk_repro::sim::{
+    run_network, FaultConfig, FlowSpec, NetConfig, NetResult, Service, SimConfig, SourceSpec,
+};
+
+/// `sources` as single-hop flows on the fault-free link `cfg` describes.
+fn run_single_link(cfg: &SimConfig, sources: &[SourceSpec]) -> Result<NetResult> {
+    let flows: Vec<FlowSpec> = sources.iter().cloned().map(FlowSpec::single_hop).collect();
+    run_network(&NetConfig::single_link(cfg, FaultConfig::default()), &flows)
+}
 
 fn law() -> LinearExp {
     LinearExp::new(1.0, 0.5, 10.0)
@@ -162,7 +171,7 @@ fn sliding_share_theory_verified_by_fluid_and_packets() {
             poisson: true,
         })
         .collect();
-    let out = run(
+    let out = run_single_link(
         &SimConfig {
             mu: 100.0,
             service: Service::Exponential,
@@ -186,7 +195,7 @@ fn sliding_share_theory_verified_by_fluid_and_packets() {
 fn packet_queue_hovers_near_fluid_equilibrium() {
     // The DES mean queue should sit in the neighbourhood of the fluid
     // limit point q̂ when a single matched JRJ source runs long enough.
-    let out = run(
+    let out = run_single_link(
         &SimConfig {
             mu: 100.0,
             service: Service::Deterministic,
@@ -206,11 +215,12 @@ fn packet_queue_hovers_near_fluid_equilibrium() {
     )
     .unwrap();
     assert!(
-        out.mean_queue > 3.0 && out.mean_queue < 20.0,
+        out.mean_queue[0] > 3.0 && out.mean_queue[0] < 20.0,
         "mean queue {} should bracket q̂ = 10",
-        out.mean_queue
+        out.mean_queue[0]
     );
-    assert!(out.utilization > 0.85, "utilization {}", out.utilization);
+    let utilization = out.total_throughput / out.capacity;
+    assert!(utilization > 0.85, "utilization {utilization}");
 }
 
 #[test]
@@ -226,7 +236,7 @@ fn window_map_sawtooth_matches_packet_simulator() {
     let knee = mu_pkts * aimd.rtt + aimd.q_hat;
     let st = sawtooth(&aimd, knee).unwrap();
 
-    let out = run(
+    let out = run_single_link(
         &SimConfig {
             mu: mu_pkts,
             service: Service::Deterministic,

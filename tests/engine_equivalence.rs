@@ -1,26 +1,65 @@
-//! Equivalence pins for the topology-first engine refactor.
+//! Equivalence pins for the topology-first engine.
 //!
-//! The PR that introduced `fpk_sim::network` deleted the two dedicated
-//! event loops (`engine`'s single-bottleneck loop and `tandem`'s private
-//! `BinaryHeap` loop) and routed everything through one hop-indexed
-//! engine. These tests pin that contract two ways:
+//! `fpk_sim::network` replaced two dedicated event loops (a
+//! single-bottleneck loop and a tandem loop on a private `BinaryHeap`)
+//! with one hop-indexed engine. These tests pin that contract:
 //!
 //! 1. **Golden constants** captured from the *pre-refactor* engines: the
 //!    unified engine must reproduce them bit-for-bit (same seed → same
-//!    counters, same trace sums, same f64 bit patterns).
-//! 2. **Shim equality**: `run`/`run_with_faults` versus `run_network` on
-//!    the equivalent 1-link topology, and `run_tandem` versus
-//!    `run_network` on the equivalent lossless K-link topology, must
-//!    agree exactly — guarding against the shims and the network API
-//!    drifting apart in the future.
+//!    counters, same trace sums, same f64 bit patterns) on the single
+//!    link ([`NetConfig::single_link`]) and on lossless window-flow
+//!    tandems.
+//! 2. **Fast-path equality**: opt-in features left at their neutral
+//!    setting (a workload capped at zero flows, unity byte factors) must
+//!    not move a bit.
 
 use fpk_repro::congestion::decbit::DecbitPolicy;
 use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::sim::{
-    run_network, run_network_workload, run_tandem, run_with_faults, ArrivalProcess, Bytes,
-    FaultConfig, FlowSizeDist, FlowSpec, NetConfig, PacketBytes, QdiscKind, Route, Service,
-    SimConfig, SourceSpec, TandemConfig, TandemFlow, Topology, TraceMode, Workload,
+    run_network, run_network_workload, ArrivalProcess, Bytes, FaultConfig, FlowSizeDist, FlowSpec,
+    Link, NetConfig, PacketBytes, QdiscKind, Route, Service, SimConfig, SourceSpec, Topology,
+    TraceMode, Workload,
 };
+
+/// `sources` as single-hop flows.
+fn single_hop(sources: Vec<SourceSpec>) -> Vec<FlowSpec> {
+    sources.into_iter().map(FlowSpec::single_hop).collect()
+}
+
+/// The lossless tandem the pre-refactor tandem engine simulated: one
+/// infinite-buffer link per μ, no faults, counters only (no traces,
+/// one sample at each end of the horizon — sampling draws no
+/// randomness, so neither choice can move a counter).
+fn tandem(mu: &[f64], service: Service, t_end: f64, warmup: f64, seed: u64) -> NetConfig {
+    NetConfig {
+        topology: Topology {
+            links: mu
+                .iter()
+                .map(|&mu| Link {
+                    mu,
+                    service,
+                    buffer: None,
+                })
+                .collect(),
+        },
+        faults: Vec::new(),
+        t_end,
+        warmup,
+        sample_interval: t_end,
+        seed,
+        trace: TraceMode::Off,
+        qdisc: QdiscKind::Fifo,
+        packet_bytes: None,
+    }
+}
+
+/// A window-AIMD flow crossing hops `first..=last`.
+fn window_flow(aimd: WindowAimd, first: usize, last: usize) -> FlowSpec {
+    FlowSpec {
+        source: SourceSpec::Window { aimd, w0: 2.0 },
+        route: Route { first, last },
+    }
+}
 
 fn mixed_sources() -> Vec<SourceSpec> {
     vec![
@@ -63,10 +102,9 @@ fn single_link_goldens_mixed_sources_with_loss() {
         sample_interval: 0.1,
         seed: 2024,
     };
-    let out = run_with_faults(
-        &cfg,
-        &mixed_sources(),
-        &FaultConfig::Iid { loss_prob: 0.05 },
+    let out = run_network(
+        &NetConfig::single_link(&cfg, FaultConfig::Iid { loss_prob: 0.05 }),
+        &single_hop(mixed_sources()),
     )
     .unwrap();
     let books: Vec<(u64, u64, u64)> = out
@@ -84,11 +122,11 @@ fn single_link_goldens_mixed_sources_with_loss() {
         ],
         "per-flow counters moved off the pre-refactor engine"
     );
-    assert_eq!(out.trace_q.len(), 401);
-    let qsum: f64 = out.trace_q.iter().sum();
+    assert_eq!(out.trace_q[0].len(), 401);
+    let qsum: f64 = out.trace_q[0].iter().sum();
     assert_eq!(qsum.to_bits(), 0x40ab_6a00_0000_0000, "trace_q sum");
     assert_eq!(
-        out.mean_queue.to_bits(),
+        out.mean_queue[0].to_bits(),
         0x4022_5f15_c7a0_39b0,
         "mean_queue"
     );
@@ -133,13 +171,17 @@ fn single_link_goldens_deterministic_window() {
         aimd: WindowAimd::new(1.0, 0.5, 0.05, 12.0),
         w0: 2.0,
     };
-    let out = run_with_faults(&cfg, &[src], &FaultConfig::default()).unwrap();
+    let out = run_network(
+        &NetConfig::single_link(&cfg, FaultConfig::default()),
+        &single_hop(vec![src]),
+    )
+    .unwrap();
     let f = &out.flows[0];
     assert_eq!((f.sent, f.delivered, f.dropped), (1871, 1861, 0));
-    assert_eq!(out.trace_q.len(), 301);
-    let qsum: f64 = out.trace_q.iter().sum();
+    assert_eq!(out.trace_q[0].len(), 301);
+    let qsum: f64 = out.trace_q[0].iter().sum();
     assert_eq!(qsum.to_bits(), 0x40a0_b400_0000_0000);
-    assert_eq!(out.mean_queue.to_bits(), 0x401d_06a7_ef9d_b2c6);
+    assert_eq!(out.mean_queue[0].to_bits(), 0x401d_06a7_ef9d_b2c6);
 }
 
 /// Pre-refactor golden: 3-queue heterogeneous tandem (exponential
@@ -147,21 +189,9 @@ fn single_link_goldens_deterministic_window() {
 /// `tandem.rs` private event loop produced exactly these counters.
 #[test]
 fn tandem_goldens_exponential_parking_lot() {
-    let aimd = WindowAimd::new(1.0, 0.5, 0.05, 10.0);
-    let mk = |first: usize, last: usize| TandemFlow {
-        aimd,
-        w0: 2.0,
-        first_hop: first,
-        last_hop: last,
-    };
-    let out = run_tandem(
-        &TandemConfig {
-            mu: vec![100.0, 80.0, 120.0],
-            exponential_service: true,
-            t_end: 120.0,
-            warmup: 24.0,
-            seed: 99,
-        },
+    let mk = |first, last| window_flow(WindowAimd::new(1.0, 0.5, 0.05, 10.0), first, last);
+    let out = run_network(
+        &tandem(&[100.0, 80.0, 120.0], Service::Exponential, 120.0, 24.0, 99),
         &[mk(0, 2), mk(0, 0), mk(1, 1), mk(2, 2)],
     )
     .unwrap();
@@ -181,21 +211,9 @@ fn tandem_goldens_exponential_parking_lot() {
 /// Pre-refactor golden: deterministic-service tandem, seed 5.
 #[test]
 fn tandem_goldens_deterministic_service() {
-    let aimd = WindowAimd::new(1.0, 0.5, 0.05, 10.0);
-    let mk = |first: usize, last: usize| TandemFlow {
-        aimd,
-        w0: 2.0,
-        first_hop: first,
-        last_hop: last,
-    };
-    let out = run_tandem(
-        &TandemConfig {
-            mu: vec![60.0, 60.0],
-            exponential_service: false,
-            t_end: 90.0,
-            warmup: 18.0,
-            seed: 5,
-        },
+    let mk = |first, last| window_flow(WindowAimd::new(1.0, 0.5, 0.05, 10.0), first, last);
+    let out = run_network(
+        &tandem(&[60.0, 60.0], Service::Deterministic, 90.0, 18.0, 5),
         &[mk(0, 1), mk(1, 1)],
     )
     .unwrap();
@@ -205,65 +223,12 @@ fn tandem_goldens_deterministic_service() {
     assert_eq!(mq_bits, vec![0x3fd7_2f68_4bda_1184, 0x401a_3777_7777_75eb]);
 }
 
-/// `run_with_faults` ≡ `run_network` on the equivalent 1-link topology:
-/// same traces, same counters, field by field.
-#[test]
-fn shim_matches_run_network_single_link() {
-    let cfg = SimConfig {
-        mu: 60.0,
-        service: Service::Exponential,
-        buffer: Some(25),
-        t_end: 25.0,
-        warmup: 5.0,
-        sample_interval: 0.1,
-        seed: 31,
-    };
-    let faults = FaultConfig::Iid { loss_prob: 0.03 };
-    let via_shim = run_with_faults(&cfg, &mixed_sources(), &faults).unwrap();
-
-    let net = NetConfig {
-        topology: Topology::single(cfg.mu, cfg.service, cfg.buffer),
-        faults: vec![faults],
-        t_end: cfg.t_end,
-        warmup: cfg.warmup,
-        sample_interval: cfg.sample_interval,
-        seed: cfg.seed,
-        trace: TraceMode::Full,
-        qdisc: QdiscKind::Fifo,
-        packet_bytes: None,
-    };
-    let flows: Vec<FlowSpec> = mixed_sources()
-        .into_iter()
-        .map(FlowSpec::single_hop)
-        .collect();
-    let via_net = run_network(&net, &flows).unwrap();
-
-    assert_eq!(via_shim.trace_t, via_net.trace_t);
-    assert_eq!(via_shim.trace_q, via_net.trace_q[0]);
-    assert_eq!(via_shim.trace_ctl, via_net.trace_ctl);
-    assert_eq!(
-        via_shim.mean_queue.to_bits(),
-        via_net.mean_queue[0].to_bits()
-    );
-    assert_eq!(
-        via_shim.total_throughput.to_bits(),
-        via_net.total_throughput.to_bits()
-    );
-    for (a, b) in via_shim.flows.iter().zip(&via_net.flows) {
-        assert_eq!(a.sent, b.sent);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        assert_eq!(b.hops, 1);
-    }
-}
-
 /// Static flows through the workload machinery: `run_network_workload`
 /// with an admission cap of zero must be bit-identical to plain
 /// `run_network` — the workload code path schedules nothing, draws no
 /// RNG, and perturbs no trace, so pre-workload goldens keep holding
 /// for every scenario that doesn't opt in. (The same mixed-source +
-/// loss setup as the golden test above, so this shim pin transitively
+/// loss setup as the golden test above, so this pin transitively
 /// covers the pre-refactor constants too.)
 #[test]
 fn workload_with_zero_cap_matches_run_network() {
@@ -278,10 +243,7 @@ fn workload_with_zero_cap_matches_run_network() {
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
-    let flows: Vec<FlowSpec> = mixed_sources()
-        .into_iter()
-        .map(FlowSpec::single_hop)
-        .collect();
+    let flows = single_hop(mixed_sources());
     let plain = run_network(&net, &flows).unwrap();
 
     let off = Workload::new(
@@ -290,27 +252,27 @@ fn workload_with_zero_cap_matches_run_network() {
         vec![Route::single(0)],
     )
     .with_max_flows(0);
-    let shimmed = run_network_workload(&net, &flows, &off).unwrap();
+    let capped = run_network_workload(&net, &flows, &off).unwrap();
 
-    assert_eq!(plain.trace_t, shimmed.trace_t);
-    assert_eq!(plain.trace_q, shimmed.trace_q);
-    assert_eq!(plain.trace_ctl, shimmed.trace_ctl);
+    assert_eq!(plain.trace_t, capped.trace_t);
+    assert_eq!(plain.trace_q, capped.trace_q);
+    assert_eq!(plain.trace_ctl, capped.trace_ctl);
     assert_eq!(
         plain.mean_queue[0].to_bits(),
-        shimmed.mean_queue[0].to_bits()
+        capped.mean_queue[0].to_bits()
     );
     assert_eq!(
         plain.total_throughput.to_bits(),
-        shimmed.total_throughput.to_bits()
+        capped.total_throughput.to_bits()
     );
-    for (a, b) in plain.flows.iter().zip(&shimmed.flows) {
+    for (a, b) in plain.flows.iter().zip(&capped.flows) {
         assert_eq!(a.sent, b.sent);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.dropped, b.dropped);
         assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
     }
     assert!(plain.workload.is_none());
-    let s = shimmed
+    let s = capped
         .workload
         .expect("workload stats present even when capped off");
     assert_eq!((s.arrived, s.packets_sent, s.slot_high_water), (0, 0, 0));
@@ -339,10 +301,7 @@ fn byte_mode_with_unity_factor_matches_unit_fast_path() {
         qdisc: QdiscKind::Fifo,
         packet_bytes,
     };
-    let flows: Vec<FlowSpec> = mixed_sources()
-        .into_iter()
-        .map(FlowSpec::single_hop)
-        .collect();
+    let flows = single_hop(mixed_sources());
     let unit = run_network(&mk(None), &flows).unwrap();
     let bytes = run_network(
         &mk(Some(PacketBytes {
@@ -379,62 +338,4 @@ fn byte_mode_with_unity_factor_matches_unit_fast_path() {
         ],
         "byte mode with unity factor moved off the golden counters"
     );
-}
-
-/// `run_tandem` ≡ `run_network` on the equivalent lossless K-link
-/// topology with pure window flows.
-#[test]
-fn shim_matches_run_network_tandem_shape() {
-    let aimd = WindowAimd::new(1.0, 0.5, 0.04, 8.0);
-    let legacy = [
-        TandemFlow {
-            aimd,
-            w0: 2.0,
-            first_hop: 0,
-            last_hop: 2,
-        },
-        TandemFlow {
-            aimd,
-            w0: 2.0,
-            first_hop: 1,
-            last_hop: 1,
-        },
-    ];
-    let cfg = TandemConfig {
-        mu: vec![90.0, 70.0, 110.0],
-        exponential_service: true,
-        t_end: 60.0,
-        warmup: 12.0,
-        seed: 13,
-    };
-    let via_shim = run_tandem(&cfg, &legacy).unwrap();
-
-    let via_net = run_network(
-        &cfg.to_net_config(),
-        &legacy
-            .iter()
-            .map(|f| FlowSpec {
-                source: SourceSpec::Window {
-                    aimd: f.aimd,
-                    w0: f.w0,
-                },
-                route: Route {
-                    first: f.first_hop,
-                    last: f.last_hop,
-                },
-            })
-            .collect::<Vec<_>>(),
-    )
-    .unwrap();
-
-    for (a, b) in via_shim.flows.iter().zip(&via_net.flows) {
-        assert_eq!(a.sent, b.sent);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        assert_eq!(a.hops, b.hops);
-    }
-    let shim_bits: Vec<u64> = via_shim.mean_queue.iter().map(|q| q.to_bits()).collect();
-    let net_bits: Vec<u64> = via_net.mean_queue.iter().map(|q| q.to_bits()).collect();
-    assert_eq!(shim_bits, net_bits);
 }

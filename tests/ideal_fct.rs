@@ -16,13 +16,16 @@
 //!   flow ever beats its ideal FCT (slowdown ≥ 1), even under finite
 //!   buffers and random loss;
 //! * a ~1.5×10⁵-flow workload sweep is bit-identical across executor
-//!   widths and the pooled/unpooled paths (the `montecarlo.rs`
-//!   determinism policy extends to workload runs);
+//!   widths and to a serial collect-then-aggregate reference (the
+//!   `montecarlo.rs` determinism policy extends to workload runs);
 //! * slot recycling changes *only* the arena high-water mark: a 10⁵
 //!   short-flow run needs O(concurrently-active) flow state, and every
 //!   other output bit matches the no-recycling reference.
 
-use fpk_repro::scenarios::{run_sweep_on, run_sweep_unpooled, Axis, Ensemble, Scenario, Sweep};
+use fpk_repro::numerics::Result;
+use fpk_repro::scenarios::{
+    aggregate, run_sweep_on, Axis, Ensemble, EnsembleStats, Scenario, Sweep,
+};
 use fpk_repro::sim::{
     ideal_fct, ideal_fct_sized, run_network_workload, ArrivalProcess, Bytes, FaultConfig,
     FlowSizeDist, Link, NetConfig, PacketBytes, QdiscKind, Route, Service, SimConfig, Topology,
@@ -345,10 +348,30 @@ fn workload_sweep() -> Sweep {
         .axis(Axis::arrival_burstiness(vec![1.0, 1.5]))
 }
 
+/// Test-only serial reference for the streaming sweep executor: every
+/// `(cell, replication)` pair through `Scenario::run_seeded` in order,
+/// the summaries collected, then `aggregate` per cell.
+fn serial_reference(sweep: &Sweep, replications: usize) -> Result<Vec<EnsembleStats>> {
+    sweep
+        .cells()
+        .iter()
+        .map(|cell| {
+            let runs = (0..replications)
+                .map(|r| {
+                    let seed = Ensemble::replication_seed(cell.seed, r);
+                    cell.scenario.run_seeded(seed)
+                })
+                .collect::<Result<Vec<_>>>()?;
+            aggregate(&runs)
+        })
+        .collect()
+}
+
 /// ~1.5×10⁵ flows across a 4-cell × 2-replication workload sweep must
 /// serialize bit-identically from the pooled executor at widths 1 and
-/// 3 and from the unpooled reference path (no `FPK_THREADS` /
-/// `FPK_POOL` env involvement — the widths are passed explicitly).
+/// 3, and its per-cell statistics must match the serial
+/// collect-then-aggregate reference (no `FPK_THREADS` env involvement —
+/// the widths are passed explicitly).
 #[test]
 fn workload_sweep_bit_identical_across_executors() {
     let sweep = workload_sweep();
@@ -367,11 +390,23 @@ fn workload_sweep_bit_identical_across_executors() {
         total_arrived >= 1e5,
         "sweep should drive ≥ 1e5 flows, got {total_arrived}"
     );
+    let streamed: Vec<String> = a
+        .cells
+        .iter()
+        .map(|c| serde_json::to_string(&c.stats).unwrap())
+        .collect();
+    let reference: Vec<String> = serial_reference(&sweep, 2)
+        .unwrap()
+        .iter()
+        .map(|st| serde_json::to_string(st).unwrap())
+        .collect();
+    assert_eq!(
+        streamed, reference,
+        "streaming vs serial reference diverged"
+    );
     let a = serde_json::to_string(&a).unwrap();
     let b = serde_json::to_string(&run_sweep_on(&sweep, 2, 3).unwrap()).unwrap();
-    let c = serde_json::to_string(&run_sweep_unpooled(&sweep, 2, 3).unwrap()).unwrap();
     assert_eq!(a, b, "pooled width 1 vs 3 diverged");
-    assert_eq!(a, c, "pooled vs unpooled diverged");
 }
 
 /// 10⁵ short flows through one bottleneck: with slot recycling the

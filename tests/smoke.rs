@@ -1,7 +1,8 @@
 //! Fast smoke coverage of the two hot paths every future performance PR
-//! will touch: the discrete-event simulator (`sim::run`, one test per
-//! [`SourceSpec`] variant) and the Fokker–Planck stepper
-//! (`FpSolver::run_until` mass conservation and positivity).
+//! will touch: the discrete-event simulator (`sim::run_network` on the
+//! single link, one test per [`SourceSpec`] variant) and the
+//! Fokker–Planck stepper (`FpSolver::run_until` mass conservation and
+//! positivity).
 //!
 //! Every test here runs a deliberately short horizon so the whole file
 //! finishes in a few seconds even unoptimised; the long-horizon
@@ -11,9 +12,10 @@
 use fpk_repro::congestion::decbit::DecbitPolicy;
 use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::fpk::{Density, FpProblem, FpSolver};
+use fpk_repro::numerics::Result;
 use fpk_repro::sim::{
-    run, run_network, run_with_faults, FaultConfig, FlowSpec, Link, NetConfig, QdiscKind, Route,
-    Service, SimConfig, SourceSpec, Topology, TraceMode,
+    run_network, FaultConfig, FlowSpec, Link, NetConfig, NetResult, QdiscKind, Route, Service,
+    SimConfig, SourceSpec, Topology, TraceMode,
 };
 
 fn short_config(seed: u64) -> SimConfig {
@@ -28,18 +30,35 @@ fn short_config(seed: u64) -> SimConfig {
     }
 }
 
-fn check_result(out: &fpk_repro::sim::SimResult, n_flows: usize, what: &str) {
+/// `sources` as single-hop flows on the link `cfg` describes, with
+/// `fault` injected there.
+fn run_faulty(cfg: &SimConfig, sources: &[SourceSpec], fault: FaultConfig) -> Result<NetResult> {
+    let flows: Vec<FlowSpec> = sources.iter().cloned().map(FlowSpec::single_hop).collect();
+    run_network(&NetConfig::single_link(cfg, fault), &flows)
+}
+
+/// [`run_faulty`] without faults.
+fn run(cfg: &SimConfig, sources: &[SourceSpec]) -> Result<NetResult> {
+    run_faulty(cfg, sources, FaultConfig::default())
+}
+
+/// Bottleneck utilisation of a single-link run: throughput over μ.
+fn utilization(out: &NetResult) -> f64 {
+    out.total_throughput / out.capacity
+}
+
+fn check_result(out: &NetResult, n_flows: usize, what: &str) {
     assert_eq!(out.flows.len(), n_flows, "{what}: flow count");
     assert!(out.total_throughput > 0.0, "{what}: no packets delivered");
-    assert!(out.mean_queue >= 0.0, "{what}: negative mean queue");
+    assert!(out.mean_queue[0] >= 0.0, "{what}: negative mean queue");
     assert!(
-        (0.0..=1.5).contains(&out.utilization),
+        (0.0..=1.5).contains(&utilization(out)),
         "{what}: utilization {} out of range",
-        out.utilization
+        utilization(out)
     );
     assert!(!out.trace_t.is_empty(), "{what}: empty trace");
     assert!(
-        out.trace_q.iter().all(|&q| q >= 0.0),
+        out.trace_q[0].iter().all(|&q| q >= 0.0),
         "{what}: negative queue sample"
     );
 }
@@ -116,7 +135,7 @@ fn des_onoff_source_smoke() {
     check_result(&out, 1, "on-off source");
     // Mean rate ≈ peak/2 = 30 ≤ μ = 50: delivered load must be well
     // below capacity but clearly nonzero.
-    assert!(out.utilization < 1.0, "on-off overloaded the bottleneck");
+    assert!(utilization(&out) < 1.0, "on-off overloaded the bottleneck");
 }
 
 #[test]
@@ -175,7 +194,7 @@ fn des_mixed_sources_smoke() {
 
 /// Fault-injected variant of [`check_result`]: random link loss must be
 /// visible in the drop counters while the flow still makes progress.
-fn check_lossy_result(out: &fpk_repro::sim::SimResult, what: &str) {
+fn check_lossy_result(out: &NetResult, what: &str) {
     check_result(out, 1, what);
     assert!(
         out.flows[0].dropped > 0,
@@ -191,7 +210,7 @@ fn check_lossy_result(out: &fpk_repro::sim::SimResult, what: &str) {
 fn des_rate_source_with_loss_smoke() {
     // Rate flows simply lose the packet; the sent/dropped books must
     // reflect it and throughput stays positive.
-    let out = run_with_faults(
+    let out = run_faulty(
         &short_config(31),
         &[SourceSpec::Rate {
             law: LinearExp::new(8.0, 0.5, 10.0),
@@ -200,7 +219,7 @@ fn des_rate_source_with_loss_smoke() {
             prop_delay: 0.01,
             poisson: true,
         }],
-        &FaultConfig::Iid { loss_prob: 0.08 },
+        FaultConfig::Iid { loss_prob: 0.08 },
     )
     .expect("lossy rate run");
     check_lossy_result(&out, "lossy rate source");
@@ -214,13 +233,13 @@ fn des_rate_source_with_loss_smoke() {
 fn des_window_source_with_loss_smoke() {
     // Window flows see drop-as-mark: every loss returns a marked ack, so
     // the flow stays ack-clocked and keeps making progress.
-    let out = run_with_faults(
+    let out = run_faulty(
         &short_config(32),
         &[SourceSpec::Window {
             aimd: WindowAimd::new(1.0, 0.5, 0.05, 10.0),
             w0: 2.0,
         }],
-        &FaultConfig::Iid { loss_prob: 0.08 },
+        FaultConfig::Iid { loss_prob: 0.08 },
     )
     .expect("lossy window run");
     check_lossy_result(&out, "lossy window source");
@@ -236,7 +255,7 @@ fn des_window_source_with_loss_smoke() {
 
 #[test]
 fn des_onoff_source_with_loss_smoke() {
-    let out = run_with_faults(
+    let out = run_faulty(
         &short_config(33),
         &[SourceSpec::OnOff {
             peak_rate: 60.0,
@@ -244,7 +263,7 @@ fn des_onoff_source_with_loss_smoke() {
             mean_off: 0.5,
             prop_delay: 0.01,
         }],
-        &FaultConfig::Iid { loss_prob: 0.08 },
+        FaultConfig::Iid { loss_prob: 0.08 },
     )
     .expect("lossy on-off run");
     check_lossy_result(&out, "lossy on-off source");
@@ -252,7 +271,7 @@ fn des_onoff_source_with_loss_smoke() {
 
 #[test]
 fn des_decbit_source_with_loss_smoke() {
-    let out = run_with_faults(
+    let out = run_faulty(
         &short_config(34),
         &[SourceSpec::Decbit {
             policy: DecbitPolicy::raja88(),
@@ -260,7 +279,7 @@ fn des_decbit_source_with_loss_smoke() {
             w0: 2.0,
             q_hat: 1.0,
         }],
-        &FaultConfig::Iid { loss_prob: 0.08 },
+        FaultConfig::Iid { loss_prob: 0.08 },
     )
     .expect("lossy decbit run");
     check_lossy_result(&out, "lossy DECbit source");
@@ -275,7 +294,7 @@ fn des_decbit_source_with_loss_smoke() {
 fn des_mixed_sources_with_loss_smoke() {
     // All four variants under the same lossy bottleneck: every flow must
     // record drops *and* keep delivering.
-    let out = run_with_faults(
+    let out = run_faulty(
         &short_config(35),
         &[
             SourceSpec::Rate {
@@ -302,7 +321,7 @@ fn des_mixed_sources_with_loss_smoke() {
                 q_hat: 1.0,
             },
         ],
-        &FaultConfig::Iid { loss_prob: 0.08 },
+        FaultConfig::Iid { loss_prob: 0.08 },
     )
     .expect("lossy mixed run");
     check_result(&out, 4, "lossy mixed sources");
