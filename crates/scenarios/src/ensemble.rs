@@ -96,7 +96,9 @@ pub struct WorkloadEnsemble {
     pub arrived: Stat,
     /// Flows that accounted every packet.
     pub completed: Stat,
-    /// Per-run mean flow completion time (s).
+    /// Per-run mean flow completion time (s). This and the other four
+    /// FCT/slowdown fields aggregate only replications with at least one
+    /// clean post-warm-up completion; their `n` counts those.
     pub fct_mean: Stat,
     /// Per-run median FCT (s).
     pub fct_p50: Stat,
@@ -215,11 +217,17 @@ impl WlAccum {
     fn push(&mut self, w: &fpk_sim::WorkloadStats) {
         self.arrived.push(w.arrived as f64);
         self.completed.push(w.completed as f64);
-        self.fct_mean.push(w.fct.mean);
-        self.fct_p50.push(w.fct.p50);
-        self.fct_p99.push(w.fct.p99);
-        self.slowdown_mean.push(w.slowdown.mean);
-        self.slowdown_p99.push(w.slowdown.p99);
+        // A replication without a clean post-warm-up completion has no
+        // FCT sample; its all-zero summary would drag the means down
+        // (a slowdown below 1), so it is skipped and `n` counts the
+        // replications that contributed.
+        if w.fct.count > 0 {
+            self.fct_mean.push(w.fct.mean);
+            self.fct_p50.push(w.fct.p50);
+            self.fct_p99.push(w.fct.p99);
+            self.slowdown_mean.push(w.slowdown.mean);
+            self.slowdown_p99.push(w.slowdown.p99);
+        }
         self.peak_active.push(w.peak_active as f64);
         self.packets_dropped.push(w.packets_dropped as f64);
         self.goodput.push(w.goodput);
@@ -475,6 +483,41 @@ mod tests {
         let mut accum = CellAccum::new();
         accum.push(&two).unwrap();
         assert!(accum.push(&one).is_err(), "flow-count mismatch must fail");
+    }
+
+    #[test]
+    fn workload_fct_skips_replications_without_completions() {
+        let sc = scenario();
+        let mut empty = sc.run_seeded(1).unwrap();
+        empty.workload = Some(fpk_sim::WorkloadStats::default());
+        let mut done = sc.run_seeded(2).unwrap();
+        let sample = fpk_sim::DistSummary {
+            count: 3,
+            mean: 1.5,
+            p50: 1.4,
+            p99: 1.9,
+            min: 1.1,
+            max: 1.9,
+        };
+        done.workload = Some(fpk_sim::WorkloadStats {
+            arrived: 3,
+            completed: 3,
+            completed_clean: 3,
+            fct: sample,
+            slowdown: sample,
+            ..fpk_sim::WorkloadStats::default()
+        });
+        let mut accum = CellAccum::new();
+        accum.push(&empty).unwrap();
+        accum.push(&done).unwrap();
+        let wl = accum.finish().unwrap().workload.unwrap();
+        assert!(wl.slowdown_mean.mean >= 1.0, "{:?}", wl.slowdown_mean);
+        assert_eq!(wl.slowdown_mean.n, 1);
+        assert_eq!(wl.fct_p99.n, 1);
+        assert_eq!(
+            wl.arrived.n, 2,
+            "per-run counters still see every replication"
+        );
     }
 
     #[test]
