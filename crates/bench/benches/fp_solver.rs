@@ -82,40 +82,9 @@ fn bench_diffusion_schemes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_assembled_vs_matrix_free(c: &mut Criterion) {
-    // Ablation: assembled sparse one-step operator vs matrix-free step
-    // (both first-order upwind so the comparison is apples-to-apples).
-    use fpk_core::operator::AssembledStep;
-    let law = LinearExp::new(1.0, 0.5, 5.0);
-    let mut problem = FpProblem::new(law, 3.0, 0.3);
-    problem.limiter = Limiter::Upwind;
-    let grid = Density::standard_grid(15.0, -4.0, 4.0, 40, 24).expect("grid");
-    let init = Density::gaussian(grid, 5.0, 0.0, 1.5, 1.0).expect("init");
-    let dt = FpSolver::new(problem.clone(), init.clone())
-        .expect("solver")
-        .max_dt();
-
-    let mut group = c.benchmark_group("fp_assembled_vs_matrix_free");
-    group.bench_function("matrix_free_step", |b| {
-        let mut s = FpSolver::new(problem.clone(), init.clone()).expect("solver");
-        b.iter(|| s.step(black_box(dt)).expect("step"));
-    });
-    let op = AssembledStep::assemble(&problem, &init, dt).expect("assemble");
-    group.bench_function("assembled_spmv_step", |b| {
-        let mut f = init.data.clone();
-        let mut out = vec![0.0; f.len()];
-        b.iter(|| {
-            op.apply(black_box(&f), &mut out).expect("apply");
-            std::mem::swap(&mut f, &mut out);
-        });
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_limiters, bench_grid_sizes, bench_diffusion_schemes,
-              bench_assembled_vs_matrix_free
+    targets = bench_limiters, bench_grid_sizes, bench_diffusion_schemes
 }
 criterion_main!(benches);

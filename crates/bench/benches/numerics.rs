@@ -1,10 +1,9 @@
 //! Criterion benchmarks of the numerical kernels: tridiagonal solves
-//! (the Crank–Nicolson hot path), FFT, spline fitting/evaluation, the
+//! (the Crank–Nicolson hot path), spline fitting/evaluation, the
 //! adaptive ODE integrator and the advection sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_core::fv::{advect_sweep, Limiter};
-use fpk_numerics::fft::fft_real;
 use fpk_numerics::interp::CubicSpline;
 use fpk_numerics::linalg::solve_tridiagonal;
 use fpk_numerics::ode::{Dopri5, Dopri5Options};
@@ -25,17 +24,6 @@ fn bench_tridiagonal(c: &mut Criterion) {
                 solve_tridiagonal(&sub, &diag, &sup, black_box(&mut d), &mut scratch)
                     .expect("solve");
             });
-        });
-    }
-    group.finish();
-}
-
-fn bench_fft(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft_real");
-    for n in [256usize, 4096] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-            b.iter(|| fft_real(black_box(&signal)).expect("fft"));
         });
     }
     group.finish();
@@ -104,6 +92,6 @@ fn bench_advect(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_tridiagonal, bench_fft, bench_spline, bench_dopri5, bench_advect
+    targets = bench_tridiagonal, bench_spline, bench_dopri5, bench_advect
 }
 criterion_main!(benches);

@@ -13,11 +13,9 @@
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
 //! * [`linalg`] — tridiagonal (Thomas) and banded solvers, small dense ops.
-//! * [`sparse`] — CSR sparse matrices and sparse matrix–vector products.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
 //! * [`roots`] — bisection and Brent root finding.
-//! * [`fft`] — radix-2 complex FFT and power spectra.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
 //!   damping fits and steady-state detection.
 //! * [`stats`] — running moments, histograms, empirical CDFs, KS distance,
@@ -52,14 +50,12 @@
 #![warn(missing_docs)]
 
 pub mod dde;
-pub mod fft;
 pub mod grid;
 pub mod interp;
 pub mod linalg;
 pub mod ode;
 pub mod roots;
 pub mod signal;
-pub mod sparse;
 pub mod stats;
 
 /// Errors produced by the numerical routines in this crate.
