@@ -222,13 +222,13 @@ pub fn run_network_workload_summary(
 /// control-trace layout, so the Full-trace and arena paths cannot
 /// drift apart.
 fn arena_summary(arena: &NetArena, out: NetResult, tail_fraction: f64) -> Result<RunSummary> {
-    validate_tail(tail_fraction, arena.trace_t.len())?;
+    let tr = &arena.trace;
+    validate_tail(tail_fraction, tr.times.len())?;
     let throughputs: Vec<f64> = out.flows.iter().map(|f| f.throughput).collect();
     let jain = jain_or_unit(&throughputs)?;
     let bottleneck = out.bottleneck_hop();
-    let queue_oscillation =
-        analyze_oscillation(&arena.trace_t, &arena.trace_q[bottleneck], tail_fraction)?;
-    let ctl_std = tail_ctl_std_flat(&arena.trace_ctl, out.flows.len(), tail_fraction);
+    let queue_oscillation = analyze_oscillation(&tr.times, &tr.queues[bottleneck], tail_fraction)?;
+    let ctl_std = tail_ctl_std_flat(&tr.ctl, out.flows.len(), tail_fraction);
     let (downtime_frac, recovery_time) = fault_recovery_summary(&out);
     Ok(RunSummary {
         jain,

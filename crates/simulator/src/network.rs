@@ -22,6 +22,18 @@
 //! Zhang [Zha 89] and Jacobson [Jac 88] the paper's introduction cites.
 //! Rate sources observe the most congested queue on their route (the
 //! path bottleneck), one path delay stale.
+//!
+//! Inside, a run is one `Sim` state struct: the run's read-only inputs,
+//! the RNG and event queue, and one sub-struct per entity, moved in by
+//! value from the [`NetArena`] — `Hops` (link constants, queue state,
+//! FIFO rings, discipline scratch, fault machines), `Sources` (the
+//! static flows' control state, hot fields, send lanes and counters),
+//! `Wl` (finite-flow slots, free list, counters, FCT samples), `Trace`
+//! and the `FPK_CHECK` draw tallies (`Audit`). The loop pops an event
+//! and calls that kind's `on_*` handler. The packet paths several
+//! handlers share are one helper each: `Sources::emit` injects a packet
+//! at its route head, `Hops::start_service` puts a hop's head of line
+//! into service, and `Sim::drop_packet` handles a loss or overflow.
 
 use crate::engine::{FaultConfig, Service, SimConfig};
 use crate::event::{EventKind, EventQueue};
@@ -38,6 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// How much trace data a run records.
 ///
@@ -311,38 +324,27 @@ impl NetConfig {
         // non-finite or negative values would poison the event clock
         // (the hot-path finiteness check is debug-only).
         for f in flows {
-            let timing_ok = match &f.source {
-                SourceSpec::Rate {
-                    lambda0,
-                    update_interval,
-                    prop_delay,
-                    ..
-                } => {
-                    prop_delay.is_finite()
-                        && *prop_delay >= 0.0
-                        && update_interval.is_finite()
-                        && *update_interval > 0.0
-                        && lambda0.is_finite()
-                }
-                SourceSpec::Window { aimd, w0 } => {
-                    aimd.rtt.is_finite() && aimd.rtt >= 0.0 && w0.is_finite()
-                }
-                SourceSpec::Decbit { rtt, w0, .. } => {
-                    rtt.is_finite() && *rtt >= 0.0 && w0.is_finite()
-                }
-                SourceSpec::OnOff {
-                    peak_rate,
-                    mean_on,
-                    mean_off,
-                    prop_delay,
-                } => {
-                    prop_delay.is_finite()
-                        && *prop_delay >= 0.0
-                        && peak_rate.is_finite()
-                        && mean_on.is_finite()
-                        && mean_off.is_finite()
-                }
-            };
+            // `prop_delay()` is the per-hop delay (half the RTT of a
+            // window/DECbit flow), so one check covers every kind.
+            let d = f.source.prop_delay();
+            let timing_ok = d.is_finite()
+                && d >= 0.0
+                && match &f.source {
+                    SourceSpec::Rate {
+                        lambda0,
+                        update_interval,
+                        ..
+                    } => {
+                        update_interval.is_finite() && *update_interval > 0.0 && lambda0.is_finite()
+                    }
+                    SourceSpec::Window { w0, .. } | SourceSpec::Decbit { w0, .. } => w0.is_finite(),
+                    SourceSpec::OnOff {
+                        peak_rate,
+                        mean_on,
+                        mean_off,
+                        ..
+                    } => peak_rate.is_finite() && mean_on.is_finite() && mean_off.is_finite(),
+                };
             if !timing_ok {
                 return Err(NumericsError::InvalidParameter {
                     context: "run_network: flow timing parameters must be finite \
@@ -435,10 +437,9 @@ impl NetResult {
     }
 }
 
-/// Reusable per-run scratch state: source states, per-hop FIFOs (ring
-/// buffers of packed `u32` flow+mark words, plus a parallel byte-factor
-/// ring in byte mode), per-hop queue-discipline scratch, accumulators,
-/// the event queue, and the trace buffers.
+/// Reusable per-run scratch state, one field per entity of the event
+/// loop: the event queue, the hops, the sources, the finite-flow
+/// workload and the trace buffers.
 ///
 /// One arena serves any number of sequential runs of any shape — every
 /// buffer is cleared (capacity kept) and re-sized at the start of each
@@ -449,33 +450,10 @@ impl NetResult {
 #[derive(Debug, Default)]
 pub struct NetArena {
     ev: EventQueue,
-    states: Vec<SourceState>,
-    /// Per-hop FIFO of `flow | (marked << 31)` words, head in service.
-    fifos: Vec<VecDeque<u32>>,
-    /// Per-hop FIFO of packet size factors, parallel to `fifos`; only
-    /// touched by byte-mode instantiations (`packet_bytes: Some`).
-    fifo_bytes: Vec<VecDeque<f32>>,
-    /// Per-hop FIFO of retransmission-attempt indices, parallel to
-    /// `fifos`; only touched when the run's workload carries an
-    /// [`RtoPolicy`] (so the attempt count survives multi-hop routes).
-    fifo_attempt: Vec<VecDeque<u8>>,
-    hops: Vec<HopState>,
-    /// Per-hop queue-discipline scratch (DECbit averager, RED EWMA).
-    qdisc: Vec<HopQdiscState>,
-    pub(crate) trace_t: Vec<f64>,
-    /// `trace_q[hop][sample]`, reused across runs.
-    pub(crate) trace_q: Vec<Vec<f64>>,
-    /// Flattened control trace, stride = flow count (row per sample).
-    pub(crate) trace_ctl: Vec<f64>,
-    /// Per-slot finite-flow state (slot `s` is flow `n_static + s`).
-    dyn_flows: Vec<DynFlow>,
-    /// Free list of retired workload slots, reused LIFO so a 10⁵-flow
-    /// run holds O(active flows) per-flow state.
-    dyn_free: Vec<u32>,
-    /// Clean post-warm-up flow completion times (sorted at finalize).
-    fcts: Vec<f64>,
-    /// Matching slowdown samples (FCT / ideal FCT).
-    slowdowns: Vec<f64>,
+    hops: Hops,
+    src: Sources,
+    wl: Wl,
+    pub(crate) trace: Trace,
 }
 
 impl NetArena {
@@ -484,52 +462,14 @@ impl NetArena {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Clear every buffer (keeping capacity) and size it for a run over
-    /// `k` hops with the given flows and expected sample count.
-    fn reset(&mut self, k: usize, flows: &[FlowSpec], n_samples: usize, trace: TraceMode) {
-        self.ev.clear();
-        self.states.clear();
-        self.states
-            .extend(flows.iter().map(|f| f.source.initial_state()));
-        self.fifos.truncate(k);
-        for f in &mut self.fifos {
-            f.clear();
-        }
-        self.fifos.resize_with(k, VecDeque::new);
-        self.fifo_bytes.truncate(k);
-        for f in &mut self.fifo_bytes {
-            f.clear();
-        }
-        self.fifo_bytes.resize_with(k, VecDeque::new);
-        self.fifo_attempt.truncate(k);
-        for f in &mut self.fifo_attempt {
-            f.clear();
-        }
-        self.fifo_attempt.resize_with(k, VecDeque::new);
-        self.hops.clear();
-        self.hops.resize(k, HopState::default());
-        self.qdisc.clear();
-        self.qdisc.resize_with(k, HopQdiscState::default);
-        self.trace_t.clear();
-        self.trace_q.truncate(k);
-        for q in &mut self.trace_q {
-            q.clear();
-        }
-        self.trace_q.resize_with(k, Vec::new);
-        self.trace_ctl.clear();
-        self.dyn_flows.clear();
-        self.dyn_free.clear();
-        self.fcts.clear();
-        self.slowdowns.clear();
-        if trace != TraceMode::Off {
-            self.trace_t.reserve(n_samples);
-            for q in &mut self.trace_q {
-                q.reserve(n_samples);
-            }
-            self.trace_ctl.reserve(n_samples * flows.len());
-        }
-    }
+/// Clear the first `k` buffers of `v` (keeping their capacity) and add
+/// or drop buffers so exactly `k` remain.
+fn reset_each<T: Default>(v: &mut Vec<T>, k: usize, clear: fn(&mut T)) {
+    v.truncate(k);
+    v.iter_mut().for_each(clear);
+    v.resize_with(k, T::default);
 }
 
 /// Read-only per-flow hot fields, extracted once per run from the fat
@@ -545,6 +485,16 @@ struct FlowHot {
     decbit: bool,
 }
 
+impl FlowHot {
+    /// One-way return delay from `hop` back to the flow's source (the
+    /// packet crossed `hop - first + 1` propagation segments to get
+    /// there). For a 1-hop route this is exactly `prop_delay`.
+    #[inline]
+    fn back_delay(&self, hop: usize) -> f64 {
+        (hop - self.route.first + 1) as f64 * self.prop_delay
+    }
+}
+
 /// Read-only per-hop hot fields, extracted once per run from [`Link`].
 /// (The per-hop loss probability lives in [`FaultState`] — it can move
 /// at runtime under a dynamic [`FaultConfig`].)
@@ -552,8 +502,6 @@ struct FlowHot {
 struct HopHot {
     buffer: Option<u64>,
     mu: f64,
-    /// `1.0 / mu` (the deterministic service time).
-    det_service: f64,
     expo: bool,
 }
 
@@ -563,7 +511,7 @@ struct HopHot {
 /// the pre-fault values, so the packet path is bit-identical to the
 /// static-loss engine. The remaining fields drive the recovery-time
 /// and downtime metrics and are touched only on fault transitions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct FaultState {
     /// Current per-arrival loss probability at this hop.
     loss: f64,
@@ -599,28 +547,39 @@ struct FaultState {
     recovery_n: u64,
 }
 
-/// Record a fault onset at a hop: snapshot the pre-fault mean queue
-/// into the recovery band (first onset only — later onsets reuse it so
-/// the band is not contaminated by fault-era queues) and cancel any
-/// recovery in progress.
-#[inline]
-fn fault_onset(fs: &mut FaultState, hs: &HopState, t: f64, warmup: f64) {
-    if !fs.faulted_once {
-        fs.faulted_once = true;
-        let a = hs.area + hs.q_len as f64 * (t - hs.last_change).max(0.0);
-        fs.band = if t > warmup { a / (t - warmup) } else { 0.0 } + 1.0;
+impl FaultState {
+    /// A fault begins (`faulted`) or clears at `t`. The first onset
+    /// snapshots the pre-fault mean queue into the recovery band (later
+    /// onsets reuse it, so fault-era queues cannot contaminate it), and
+    /// every onset cancels a recovery in progress. A clear starts the
+    /// recovery clock, which [`Self::sample_recovery`] stops.
+    #[inline]
+    fn transition(&mut self, faulted: bool, hs: &HopState, t: f64, warmup: f64) {
+        if !faulted {
+            if self.faulted_once {
+                self.recovering = true;
+                self.t_up = t;
+            }
+            return;
+        }
+        if !self.faulted_once {
+            self.faulted_once = true;
+            let a = hs.area + hs.q_len as f64 * (t - hs.last_change).max(0.0);
+            self.band = if t > warmup { a / (t - warmup) } else { 0.0 } + 1.0;
+        }
+        self.recovering = false;
     }
-    fs.recovering = false;
-}
 
-/// Record a fault clearing at a hop: start the recovery clock. The
-/// recovery time is sampled by the next departure that brings the
-/// queue back inside the band (see the `Departure` arm).
-#[inline]
-fn fault_clear(fs: &mut FaultState, t: f64) {
-    if fs.faulted_once {
-        fs.recovering = true;
-        fs.t_up = t;
+    /// Post-fault recovery sample (§3i): the first departure that brings
+    /// the queue back inside the pre-fault band closes the recovery
+    /// clock. Always false without faults — one predicted branch.
+    #[inline]
+    fn sample_recovery(&mut self, t: f64, q_now: u64) {
+        if self.recovering && (q_now as f64) <= self.band {
+            self.recovery_sum += t - self.t_up;
+            self.recovery_n += 1;
+            self.recovering = false;
+        }
     }
 }
 
@@ -638,6 +597,20 @@ struct HopState {
     last_change: f64,
     /// Whether a departure is scheduled for this hop.
     busy: bool,
+}
+
+impl HopState {
+    /// Close the queue-area integral at `t`, ahead of a `q_len` change;
+    /// before warm-up only the clamped change instant moves.
+    #[inline]
+    fn advance(&mut self, t: f64, warmup: f64) {
+        if t >= warmup {
+            self.area += self.q_len as f64 * (t - self.last_change);
+            self.last_change = t;
+        } else {
+            self.last_change = t.max(warmup);
+        }
+    }
 }
 
 /// Per-slot state of one finite workload flow. A slot is live from its
@@ -677,64 +650,297 @@ struct WlCounters {
     peak_active: u64,
 }
 
-/// Account one terminal packet outcome (delivered or dropped) to a
-/// finite flow, firing its `FlowComplete` when the last packet lands.
-/// A free function (not a closure) so call sites can hold other
-/// mutable borrows.
-#[inline]
-fn dyn_account_packet(d: &mut DynFlow, flow: usize, t: f64, ev: &mut EventQueue) {
-    d.accounted += 1;
-    if d.accounted == d.size {
-        ev.push(t, EventKind::FlowComplete { flow });
+/// Per-hop buffers: link constants, queue state, fault machines (§3i).
+#[derive(Debug, Default)]
+struct Hops {
+    link: Vec<HopHot>,
+    state: Vec<HopState>,
+    fault: Vec<FaultState>,
+    /// Fault-machine lane per hop (`usize::MAX`: static hop, no lane).
+    lane_fault: Vec<usize>,
+    /// Per-hop FIFO of `flow | (marked << 31)` words, head in service.
+    fifos: Vec<VecDeque<u32>>,
+    /// Per-hop FIFO of packet size factors, parallel to `fifos`; only
+    /// touched by byte-mode instantiations (`packet_bytes: Some`).
+    fifo_bytes: Vec<VecDeque<f32>>,
+    /// Per-hop FIFO of retransmission-attempt indices, parallel to
+    /// `fifos`; only touched when the run's workload carries an
+    /// [`RtoPolicy`] (so the attempt count survives multi-hop routes).
+    fifo_attempt: Vec<VecDeque<u8>>,
+    /// Per-hop queue-discipline scratch (DECbit averager, RED EWMA).
+    qdisc: Vec<HopQdiscState>,
+}
+
+impl Hops {
+    /// Size every buffer for `config`'s topology. Fault-free and `Iid`
+    /// hops keep the static loss and the link's μ, so their packet path
+    /// is the static-loss engine's; dynamic faults start up and good.
+    fn reset(&mut self, config: &NetConfig) {
+        let k = config.topology.len();
+        self.link.clear();
+        self.link
+            .extend(config.topology.links.iter().map(|l| HopHot {
+                buffer: l.buffer,
+                mu: l.mu,
+                expo: l.service == Service::Exponential,
+            }));
+        self.state.clear();
+        self.state.resize(
+            k,
+            HopState {
+                last_change: config.warmup,
+                ..HopState::default()
+            },
+        );
+        self.fault.clear();
+        self.fault
+            .extend(self.link.iter().enumerate().map(|(h, l)| {
+                let loss = match fault_at(&config.faults, h) {
+                    FaultConfig::Iid { loss_prob } => loss_prob,
+                    FaultConfig::GilbertElliott { loss_good, .. } => loss_good,
+                    FaultConfig::LinkFlap { .. } | FaultConfig::Degrade { .. } => 0.0,
+                };
+                FaultState {
+                    loss,
+                    mu: l.mu,
+                    det_service: 1.0 / l.mu,
+                    ..FaultState::default()
+                }
+            }));
+        self.lane_fault.clear();
+        reset_each(&mut self.fifos, k, VecDeque::clear);
+        reset_each(&mut self.fifo_bytes, k, VecDeque::clear);
+        reset_each(&mut self.fifo_attempt, k, VecDeque::clear);
+        self.qdisc.clear();
+        self.qdisc.resize_with(k, HopQdiscState::default);
+    }
+
+    /// Per-hop mean queue, utilisation, downtime fraction and recovery
+    /// time, closing the area integrals and open outages at `t_end`.
+    fn finish(&self, config: &NetConfig) -> [Vec<f64>; 4] {
+        let window = config.t_end - config.warmup;
+        let mut out: [Vec<f64>; 4] = Default::default();
+        for (hop, (hs, fs)) in self.state.iter().zip(&self.fault).enumerate() {
+            let mut a = hs.area;
+            if config.t_end > hs.last_change {
+                a += hs.q_len as f64 * (config.t_end - hs.last_change);
+            }
+            out[0].push(a / window);
+            out[1].push(hs.served as f64 / window / config.topology.links[hop].mu);
+            // Fault-free hops report exact 0.0.
+            let mut dt = fs.downtime;
+            if fs.down {
+                dt += (config.t_end - fs.down_since.max(config.warmup)).max(0.0);
+            }
+            out[2].push(dt / window);
+            out[3].push(if fs.recovery_n > 0 {
+                fs.recovery_sum / fs.recovery_n as f64
+            } else {
+                0.0
+            });
+        }
+        out
     }
 }
 
-/// Handle a dropped workload packet. Without an [`RtoPolicy`] the drop
-/// is terminal (`packets_dropped`, accounted). With one, the packet is
-/// re-injected at the flow's first hop after the backed-off timeout —
-/// zero RNG draws, the retry schedule is a pure function of the drop
-/// time — until it either delivers or exhausts `max_retries`, at which
-/// point it is *given up* (`packets_gave_up`, accounted). A free
-/// function (not a closure) so both drop sites can hold other borrows.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn wl_drop(
-    rto: Option<RtoPolicy>,
-    attempt: u8,
-    flow: usize,
-    n_static: usize,
-    first_hop: usize,
-    prop_delay: f64,
-    t: f64,
-    size: f32,
-    wlc: &mut WlCounters,
-    dyn_flows: &mut [DynFlow],
-    ev: &mut EventQueue,
-) {
-    let slot = flow - n_static;
-    let Some(r) = rto else {
-        wlc.packets_dropped += 1;
-        dyn_account_packet(&mut dyn_flows[slot], flow, t, ev);
-        return;
-    };
-    if u32::from(attempt) < r.max_retries {
-        wlc.retransmits += 1;
-        let wait = r.wait_before(u32::from(attempt) + 1);
-        ev.push(
-            t + wait + prop_delay,
-            EventKind::Arrival {
-                flow,
-                hop: first_hop,
-                marked: false,
-                size,
-                attempt: attempt + 1,
-            },
-        );
-    } else {
-        wlc.packets_gave_up += 1;
-        dyn_flows[slot].gave_up = true;
-        dyn_account_packet(&mut dyn_flows[slot], flow, t, ev);
+/// The static flows' runtime side (their specs are [`Sim::flows`]).
+#[derive(Debug, Default)]
+struct Sources {
+    states: Vec<SourceState>,
+    /// Hot fields per flow; grows past the static flows as workload
+    /// flows claim slots (flow index = static count + slot).
+    hot: Vec<FlowHot>,
+    /// `SendPacket` lane per static flow (`usize::MAX`: window flow).
+    lane_send: Vec<usize>,
+    stats: Vec<NetFlowStats>,
+    /// Byte-granular packet sizing (`Some` exactly in byte mode).
+    pb: Option<PacketBytes>,
+}
+
+impl Sources {
+    /// Initial states, hot fields (exactly the spec accessors' values)
+    /// and zeroed counters for `flows`.
+    fn reset(&mut self, flows: &[FlowSpec], pb: Option<PacketBytes>) {
+        self.states.clear();
+        self.states
+            .extend(flows.iter().map(|f| f.source.initial_state()));
+        self.hot.clear();
+        self.hot.extend(flows.iter().map(|f| FlowHot {
+            route: f.route,
+            prop_delay: f.source.prop_delay(),
+            q_hat: f.source.q_hat(),
+            acked: matches!(
+                f.source,
+                SourceSpec::Window { .. } | SourceSpec::Decbit { .. }
+            ),
+            decbit: matches!(f.source, SourceSpec::Decbit { .. }),
+        }));
+        self.lane_send.clear();
+        self.stats = flows
+            .iter()
+            .map(|f| NetFlowStats {
+                hops: f.route.hops(),
+                ..NetFlowStats::default()
+            })
+            .collect();
+        self.pb = pb;
     }
+}
+
+/// The finite-flow workload's runtime side.
+#[derive(Debug, Default)]
+struct Wl {
+    /// Per-slot finite-flow state (slot `s` is flow `n_static + s`).
+    slots: Vec<DynFlow>,
+    /// Free list of retired slots, reused LIFO so a 10⁵-flow run holds
+    /// O(active flows) per-flow state.
+    free: Vec<u32>,
+    counters: WlCounters,
+    /// Cumulative Zipf route-popularity table.
+    route_cum: Vec<f64>,
+    /// Clean post-warm-up flow completion times (sorted at finalize).
+    fcts: Vec<f64>,
+    /// Matching slowdown samples (FCT / ideal FCT).
+    slowdowns: Vec<f64>,
+    /// Retransmission policy; `Some` also turns on the attempt ring (two
+    /// predicted branches per packet when off).
+    rto: Option<RtoPolicy>,
+    lane_arrival: usize,
+    /// Slowdown denominator scale: the mean byte factor (unit mode: 1).
+    mean_factor: f64,
+}
+
+impl Wl {
+    fn reset(&mut self, workload: Option<&Workload>, pb: Option<PacketBytes>) {
+        self.slots.clear();
+        self.free.clear();
+        self.counters = WlCounters::default();
+        self.route_cum.clear();
+        if let Some(w) = workload {
+            let mut acc = 0.0;
+            self.route_cum.extend(w.route_weights().iter().map(|wt| {
+                acc += wt;
+                acc
+            }));
+        }
+        self.fcts.clear();
+        self.slowdowns.clear();
+        self.rto = workload.and_then(|w| w.rto);
+        self.mean_factor = pb.map_or(1.0, |pb| pb.mean_factor());
+    }
+
+    /// The run's [`WorkloadStats`] (`t_end` normalises the goodput).
+    fn finish(&mut self, t_end: f64) -> WorkloadStats {
+        let c = &self.counters;
+        self.fcts.sort_by(f64::total_cmp);
+        self.slowdowns.sort_by(f64::total_cmp);
+        WorkloadStats {
+            arrived: c.arrived,
+            completed: c.completed,
+            completed_clean: c.completed_clean,
+            active_at_end: c.arrived - c.completed,
+            packets_sent: c.packets_sent,
+            packets_delivered: c.packets_delivered,
+            packets_dropped: c.packets_dropped,
+            retransmits: c.retransmits,
+            packets_gave_up: c.packets_gave_up,
+            flows_gave_up: c.flows_gave_up,
+            goodput: c.packets_delivered as f64 / t_end,
+            retx_overhead: c.retransmits as f64 / c.packets_sent.max(1) as f64,
+            peak_active: c.peak_active,
+            slot_high_water: self.slots.len() as u64,
+            fct: DistSummary::from_sorted(&self.fcts),
+            slowdown: DistSummary::from_sorted(&self.slowdowns),
+        }
+    }
+}
+
+/// Trace buffers and the sampling clock.
+#[derive(Debug, Default)]
+pub(crate) struct Trace {
+    pub(crate) times: Vec<f64>,
+    /// `queues[hop][sample]`, reused across runs.
+    pub(crate) queues: Vec<Vec<f64>>,
+    /// Flattened control trace, stride = flow count (row per sample).
+    pub(crate) ctl: Vec<f64>,
+    /// Next sample index to schedule, and the last inside the horizon.
+    next: u64,
+    last: u64,
+}
+
+impl Trace {
+    /// Clear the buffers. Samples fall at t_k = k·Δ for every k with
+    /// k·Δ ≤ t_end, as fresh multiples (no `t += Δ` drift).
+    fn reset(&mut self, config: &NetConfig, n_flows: usize, mode: TraceMode) {
+        let k = config.topology.len();
+        let quotient = config.t_end / config.sample_interval;
+        self.last = (quotient * (1.0 + 1e-12) + 1e-9).floor() as u64;
+        self.next = 0;
+        let n_samples = self.last as usize + 1;
+        self.times.clear();
+        reset_each(&mut self.queues, k, Vec::clear);
+        self.ctl.clear();
+        if mode != TraceMode::Off {
+            self.times.reserve(n_samples);
+            for q in &mut self.queues {
+                q.reserve(n_samples);
+            }
+            self.ctl.reserve(n_samples * n_flows);
+        }
+    }
+
+    /// The `(trace_t, trace_q, trace_ctl)` fields of the result. Full
+    /// mode hands the buffers to the caller (the arena grows fresh ones
+    /// next run); Summary leaves them in the arena for
+    /// `run_network_summary`; Off recorded nothing.
+    fn take(
+        &mut self,
+        mode: TraceMode,
+        n_flows: usize,
+    ) -> (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        if mode != TraceMode::Full {
+            return (Vec::new(), Vec::new(), Vec::new());
+        }
+        let times = std::mem::take(&mut self.times);
+        // A workload-only run has no per-flow control state: one empty
+        // row per sample (`chunks(0)` would panic).
+        let ctl = if n_flows == 0 {
+            vec![Vec::new(); times.len()]
+        } else {
+            self.ctl.chunks(n_flows).map(<[f64]>::to_vec).collect()
+        };
+        (times, std::mem::take(&mut self.queues), ctl)
+    }
+}
+
+/// `FPK_CHECK` draw tallies (DESIGN §3h), checked against §3f at t_end.
+#[derive(Debug, Default)]
+struct Audit {
+    chk_size_draws: u64,
+    chk_route_draws: u64,
+    chk_gap_draws: u64,
+    /// Fault-lane draw audit (§3i): sojourn draws must equal the
+    /// bootstrap draws plus the transitions that rescheduled with one.
+    chk_fault_draws: u64,
+    chk_fault_moves: u64,
+    n_fault_boot: u64,
+}
+
+impl Audit {
+    /// A fault transition that drew its next sojourn.
+    #[inline]
+    fn fault_move(&mut self) {
+        self.chk_fault_moves += 1;
+        self.chk_fault_draws += 1;
+    }
+}
+
+/// Standard exponential `-ln u` from a uniform `u` clamped off zero.
+/// Negation is exact, so `t + exp1(u) / rate` keeps the historical
+/// `t - u.ln() / rate` bits.
+#[inline]
+fn exp1(u: f64) -> f64 {
+    -u.max(f64::MIN_POSITIVE).ln()
 }
 
 /// Pack a FIFO word (`flow` must fit in 31 bits, checked at validate).
@@ -823,7 +1029,7 @@ pub fn run_network_workload_in(
 
 /// Entry point behind every public runner: validate, resolve the
 /// queue-discipline parameters, and select the monomorphized event
-/// loop **once per run** — `run_core` is generic over the discipline
+/// loop **once per run** — [`Sim`] is generic over the discipline
 /// `Q: QDisc` and a `BYTES` const for byte-granular service, so each
 /// of the eight instantiations compiles to its own loop with every
 /// discipline hook inlined and no `dyn` call on the packet path. The
@@ -838,1092 +1044,265 @@ pub(crate) fn run_network_core(
 ) -> Result<NetResult> {
     config.validate(flows, workload)?;
     let qp = QdiscParams::resolve(config.qdisc);
-    match (config.qdisc, config.packet_bytes.is_some()) {
-        (QdiscKind::Fifo, false) => {
-            run_core::<Fifo, false>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::Fifo, true) => {
-            run_core::<Fifo, true>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::ThresholdMark { .. }, false) => {
-            run_core::<ThresholdMark, false>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::ThresholdMark { .. }, true) => {
-            run_core::<ThresholdMark, true>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::AveragedMark { .. }, false) => {
-            run_core::<AveragedMark, false>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::AveragedMark { .. }, true) => {
-            run_core::<AveragedMark, true>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::RedMark { .. }, false) => {
-            run_core::<RedMark, false>(arena, config, flows, workload, trace, qp)
-        }
-        (QdiscKind::RedMark { .. }, true) => {
-            run_core::<RedMark, true>(arena, config, flows, workload, trace, qp)
-        }
-    }
+    let run = match (config.qdisc, config.packet_bytes.is_some()) {
+        (QdiscKind::Fifo, false) => Sim::<Fifo, false>::run,
+        (QdiscKind::Fifo, true) => Sim::<Fifo, true>::run,
+        (QdiscKind::ThresholdMark { .. }, false) => Sim::<ThresholdMark, false>::run,
+        (QdiscKind::ThresholdMark { .. }, true) => Sim::<ThresholdMark, true>::run,
+        (QdiscKind::AveragedMark { .. }, false) => Sim::<AveragedMark, false>::run,
+        (QdiscKind::AveragedMark { .. }, true) => Sim::<AveragedMark, true>::run,
+        (QdiscKind::RedMark { .. }, false) => Sim::<RedMark, false>::run,
+        (QdiscKind::RedMark { .. }, true) => Sim::<RedMark, true>::run,
+    };
+    Ok(run(arena, config, flows, workload, trace, qp))
 }
 
-/// The one event loop, monomorphized per discipline `Q` and byte mode
-/// (see [`run_network_core`]). `trace` is the effective trace mode
-/// (callers inside the crate may override `config.trace`, e.g. the
-/// summary fast path forcing [`TraceMode::Summary`]).
-#[allow(clippy::too_many_lines)]
-fn run_core<Q: QDisc, const BYTES: bool>(
-    arena: &mut NetArena,
-    config: &NetConfig,
-    flows: &[FlowSpec],
-    workload: Option<&Workload>,
-    trace: TraceMode,
+/// One run of the event loop, monomorphized per discipline `Q` and byte
+/// mode, with one `on_*` handler per [`EventKind`].
+struct Sim<'a, Q: QDisc, const BYTES: bool> {
+    config: &'a NetConfig,
+    /// The static flows' specs.
+    flows: &'a [FlowSpec],
+    workload: Option<&'a Workload>,
     qp: QdiscParams,
-) -> Result<NetResult> {
-    let k = config.topology.len();
-    let n_flows = flows.len();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    // FPK_CHECK strict invariant mode (DESIGN §3h): one env read per
-    // run, hoisted to a local so every per-event check is a perfectly
-    // predicted branch on a register — free when off.
-    let strict = crate::check::strict();
+    /// Effective trace mode (the summary fast path overrides the config).
+    mode: TraceMode,
+    warmup: f64,
+    t_end: f64,
+    n_static: usize,
+    any_decbit: bool,
+    /// `FPK_CHECK` (DESIGN §3h), read once per run.
+    strict: bool,
+    rng: StdRng,
+    ev: EventQueue,
+    hops: Hops,
+    src: Sources,
+    wl: Wl,
+    trace: Trace,
+    audit: Audit,
+    disc: PhantomData<Q>,
+}
 
-    // Sample schedule: t_k = k·sample_interval for every k with
-    // k·Δ ≤ t_end, computed as fresh multiples (no `t += Δ` drift); see
-    // the relative+absolute tolerance note in the engine history.
-    let sample_quotient = config.t_end / config.sample_interval;
-    let last_sample_index = (sample_quotient * (1.0 + 1e-12) + 1e-9).floor() as u64;
-
-    arena.reset(k, flows, last_sample_index as usize + 1, trace);
-    // Move the scratch buffers into owned locals for the duration of
-    // the loop — indexing through `&mut arena.field` keeps the Vec
-    // headers behind a pointer and costs ~25% of the whole run; owned
-    // locals let the compiler keep them in registers. Everything moves
-    // back into the arena before returning so capacity is still reused.
-    let mut ev = std::mem::take(&mut arena.ev);
-    let mut states = std::mem::take(&mut arena.states);
-    let mut fifos = std::mem::take(&mut arena.fifos);
-    let mut fifo_bytes = std::mem::take(&mut arena.fifo_bytes);
-    let mut fifo_attempt = std::mem::take(&mut arena.fifo_attempt);
-    let mut hops = std::mem::take(&mut arena.hops);
-    let mut qdisc_state = std::mem::take(&mut arena.qdisc);
-    let mut trace_t = std::mem::take(&mut arena.trace_t);
-    let mut trace_q = std::mem::take(&mut arena.trace_q);
-    let mut trace_ctl = std::mem::take(&mut arena.trace_ctl);
-    let mut dyn_flows = std::mem::take(&mut arena.dyn_flows);
-    let mut dyn_free = std::mem::take(&mut arena.dyn_free);
-    let mut fcts = std::mem::take(&mut arena.fcts);
-    let mut slowdowns = std::mem::take(&mut arena.slowdowns);
-    for h in hops.iter_mut() {
-        h.last_change = config.warmup;
+impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
+    /// Run to the horizon with `arena`'s buffers moved in by value, then
+    /// hand them back so the next run reuses their capacity.
+    fn run(
+        arena: &mut NetArena,
+        config: &'a NetConfig,
+        flows: &'a [FlowSpec],
+        workload: Option<&'a Workload>,
+        mode: TraceMode,
+        qp: QdiscParams,
+    ) -> NetResult {
+        let a = std::mem::take(arena);
+        let mut sim = Self {
+            config,
+            flows,
+            workload,
+            qp,
+            mode,
+            warmup: config.warmup,
+            t_end: config.t_end,
+            n_static: flows.len(),
+            any_decbit: flows
+                .iter()
+                .any(|f| matches!(f.source, SourceSpec::Decbit { .. })),
+            strict: crate::check::strict(),
+            rng: StdRng::seed_from_u64(config.seed),
+            ev: a.ev,
+            hops: a.hops,
+            src: a.src,
+            wl: a.wl,
+            trace: a.trace,
+            audit: Audit::default(),
+            disc: PhantomData,
+        };
+        sim.bootstrap();
+        sim.run_events();
+        if sim.strict {
+            sim.check_horizon();
+        }
+        let out = sim.finish();
+        *arena = NetArena {
+            ev: sim.ev,
+            hops: sim.hops,
+            src: sim.src,
+            wl: sim.wl,
+            trace: sim.trace,
+        };
+        out
     }
 
-    let mut stats: Vec<NetFlowStats> = flows
-        .iter()
-        .map(|f| NetFlowStats {
-            hops: f.route.hops(),
-            ..NetFlowStats::default()
-        })
-        .collect();
-
-    // Dense per-flow / per-hop hot fields: the event loop reads these
-    // once or more per packet event, and pulling them out of the fat
-    // `SourceSpec` / `Link` enums into one compact struct per flow/hop
-    // turns several bounds-checked array reads per event into a single
-    // cache-line access. Values and arithmetic are exactly what the enum
-    // accessors produce, so results are bit-identical (the deterministic
-    // service branch evaluated `1.0 / mu` per event; computing it once
-    // per hop is the identical operation, hence identical bits).
-    // `flow_hot` grows past `n_flows` as workload flows claim slots
-    // (flow index = n_flows + slot); static entries never move.
-    let n_static = n_flows;
-    let mut flow_hot: Vec<FlowHot> = flows
-        .iter()
-        .map(|f| FlowHot {
-            route: f.route,
-            prop_delay: f.source.prop_delay(),
-            q_hat: f.source.q_hat(),
-            acked: matches!(
-                f.source,
-                SourceSpec::Window { .. } | SourceSpec::Decbit { .. }
-            ),
-            decbit: matches!(f.source, SourceSpec::Decbit { .. }),
-        })
-        .collect();
-    let hop_hot: Vec<HopHot> = config
-        .topology
-        .links
-        .iter()
-        .map(|l| HopHot {
-            buffer: l.buffer,
-            mu: l.mu,
-            det_service: 1.0 / l.mu,
-            expo: l.service == Service::Exponential,
-        })
-        .collect();
-    // Per-hop fault runtime state (DESIGN §3i). For fault-free and
-    // `Iid` hops every hot field is the constant the engine always
-    // used (`loss` = the static loss, `mu`/`det_service` = the link's),
-    // so the packet path below is bit-identical to the static-loss
-    // engine. Gilbert–Elliott chains start in the good state; flapping
-    // links start up; degradation starts at full capacity.
-    let mut fault_state: Vec<FaultState> = (0..k)
-        .map(|h| {
-            let loss = match fault_at(&config.faults, h) {
-                FaultConfig::Iid { loss_prob } => loss_prob,
-                FaultConfig::GilbertElliott { loss_good, .. } => loss_good,
-                FaultConfig::LinkFlap { .. } | FaultConfig::Degrade { .. } => 0.0,
-            };
-            FaultState {
-                loss,
-                mu: hop_hot[h].mu,
-                det_service: hop_hot[h].det_service,
-                bad: false,
-                down: false,
-                degraded: false,
-                down_since: 0.0,
-                downtime: 0.0,
-                band: 0.0,
-                recovering: false,
-                t_up: 0.0,
-                faulted_once: false,
-                recovery_sum: 0.0,
-                recovery_n: 0,
+    /// Start every static flow's traffic, in flow order.
+    fn bootstrap_flows(&mut self) {
+        let rng = &mut self.rng;
+        let ev = &mut self.ev;
+        for (i, f) in self.flows.iter().enumerate() {
+            let lane = self.src.lane_send[i];
+            match &f.source {
+                SourceSpec::Rate {
+                    update_interval, ..
+                } => {
+                    ev.schedule_lane(lane, 0.0, EventKind::SendPacket { flow: i });
+                    ev.push(*update_interval, EventKind::Observe { flow: i });
+                }
+                SourceSpec::OnOff { .. } => {
+                    ev.schedule_lane(lane, 0.0, EventKind::SendPacket { flow: i });
+                    if let SourceState::OnOff { chain_alive, .. } = &mut self.src.states[i] {
+                        *chain_alive = true;
+                    }
+                    // First ON sojourn; the toggle chain is
+                    // self-rescheduling.
+                    ev.push(0.0, EventKind::Toggle { flow: i });
+                }
+                SourceSpec::Window { w0, .. } | SourceSpec::Decbit { w0, .. } => {
+                    // Initial burst of ⌊w0⌋ packets, spaced a hair apart
+                    // so FIFO order is well-defined.
+                    let burst = w0.max(1.0).floor() as u64;
+                    match &mut self.src.states[i] {
+                        SourceState::Window { in_flight, .. }
+                        | SourceState::Decbit { in_flight, .. } => *in_flight = burst,
+                        SourceState::Rate { .. } | SourceState::OnOff { .. } => {
+                            unreachable!("state enum mismatches source spec for window flow")
+                        }
+                    }
+                    for b in 0..burst {
+                        let at = b as f64 * 1e-6 + f.source.prop_delay();
+                        self.src.emit::<BYTES>(i, at, rng, ev); // draw: window.bootstrap.pkt — size factor per initial-burst packet
+                    }
+                    // The burst leaves the source at t = 0: count it only
+                    // when the warm-up window is empty, like every other
+                    // `sent` site (gated on t >= warmup).
+                    if self.warmup <= 0.0 {
+                        self.src.stats[i].sent += burst;
+                    }
+                }
             }
-        })
-        .collect();
-    // Retransmission policy: `None` unless the workload carries one.
-    // `rto_active` gates the parallel attempt ring — two perfectly
-    // predicted branches per packet when off, so non-RTO runs stay on
-    // the historical path.
-    let rto = workload.and_then(|w| w.rto);
-    let rto_active = rto.is_some();
-
-    // Side lanes for the *per-packet* event streams with at most one
-    // pending instance: the sampling clock (lane 0), each hop's next
-    // departure (1 + hop), and each rate/on-off flow's self-rescheduling
-    // SendPacket chain. They merge against the heap at pop time instead
-    // of paying sifts — roughly half of all events in a typical run —
-    // and still consume sequence numbers exactly as pushed events
-    // would, keeping the order bit-identical to the historical
-    // all-in-heap schedule. Everything else stays in the heap: acks,
-    // arrivals and feedback can have many instances in flight, and the
-    // low-rate Observe/Toggle chains are not worth widening the lane
-    // rescan that every high-rate pop pays. Lanes are allocated only
-    // for the chains that exist (a window flow has none).
-    let mut lane_count = 1 + k;
-    let mut alloc_lane = |cond: bool| {
-        if cond {
-            lane_count += 1;
-            lane_count - 1
-        } else {
-            usize::MAX
         }
-    };
-    let lane_send: Vec<usize> = flows
-        .iter()
-        .map(|f| {
+    }
+
+    /// Start the fault clocks, in hop order (after the static-flow
+    /// bursts and before the workload's first gap — the §3f position of
+    /// `fault.bootstrap.sojourn`). A Gilbert–Elliott hop draws its first
+    /// good-state sojourn, a flapping hop its first up-time; the
+    /// deterministic `Degrade` clock schedules drawlessly at `period`.
+    /// Fault-free and `Iid` hops draw nothing and schedule nothing.
+    fn bootstrap_faults(&mut self) {
+        let rng = &mut self.rng;
+        let ev = &mut self.ev;
+        for (h, &lane) in self.hops.lane_fault.iter().enumerate() {
+            let (rate, kind) = match fault_at(&self.config.faults, h) {
+                FaultConfig::Iid { .. } => continue,
+                FaultConfig::GilbertElliott { p_gb, .. } => {
+                    (p_gb, EventKind::FaultShift { hop: h })
+                }
+                FaultConfig::LinkFlap { down_rate, .. } => {
+                    (down_rate, EventKind::LinkDown { hop: h })
+                }
+                FaultConfig::Degrade { period, .. } => {
+                    ev.schedule_lane(lane, period, EventKind::FaultShift { hop: h });
+                    continue;
+                }
+            };
+            let sojourn = exp1(rng.gen()) / rate; // draw: fault.bootstrap.sojourn — first fault-transition sojourn (GE/flap hops only)
+            if self.strict {
+                self.audit.chk_fault_draws += 1;
+                self.audit.n_fault_boot += 1;
+            }
+            ev.schedule_lane(lane, sojourn, kind);
+        }
+    }
+
+    /// Reset every entity and schedule the initial events in the
+    /// historical order: flows, fault clocks, first workload gap, samples.
+    fn bootstrap(&mut self) {
+        let (config, flows, workload) = (self.config, self.flows, self.workload);
+        let k = config.topology.len();
+        self.ev.clear();
+        self.hops.reset(config);
+        self.src.reset(flows, config.packet_bytes);
+        self.wl.reset(workload, config.packet_bytes);
+        self.trace.reset(config, flows.len(), self.mode);
+
+        // Side lanes for the *per-packet* event streams with at most one
+        // pending instance: the sampling clock (lane 0), each hop's next
+        // departure (1 + hop), and each rate/on-off flow's
+        // self-rescheduling SendPacket chain. They merge against the heap
+        // at pop time instead of paying sifts — roughly half of all
+        // events in a typical run — and still consume sequence numbers
+        // exactly as pushed events would, keeping the order bit-identical
+        // to the historical all-in-heap schedule. Everything else stays
+        // in the heap: acks, arrivals and feedback can have many
+        // instances in flight, and the low-rate Observe/Toggle chains are
+        // not worth widening the lane rescan that every high-rate pop
+        // pays. Lanes are allocated only for the chains that exist (a
+        // window flow has none).
+        let mut lane_count = 1 + k;
+        let mut alloc_lane = |cond: bool| {
+            if cond {
+                lane_count += 1;
+                lane_count - 1
+            } else {
+                usize::MAX
+            }
+        };
+        self.src.lane_send.extend(flows.iter().map(|f| {
             alloc_lane(matches!(
                 f.source,
                 SourceSpec::Rate { .. } | SourceSpec::OnOff { .. }
             ))
-        })
-        .collect();
-    // The workload arrival clock is one-pending by construction (each
-    // FlowArrival schedules its successor), so it rides a lane too.
-    let lane_arrival = alloc_lane(workload.is_some());
-    // Each dynamic-fault hop advances a one-pending state machine
-    // (`LinkDown`/`LinkUp` or `FaultShift`) on its own lane. Fault-free
-    // and `Iid` hops allocate nothing, so existing runs keep their
-    // exact lane layout.
-    let lane_fault: Vec<usize> = (0..k)
-        .map(|h| alloc_lane(fault_at(&config.faults, h).is_dynamic()))
-        .collect();
-    ev.set_lane_count(lane_count);
-    ev.set_strict(strict);
+        }));
+        // The workload arrival clock is one-pending by construction
+        // (each FlowArrival schedules its successor), so it rides a lane
+        // too. Each dynamic-fault hop advances a one-pending state
+        // machine (`LinkDown`/`LinkUp` or `FaultShift`) on its own lane;
+        // fault-free and `Iid` hops allocate nothing, so existing runs
+        // keep their exact lane layout.
+        self.wl.lane_arrival = alloc_lane(workload.is_some());
+        self.hops
+            .lane_fault
+            .extend((0..k).map(|h| alloc_lane(fault_at(&config.faults, h).is_dynamic())));
+        self.ev.set_lane_count(lane_count);
+        self.ev.set_strict(self.strict);
 
-    // Byte-granular packet sizing: each packet draws its size factor
-    // at its creation site (exactly one f64 draw, none for a
-    // deterministic byte dist); unit mode draws nothing and passes a
-    // compile-time-ignored 1.0, so its RNG stream is untouched.
-    let pb = config.packet_bytes;
-    let draw_size = |rng: &mut StdRng| -> f32 {
-        if BYTES {
-            let pb = pb.expect("byte-mode instantiation without packet_bytes");
-            (pb.dist.sample(rng) as f64 / pb.ref_bytes.get()) as f32 // draw: pkt.size_factor — per-packet byte-size factor (byte mode only)
-        } else {
-            1.0
+        self.bootstrap_flows();
+        self.bootstrap_faults();
+        // Workload bootstrap: the first flow arrives one interarrival
+        // gap after t = 0. `max_flows = Some(0)` schedules nothing and
+        // draws no randomness, so it cannot perturb a static-flow run.
+        if let Some(w) = self.workload.filter(|w| w.max_flows != Some(0)) {
+            let rng = &mut self.rng;
+            let gap = w.arrivals.sample_interarrival(rng); // draw: wl.bootstrap.gap — first interarrival gap after t = 0
+            if self.strict {
+                self.audit.chk_gap_draws += 1;
+            }
+            self.ev
+                .schedule_lane(self.wl.lane_arrival, gap, EventKind::FlowArrival);
         }
-    };
-    // Slowdown denominator scale: the mean byte factor (unit mode: 1).
-    let mean_factor = if BYTES {
-        pb.expect("byte-mode instantiation without packet_bytes")
-            .mean_factor()
-    } else {
-        1.0
-    };
-
-    // Strict-mode draw-count audit (DESIGN §3h): tally the workload
-    // draws the engine performs so the horizon check can compare them
-    // against what the §3f draw-order contract says must have happened.
-    let mut chk_size_draws: u64 = 0;
-    let mut chk_route_draws: u64 = 0;
-    let mut chk_gap_draws: u64 = 0;
-    // Fault-lane draw audit (§3i): sojourn draws must equal the
-    // bootstrap draws plus the transitions that rescheduled with one.
-    let mut chk_fault_draws: u64 = 0;
-    let mut chk_fault_moves: u64 = 0;
-    let mut n_fault_boot: u64 = 0;
-
-    // Bootstrap events (flow order; identical schedule to the historical
-    // engines so their golden constants stay bit-identical).
-    for (i, f) in flows.iter().enumerate() {
-        match &f.source {
-            SourceSpec::Rate {
-                update_interval, ..
-            } => {
-                ev.schedule_lane(lane_send[i], 0.0, EventKind::SendPacket { flow: i });
-                ev.push(*update_interval, EventKind::Observe { flow: i });
-            }
-            SourceSpec::OnOff { .. } => {
-                ev.schedule_lane(lane_send[i], 0.0, EventKind::SendPacket { flow: i });
-                if let SourceState::OnOff { chain_alive, .. } = &mut states[i] {
-                    *chain_alive = true;
-                }
-                // First ON sojourn; the toggle chain is self-rescheduling.
-                ev.push(0.0, EventKind::Toggle { flow: i });
-            }
-            SourceSpec::Window { w0, .. } | SourceSpec::Decbit { w0, .. } => {
-                // Initial burst of ⌊w0⌋ packets, spaced a hair apart so
-                // FIFO order is well-defined.
-                let burst = w0.max(1.0).floor() as u64;
-                match &mut states[i] {
-                    SourceState::Window { in_flight, .. }
-                    | SourceState::Decbit { in_flight, .. } => *in_flight = burst,
-                    SourceState::Rate { .. } | SourceState::OnOff { .. } => {
-                        unreachable!("state enum mismatches source spec for window flow")
-                    }
-                }
-                for b in 0..burst {
-                    ev.push(
-                        b as f64 * 1e-6 + f.source.prop_delay(),
-                        EventKind::Arrival {
-                            flow: i,
-                            hop: f.route.first,
-                            marked: false,
-                            size: draw_size(&mut rng), // draw: window.bootstrap.pkt — size factor per initial-burst packet
-                            attempt: 0,
-                        },
-                    );
-                }
-                // The burst leaves the source at t = 0: count it only
-                // when the warm-up window is empty, like every other
-                // `sent` site (gated on t >= warmup).
-                if config.warmup <= 0.0 {
-                    stats[i].sent += burst;
-                }
-            }
+        // The sampling clock starts at t = 0 and schedules its
+        // successors from `on_sample`. Off mode schedules no samples at
+        // all: sampling draws no randomness and touches no dynamic
+        // state, so the counters cannot move.
+        if self.mode != TraceMode::Off {
+            self.ev.schedule_sample(0.0);
         }
     }
-    // Fault bootstrap (hop order, after the static-flow bursts and
-    // before the workload's first gap — the §3f position of
-    // `fault.bootstrap.sojourn`). A Gilbert–Elliott hop draws its
-    // first good-state sojourn, a flapping hop its first up-time; the
-    // deterministic `Degrade` clock schedules drawlessly at `period`.
-    // Fault-free and `Iid` hops draw nothing and schedule nothing.
-    for h in 0..k {
-        let first = match fault_at(&config.faults, h) {
-            FaultConfig::Iid { .. } => None,
-            FaultConfig::GilbertElliott { p_gb, .. } => {
-                Some((p_gb, EventKind::FaultShift { hop: h }))
-            }
-            FaultConfig::LinkFlap { down_rate, .. } => {
-                Some((down_rate, EventKind::LinkDown { hop: h }))
-            }
-            FaultConfig::Degrade { period, .. } => {
-                ev.schedule_lane(lane_fault[h], period, EventKind::FaultShift { hop: h });
-                None
-            }
-        };
-        if let Some((rate, kind)) = first {
-            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: fault.bootstrap.sojourn — first fault-transition sojourn (GE/flap hops only)
-            if strict {
-                chk_fault_draws += 1;
-                n_fault_boot += 1;
-            }
-            ev.schedule_lane(lane_fault[h], -u.ln() / rate, kind);
-        }
-    }
-    // Workload bootstrap: the first flow arrives one interarrival gap
-    // after t = 0. `max_flows = Some(0)` schedules nothing and draws no
-    // randomness, so it cannot perturb a static-flow run.
-    let mut wlc = WlCounters::default();
-    let route_cum: Vec<f64> = workload.map_or_else(Vec::new, |w| {
-        let mut acc = 0.0;
-        w.route_weights()
-            .iter()
-            .map(|wt| {
-                acc += wt;
-                acc
-            })
-            .collect()
-    });
-    if let Some(w) = workload {
-        if w.max_flows != Some(0) {
-            let gap = w.arrivals.sample_interarrival(&mut rng); // draw: wl.bootstrap.gap — first interarrival gap after t = 0
-            if strict {
-                chk_gap_draws += 1;
-            }
-            ev.schedule_lane(lane_arrival, gap, EventKind::FlowArrival);
-        }
-    }
-    // The sampling clock starts at t = 0 and schedules its successors
-    // from inside the Sample arm. Off mode schedules no samples at all:
-    // sampling draws no randomness and touches no dynamic state, so the
-    // counters cannot move.
-    if trace != TraceMode::Off {
-        ev.schedule_sample(0.0);
-    }
-    let mut next_sample_index: u64 = 0;
 
-    let any_decbit = flows
-        .iter()
-        .any(|f| matches!(f.source, SourceSpec::Decbit { .. }));
-
-    // `mu`/`det` come from the hop's `FaultState` so a degraded hop
-    // serves at its current capacity; without faults they are exactly
-    // the `HopHot` constants, so the arithmetic is bit-identical.
-    let service_time = |rng: &mut StdRng, mu: f64, det: f64, expo: bool| -> f64 {
-        if expo {
-            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: hop.service — exponential service uniform (expo hops only)
-            -u.ln() / mu
-        } else {
-            det
-        }
-    };
-    // One-way return delay from `hop` back to the flow's source (the
-    // packet crossed `hop - first + 1` propagation segments to get
-    // there). For a 1-hop route this is exactly `prop_delay`.
-    let back_delay = |f: &FlowHot, hop: usize| (hop - f.route.first + 1) as f64 * f.prop_delay;
-
-    let warmup = config.warmup;
-    let t_end = config.t_end;
-    // lint: hot-path arena(ev, fifos, fifo_bytes, fifo_attempt, trace_t, trace_q, trace_ctl, fcts, slowdowns, dyn_flows, dyn_free, flow_hot)
-    while let Some(event) = ev.pop() {
-        let t = event.t;
-        if t > t_end {
-            break;
-        }
-        match event.kind {
-            EventKind::SendPacket { flow } => match (&flows[flow].source, &mut states[flow]) {
-                (
-                    SourceSpec::Rate {
-                        prop_delay,
-                        poisson,
-                        ..
-                    },
-                    SourceState::Rate { lambda },
-                ) => {
-                    let lam = lambda.max(1e-9);
-                    if t >= warmup {
-                        stats[flow].sent += 1;
-                    }
-                    ev.push(
-                        t + prop_delay,
-                        EventKind::Arrival {
-                            flow,
-                            hop: flow_hot[flow].route.first,
-                            marked: false,
-                            size: draw_size(&mut rng), // draw: rate.pkt — size factor per rate-source packet
-                            attempt: 0,
-                        },
-                    );
-                    let gap = if *poisson {
-                        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: rate.gap — Poisson interpacket gap uniform
-                        -u.ln() / lam
-                    } else {
-                        1.0 / lam
-                    };
-                    ev.schedule_lane(lane_send[flow], t + gap, EventKind::SendPacket { flow });
-                }
-                (
-                    SourceSpec::OnOff {
-                        peak_rate,
-                        prop_delay,
-                        ..
-                    },
-                    SourceState::OnOff { on, chain_alive },
-                ) => {
-                    if !*on {
-                        // Chain dies during the OFF phase; the next
-                        // toggle-to-ON starts a fresh one.
-                        *chain_alive = false;
-                        continue;
-                    }
-                    if t >= warmup {
-                        stats[flow].sent += 1;
-                    }
-                    ev.push(
-                        t + prop_delay,
-                        EventKind::Arrival {
-                            flow,
-                            hop: flow_hot[flow].route.first,
-                            marked: false,
-                            size: draw_size(&mut rng), // draw: onoff.pkt — size factor per on-off packet
-                            attempt: 0,
-                        },
-                    );
-                    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: onoff.gap — ON-phase interpacket gap uniform
-                    ev.schedule_lane(
-                        lane_send[flow],
-                        t - u.ln() / peak_rate.max(1e-9),
-                        EventKind::SendPacket { flow },
-                    );
-                }
-                _ => unreachable!("SendPacket for a window flow"),
-            },
-            EventKind::Toggle { flow } => {
-                let SourceSpec::OnOff {
-                    mean_on, mean_off, ..
-                } = &flows[flow].source
-                else {
-                    unreachable!("Toggle for non-on-off flow")
-                };
-                let SourceState::OnOff { on, chain_alive } = &mut states[flow] else {
-                    unreachable!("Toggle for a flow without on-off state")
-                };
-                // Exponential sojourn in the phase we are *entering*; the
-                // bootstrap toggle at t = 0 enters the ON phase.
-                let entering_on = !*on || t == 0.0;
-                let sojourn_mean = if entering_on { *mean_on } else { *mean_off };
-                if t > 0.0 {
-                    *on = !*on;
-                }
-                if *on && !*chain_alive {
-                    *chain_alive = true;
-                    // First send a full exponential gap after the phase
-                    // starts — emitting at the toggle instant itself
-                    // would bias the mean rate upward.
-                    let SourceSpec::OnOff { peak_rate, .. } = &flows[flow].source else {
-                        unreachable!("on-off state paired with non-on-off spec")
-                    };
-                    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: onoff.first_send — first-send gap after toggle-to-ON
-                    ev.schedule_lane(
-                        lane_send[flow],
-                        t - u.ln() / peak_rate.max(1e-9),
-                        EventKind::SendPacket { flow },
-                    );
-                }
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: onoff.sojourn — next phase-sojourn uniform
-                ev.push(
-                    t - u.ln() * sojourn_mean.max(1e-9),
-                    EventKind::Toggle { flow },
-                );
-            }
-            EventKind::Arrival {
-                flow,
-                hop,
-                marked,
-                size,
-                attempt,
-            } => {
-                let fh = flow_hot[flow];
-                let hh = hop_hot[hop];
-                // Random link loss (per-hop fault injection; the loss
-                // probability is the hop's *current* one — static for
-                // `Iid`, state-dependent for Gilbert–Elliott).
-                let loss = fault_state[hop].loss;
-                // draw: hop.loss — per-hop loss uniform (faulty hops only)
-                if loss > 0.0 && rng.gen::<f64>() < loss {
-                    if flow < n_static {
-                        if t >= warmup {
-                            stats[flow].dropped += 1;
-                        }
-                        if fh.acked {
-                            // Drop-as-signal: a marked ack returns from
-                            // the loss point so the source reacts.
-                            ev.push(
-                                t + back_delay(&fh, hop),
-                                EventKind::Ack { flow, marked: true },
-                            );
-                        }
-                    } else {
-                        // Terminal without an RTO policy; otherwise the
-                        // packet re-enters at the route head after its
-                        // backed-off timeout (or gives up).
-                        wl_drop(
-                            rto,
-                            attempt,
-                            flow,
-                            n_static,
-                            fh.route.first,
-                            fh.prop_delay,
-                            t,
-                            size,
-                            &mut wlc,
-                            &mut dyn_flows,
-                            &mut ev,
-                        );
-                    }
-                    continue;
-                }
-                if let Some(cap) = hh.buffer {
-                    if hops[hop].q_len >= cap {
-                        if flow < n_static {
-                            if t >= warmup {
-                                stats[flow].dropped += 1;
-                            }
-                            // A dropped packet of a window flow still
-                            // frees its in-flight slot (drop-as-mark).
-                            if fh.acked {
-                                ev.push(
-                                    t + back_delay(&fh, hop),
-                                    EventKind::Ack { flow, marked: true },
-                                );
-                            }
-                        } else {
-                            wl_drop(
-                                rto,
-                                attempt,
-                                flow,
-                                n_static,
-                                fh.route.first,
-                                fh.prop_delay,
-                                t,
-                                size,
-                                &mut wlc,
-                                &mut dyn_flows,
-                                &mut ev,
-                            );
-                        }
-                        continue;
-                    }
-                }
-                // Mark policy at this hop, OR-ed with marks from hops
-                // already crossed (`q_len` is the pre-enqueue
-                // packets-in-system count). A pure hook short-circuits
-                // behind an upstream mark — the historical fast path;
-                // a stateful one (RED's EWMA) runs for every surviving
-                // arrival so its scratch never depends on upstream
-                // marking.
-                let hs = &mut hops[hop];
-                let marked = if Q::MARK_IS_PURE {
-                    marked
-                        || Q::mark(
-                            &qp,
-                            &mut qdisc_state,
-                            hop,
-                            t,
-                            hs.q_len,
-                            fh.decbit,
-                            fh.q_hat,
-                            &mut rng, // draw: mark.pure — mark hook may draw (RED gentle mode); pure hooks draw nothing
-                        )
-                } else {
-                    let hop_mark = Q::mark(
-                        &qp,
-                        &mut qdisc_state,
-                        hop,
-                        t,
-                        hs.q_len,
-                        fh.decbit,
-                        fh.q_hat,
-                        &mut rng, // draw: mark.stateful — stateful mark hook (RED) draws its drop uniform here
-                    );
-                    marked || hop_mark
-                };
-                if t >= warmup {
-                    hs.area += hs.q_len as f64 * (t - hs.last_change);
-                    hs.last_change = t;
-                } else {
-                    hs.last_change = t.max(warmup);
-                }
-                fifos[hop].push_back(fifo_word(flow, marked));
-                if BYTES {
-                    fifo_bytes[hop].push_back(size);
-                }
-                if rto_active {
-                    fifo_attempt[hop].push_back(attempt);
-                }
-                hs.q_len += 1;
-                if strict && BYTES {
-                    assert_eq!(
-                        fifos[hop].len(),
-                        fifo_bytes[hop].len(),
-                        "FPK_CHECK: hop {hop} word ring and byte ring desynced after enqueue at t = {t}"
-                    );
-                }
-                if Q::needs_observe(any_decbit) {
-                    let q = hs.q_len;
-                    Q::observe(&mut qdisc_state[hop], t, q as f64);
-                }
-                let hs = &mut hops[hop];
-                // A down hop parks the arrival in the queue: service
-                // restarts from the `LinkUp` arm.
-                if !hs.busy && !fault_state[hop].down {
-                    hs.busy = true;
-                    let fs = &fault_state[hop];
-                    let mut svc = service_time(&mut rng, fs.mu, fs.det_service, hh.expo); // draw: arrival.service — service for the packet entering an idle hop
-                    if BYTES {
-                        // The hop was idle, so the arriving packet is
-                        // the one entering service.
-                        svc *= f64::from(size);
-                    }
-                    ev.schedule_lane(1 + hop, t + svc, EventKind::Departure { hop });
-                }
-            }
-            EventKind::Departure { hop } => {
-                let (flow, marked) =
-                    fifo_flow_marked(fifos[hop].pop_front().expect("departure from empty queue"));
-                let size = if BYTES {
-                    fifo_bytes[hop]
-                        .pop_front()
-                        .expect("departure from empty byte queue")
-                } else {
-                    1.0f32
-                };
-                let attempt = if rto_active {
-                    fifo_attempt[hop]
-                        .pop_front()
-                        .expect("departure from empty attempt queue")
-                } else {
-                    0
-                };
-                if strict && BYTES {
-                    assert_eq!(
-                        fifos[hop].len(),
-                        fifo_bytes[hop].len(),
-                        "FPK_CHECK: hop {hop} word ring and byte ring desynced after dequeue at t = {t}"
-                    );
-                }
-                let fh = flow_hot[flow];
-                let exits = hop == fh.route.last;
-                let hs = &mut hops[hop];
-                if t >= warmup {
-                    hs.area += hs.q_len as f64 * (t - hs.last_change);
-                    hs.last_change = t;
-                    hs.served += 1;
-                    if exits && flow < n_static {
-                        stats[flow].delivered += 1;
-                    }
-                } else {
-                    hs.last_change = t.max(warmup);
-                }
-                if exits && flow >= n_static {
-                    // Workload conservation counters are never
-                    // warm-up-gated; only the FCT *samples* are.
-                    wlc.packets_delivered += 1;
-                    let d = &mut dyn_flows[flow - n_static];
-                    d.delivered += 1;
-                    dyn_account_packet(d, flow, t, &mut ev);
-                }
-                hs.q_len -= 1;
-                let q_now = hs.q_len;
-                if Q::needs_observe(any_decbit) {
-                    Q::observe(&mut qdisc_state[hop], t, q_now as f64);
-                }
-                {
-                    // Post-fault recovery sample (§3i): the first
-                    // departure that brings the queue back inside the
-                    // pre-fault band closes the recovery clock. Always
-                    // false without faults — one predicted branch.
-                    let fs = &mut fault_state[hop];
-                    if fs.recovering && (q_now as f64) <= fs.band {
-                        fs.recovery_sum += t - fs.t_up;
-                        fs.recovery_n += 1;
-                        fs.recovering = false;
-                    }
-                }
-                if exits {
-                    // Leaves the network; window flows get an ack across
-                    // the whole return path.
-                    if fh.acked {
-                        ev.push(t + back_delay(&fh, hop), EventKind::Ack { flow, marked });
-                    }
-                } else {
-                    // Forward to the next hop after one hop delay,
-                    // carrying the marks collected so far (and, in byte
-                    // mode, the packet's size factor; under RTO, its
-                    // attempt index).
-                    ev.push(
-                        t + fh.prop_delay,
-                        EventKind::Arrival {
-                            flow,
-                            hop: hop + 1,
-                            marked,
-                            size,
-                            attempt,
-                        },
-                    );
-                }
-                // A hop that went down mid-service finished its packet
-                // non-preemptively; it starts no successor until the
-                // `LinkUp` arm restarts it.
-                if q_now > 0 && !fault_state[hop].down {
-                    let fs = &fault_state[hop];
-                    let mut svc = service_time(&mut rng, fs.mu, fs.det_service, hop_hot[hop].expo); // draw: departure.service — service for the next head-of-line packet
-                    if BYTES {
-                        // The new head of line sets the next service.
-                        svc *= f64::from(
-                            *fifo_bytes[hop]
-                                .front()
-                                .expect("busy hop with empty byte queue"),
-                        );
-                    }
-                    ev.schedule_lane(1 + hop, t + svc, EventKind::Departure { hop });
-                } else {
-                    hops[hop].busy = false;
-                }
-            }
-            EventKind::Observe { flow } => {
-                let SourceSpec::Rate {
-                    update_interval, ..
-                } = &flows[flow].source
-                else {
-                    unreachable!("Observe for non-rate flow");
-                };
-                // The path bottleneck: the most congested queue on the
-                // flow's route (a 1-hop route reads its only queue).
-                let route = flow_hot[flow].route;
-                let observed_queue = (route.first..=route.last)
-                    .map(|h| hops[h].q_len)
-                    .max()
-                    .unwrap_or(0);
-                ev.push(
-                    t + back_delay(&flow_hot[flow], route.last),
-                    EventKind::Feedback {
-                        flow,
-                        observed_queue,
-                    },
-                );
-                ev.push(t + update_interval, EventKind::Observe { flow });
-            }
-            EventKind::Feedback {
-                flow,
-                observed_queue,
-            } => {
-                let SourceSpec::Rate {
-                    law,
-                    update_interval,
-                    ..
-                } = &flows[flow].source
-                else {
-                    unreachable!("Feedback for non-rate flow")
-                };
-                let SourceState::Rate { lambda } = &mut states[flow] else {
-                    unreachable!("rate spec paired with non-rate state")
-                };
-                *lambda = rate_update(law, *lambda, observed_queue as f64, *update_interval);
-            }
-            EventKind::Ack { flow, marked } => {
-                let (allowed, in_flight_ref) = match (&flows[flow].source, &mut states[flow]) {
-                    (SourceSpec::Window { aimd, .. }, state) => {
-                        window_on_ack(aimd, state, marked);
-                        let SourceState::Window {
-                            window, in_flight, ..
-                        } = state
-                        else {
-                            unreachable!("window spec paired with non-window state")
-                        };
-                        (window.floor().max(1.0) as u64, in_flight)
-                    }
-                    (SourceSpec::Decbit { .. }, SourceState::Decbit { ctl, in_flight }) => {
-                        *in_flight = in_flight.saturating_sub(1);
-                        let _ = ctl.on_ack(marked);
-                        (ctl.window().floor().max(1.0) as u64, in_flight)
-                    }
-                    _ => unreachable!("Ack for a rate flow"),
-                };
-                let mut to_send = allowed.saturating_sub(*in_flight_ref);
-                while to_send > 0 {
-                    *in_flight_ref += 1;
-                    if t >= warmup {
-                        stats[flow].sent += 1;
-                    }
-                    ev.push(
-                        t + flow_hot[flow].prop_delay,
-                        EventKind::Arrival {
-                            flow,
-                            hop: flow_hot[flow].route.first,
-                            marked: false,
-                            size: draw_size(&mut rng), // draw: ack.pkt — size factor per ack-clocked window packet
-                            attempt: 0,
-                        },
-                    );
-                    to_send -= 1;
-                }
-            }
-            EventKind::FlowArrival => {
-                let w = workload.expect("FlowArrival without a workload");
-                // Draw order is the §3f contract: size, route, next gap
-                // (one f64 each; deterministic sizes draw nothing).
-                let size = w.sizes.sample(&mut rng); // draw: wl.flow.size — flow size in packets (deterministic dists draw nothing)
-                let u: f64 = rng.gen::<f64>(); // draw: wl.flow.route — route-choice uniform
-                let route = w.routes[sample_cumulative(&route_cum, u)];
-                if strict {
-                    chk_route_draws += 1;
-                    if !matches!(w.sizes, FlowSizeDist::Deterministic { .. }) {
-                        chk_size_draws += 1;
-                    }
-                }
-                // Finite flows are open-loop: no acks, no marking
-                // reaction (q_hat = ∞ never self-marks).
-                let fh = FlowHot {
-                    route,
-                    prop_delay: w.prop_delay,
-                    q_hat: f64::INFINITY,
-                    acked: false,
-                    decbit: false,
-                };
-                let d = DynFlow {
-                    size,
-                    accounted: 0,
-                    delivered: 0,
-                    arrival_t: t,
-                    ideal: ideal_fct_sized(
-                        &config.topology,
-                        route,
-                        size,
-                        w.prop_delay,
-                        mean_factor,
-                    ),
-                    gave_up: false,
-                };
-                let slot = match dyn_free.pop() {
-                    Some(s) => {
-                        let s = s as usize;
-                        flow_hot[n_static + s] = fh;
-                        dyn_flows[s] = d;
-                        s
-                    }
-                    None => {
-                        flow_hot.push(fh);
-                        dyn_flows.push(d);
-                        dyn_flows.len() - 1
-                    }
-                };
-                let flow = n_static + slot;
-                assert!(
-                    flow < (1 << 31),
-                    "run_network: workload flow index exceeds the 31-bit FIFO word"
-                );
-                wlc.arrived += 1;
-                wlc.active += 1;
-                wlc.peak_active = wlc.peak_active.max(wlc.active);
-                wlc.packets_sent += size;
-                // The whole transfer enters as a paced burst (1 µs
-                // spacing, like the window bootstrap), so an idle
-                // network completes it in exactly `ideal_fct`. Byte
-                // mode draws each packet's size here, after the route
-                // and before the next interarrival gap (§3f order).
-                for b in 0..size {
-                    ev.push(
-                        t + b as f64 * 1e-6 + w.prop_delay,
-                        EventKind::Arrival {
-                            flow,
-                            hop: route.first,
-                            marked: false,
-                            size: draw_size(&mut rng), // draw: wl.flow.pkt — size factor per workload-burst packet
-                            attempt: 0,
-                        },
-                    );
-                }
-                if w.max_flows.is_none_or(|m| wlc.arrived < m) {
-                    let gap = w.arrivals.sample_interarrival(&mut rng); // draw: wl.flow.gap — next interarrival gap
-                    if strict {
-                        chk_gap_draws += 1;
-                    }
-                    ev.schedule_lane(lane_arrival, t + gap, EventKind::FlowArrival);
-                }
-            }
-            EventKind::FlowComplete { flow } => {
-                let w = workload.expect("FlowComplete without a workload");
-                let slot = flow - n_static;
-                let d = dyn_flows[slot];
-                wlc.active -= 1;
-                wlc.completed += 1;
-                if d.gave_up {
-                    wlc.flows_gave_up += 1;
-                }
-                if d.delivered == d.size {
-                    wlc.completed_clean += 1;
-                    // FCT/slowdown sample only the post-warm-up, fully
-                    // delivered population.
-                    if d.arrival_t >= warmup {
-                        let fct = t - d.arrival_t;
-                        fcts.push(fct);
-                        slowdowns.push(fct / d.ideal);
-                    }
-                }
-                // No event or FIFO word references the slot once the
-                // last packet is accounted (in-flight packets are by
-                // definition unaccounted), so reuse is safe. Slot
-                // numbering never feeds times or RNG, so recycling
-                // on/off only moves `slot_high_water`.
-                if strict {
-                    assert!(
-                        !dyn_free.contains(&(slot as u32)),
-                        "FPK_CHECK: flow slot {slot} completed while already on the free list"
-                    );
-                    assert_eq!(
-                        d.accounted, d.size,
-                        "FPK_CHECK: flow slot {slot} completed with {} of {} packets accounted",
-                        d.accounted, d.size
-                    );
-                }
-                if w.recycle_slots {
-                    dyn_free.push(slot as u32);
-                }
-            }
-            EventKind::Sample => {
-                trace_t.push(t);
-                for hop in 0..k {
-                    trace_q[hop].push(hops[hop].q_len as f64);
-                }
-                trace_ctl.extend(states.iter().map(|s| match s {
-                    SourceState::Rate { lambda } => *lambda,
-                    SourceState::Window { window, .. } => *window,
-                    SourceState::Decbit { ctl, .. } => ctl.window(),
-                    SourceState::OnOff { on, .. } => f64::from(u8::from(*on)),
-                }));
-                if strict {
-                    // Periodic structural audit: the sample clock is the
-                    // one low-rate event stream that is always present.
-                    ev.assert_valid();
-                }
-                next_sample_index += 1;
-                if next_sample_index <= last_sample_index {
-                    // The multiple can round a hair past t_end; clamp so
-                    // the final sample still lands inside the horizon.
-                    let tk = (next_sample_index as f64 * config.sample_interval).min(t_end);
-                    ev.schedule_sample(tk);
-                }
-            }
-            EventKind::LinkDown { hop } => {
-                let FaultConfig::LinkFlap { up_rate, .. } = fault_at(&config.faults, hop) else {
-                    unreachable!("LinkDown on a hop without a LinkFlap fault")
-                };
-                fault_onset(&mut fault_state[hop], &hops[hop], t, warmup);
-                let fs = &mut fault_state[hop];
-                fs.down = true;
-                fs.down_since = t;
-                if strict {
-                    chk_fault_moves += 1;
-                    chk_fault_draws += 1;
-                }
-                // Outage length ~ Exp(up_rate); the in-service packet
-                // (if any) completes non-preemptively, after which the
-                // Departure arm parks the queue.
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: fault.flap.downtime — outage-duration uniform
-                ev.schedule_lane(
-                    lane_fault[hop],
-                    t - u.ln() / up_rate,
-                    EventKind::LinkUp { hop },
-                );
-            }
-            EventKind::LinkUp { hop } => {
-                let FaultConfig::LinkFlap { down_rate, .. } = fault_at(&config.faults, hop) else {
-                    unreachable!("LinkUp on a hop without a LinkFlap fault")
-                };
-                let fs = &mut fault_state[hop];
-                fs.down = false;
-                // Downtime is clamped to the measurement window, like
-                // every other post-warm-up accumulator.
-                fs.downtime += (t - fs.down_since.max(warmup)).max(0.0);
-                fault_clear(fs, t);
-                let (mu, det) = (fs.mu, fs.det_service);
-                if strict {
-                    chk_fault_moves += 1;
-                    chk_fault_draws += 1;
-                }
-                // Restart the stalled server for the parked head of
-                // line, if any packets accumulated during the outage.
-                let hs = &mut hops[hop];
-                if hs.q_len > 0 && !hs.busy {
-                    hs.busy = true;
-                    let mut svc = service_time(&mut rng, mu, det, hop_hot[hop].expo); // draw: fault.flap.resume — service restart for the parked head-of-line packet (expo hops only)
-                    if BYTES {
-                        svc *= f64::from(
-                            *fifo_bytes[hop]
-                                .front()
-                                .expect("parked hop with empty byte queue"),
-                        );
-                    }
-                    ev.schedule_lane(1 + hop, t + svc, EventKind::Departure { hop });
-                }
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: fault.flap.uptime — next up-time sojourn uniform
-                ev.schedule_lane(
-                    lane_fault[hop],
-                    t - u.ln() / down_rate,
-                    EventKind::LinkDown { hop },
-                );
-            }
-            EventKind::FaultShift { hop } => match fault_at(&config.faults, hop) {
-                FaultConfig::GilbertElliott {
-                    p_gb,
-                    p_bg,
-                    loss_good,
-                    loss_bad,
-                } => {
-                    if fault_state[hop].bad {
-                        fault_clear(&mut fault_state[hop], t);
-                    } else {
-                        fault_onset(&mut fault_state[hop], &hops[hop], t, warmup);
-                    }
-                    let fs = &mut fault_state[hop];
-                    fs.bad = !fs.bad;
-                    fs.loss = if fs.bad { loss_bad } else { loss_good };
-                    let exit_rate = if fs.bad { p_bg } else { p_gb };
-                    if strict {
-                        chk_fault_moves += 1;
-                        chk_fault_draws += 1;
-                    }
-                    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: fault.ge.sojourn — next Gilbert–Elliott state sojourn uniform
-                    ev.schedule_lane(
-                        lane_fault[hop],
-                        t - u.ln() / exit_rate,
-                        EventKind::FaultShift { hop },
-                    );
-                }
-                FaultConfig::Degrade { factor, period } => {
-                    // Deterministic capacity clock: zero draws. The
-                    // in-service packet keeps its scheduled departure;
-                    // the new μ applies from the next service start.
-                    if fault_state[hop].degraded {
-                        fault_clear(&mut fault_state[hop], t);
-                    } else {
-                        fault_onset(&mut fault_state[hop], &hops[hop], t, warmup);
-                    }
-                    let fs = &mut fault_state[hop];
-                    fs.degraded = !fs.degraded;
-                    fs.mu = if fs.degraded {
-                        hop_hot[hop].mu * factor
-                    } else {
-                        hop_hot[hop].mu
-                    };
-                    fs.det_service = 1.0 / fs.mu;
-                    ev.schedule_lane(lane_fault[hop], t + period, EventKind::FaultShift { hop });
-                }
-                FaultConfig::Iid { .. } | FaultConfig::LinkFlap { .. } => {
-                    unreachable!("FaultShift on a hop without a GE/Degrade fault")
-                }
-            },
-        }
-    }
-    // lint: end
-
-    // FPK_CHECK horizon invariants (DESIGN §3h). Runs once, after the
-    // loop — allocation here is off the packet path.
-    if strict {
-        ev.assert_valid();
-        if let Some(w) = workload {
+    /// `FPK_CHECK` horizon invariants (DESIGN §3h). Runs once, after the
+    /// loop — allocation here is off the packet path.
+    fn check_horizon(&self) {
+        self.ev.assert_valid();
+        let a = &self.audit;
+        if let Some(w) = self.workload {
+            let (wl, c) = (&self.wl, &self.wl.counters);
             // Free-list disjointness and bounds, globally.
-            let mut freed = vec![false; dyn_flows.len()];
-            for &s in &dyn_free {
+            let mut freed = vec![false; wl.slots.len()];
+            for &s in &wl.free {
                 let s = s as usize;
                 assert!(
-                    s < dyn_flows.len(),
+                    s < wl.slots.len(),
                     "FPK_CHECK: free list holds slot {s} beyond the {} allocated",
-                    dyn_flows.len()
+                    wl.slots.len()
                 );
                 assert!(
                     !freed[s],
@@ -1931,179 +1310,789 @@ fn run_core<Q: QDisc, const BYTES: bool>(
                 );
                 freed[s] = true;
             }
-            // Packet conservation at the horizon: every unique packet
-            // a workload flow sent was delivered, terminally dropped,
-            // given up after its RTO retries, parked in the queue of a
-            // downed hop, or is otherwise still in flight (unaccounted
-            // in its slot — including packets waiting out an RTO
-            // timer). `parked` is computed independently by walking the
-            // FIFOs of down hops, so the subtraction doubles as a
+            // Packet conservation at the horizon: every unique packet a
+            // workload flow sent was delivered, terminally dropped, given
+            // up after its RTO retries, parked in the queue of a downed
+            // hop, or is otherwise still in flight (unaccounted in its
+            // slot — including packets waiting out an RTO timer).
+            // `parked` is computed independently by walking the FIFOs of
+            // down hops, so the subtraction doubles as a
             // `parked ≤ unaccounted` check.
-            let parked: u64 = fifos
-                .iter()
-                .enumerate()
-                .filter(|&(h, _)| fault_state[h].down)
-                .map(|(_, f)| {
+            let parked: u64 = (self.hops.fifos.iter().zip(&self.hops.fault))
+                .filter(|(_, fs)| fs.down)
+                .map(|(f, _)| {
                     f.iter()
-                        .filter(|&&word| fifo_flow_marked(word).0 >= n_static)
+                        .filter(|&&word| fifo_flow_marked(word).0 >= self.n_static)
                         .count() as u64
                 })
                 .sum();
-            let unaccounted: u64 = dyn_flows.iter().map(|d| d.size - d.accounted).sum();
+            let unaccounted: u64 = wl.slots.iter().map(|d| d.size - d.accounted).sum();
             let in_flight = unaccounted
                 .checked_sub(parked)
                 .expect("FPK_CHECK: parked packets exceed unaccounted packets");
             assert_eq!(
-                wlc.packets_sent,
-                wlc.packets_delivered
-                    + wlc.packets_dropped
-                    + wlc.packets_gave_up
-                    + in_flight
-                    + parked,
+                c.packets_sent,
+                c.packets_delivered + c.packets_dropped + c.packets_gave_up + in_flight + parked,
                 "FPK_CHECK: workload packet conservation failed at t_end \
                  (sent {} != delivered {} + dropped {} + gave-up {} + in-flight {in_flight} \
                  + parked {parked})",
-                wlc.packets_sent,
-                wlc.packets_delivered,
-                wlc.packets_dropped,
-                wlc.packets_gave_up
+                c.packets_sent,
+                c.packets_delivered,
+                c.packets_dropped,
+                c.packets_gave_up
             );
             // Draw-count audit against the §3f contract: one route and
             // one size draw per arrival (none for deterministic sizes),
-            // and one gap per arrival — plus the bootstrap gap, minus
-            // the final gap a `max_flows` cap suppresses.
+            // and one gap per arrival — plus the bootstrap gap, minus the
+            // final gap a `max_flows` cap suppresses.
             assert_eq!(
-                chk_route_draws, wlc.arrived,
+                a.chk_route_draws, c.arrived,
                 "FPK_CHECK: route draws diverged from flow arrivals"
             );
             let expect_size = if matches!(w.sizes, FlowSizeDist::Deterministic { .. }) {
                 0
             } else {
-                wlc.arrived
+                c.arrived
             };
             assert_eq!(
-                chk_size_draws, expect_size,
+                a.chk_size_draws, expect_size,
                 "FPK_CHECK: size draws diverged from the §3f contract"
             );
             assert!(
-                chk_gap_draws == wlc.arrived || chk_gap_draws == wlc.arrived + 1,
-                "FPK_CHECK: gap draws ({chk_gap_draws}) must be arrivals ({}) or arrivals + 1",
-                wlc.arrived
+                a.chk_gap_draws == c.arrived || a.chk_gap_draws == c.arrived + 1,
+                "FPK_CHECK: gap draws ({}) must be arrivals ({}) or arrivals + 1",
+                a.chk_gap_draws,
+                c.arrived
             );
         }
         // Fault-lane draw audit (§3i): every fault sojourn draw belongs
-        // to either the per-hop bootstrap or a transition arm — a
+        // to either the per-hop bootstrap or a transition handler — a
         // fault-free run must show zeros on both sides.
         assert_eq!(
-            chk_fault_draws,
-            n_fault_boot + chk_fault_moves,
+            a.chk_fault_draws,
+            a.n_fault_boot + a.chk_fault_moves,
             "FPK_CHECK: fault sojourn draws diverged from fault transitions \
-             (bootstrap {n_fault_boot} + moves {chk_fault_moves})"
+             (bootstrap {} + moves {})",
+            a.n_fault_boot,
+            a.chk_fault_moves
         );
     }
 
-    // Close the per-hop queue-area integrals at t_end.
-    let window = config.t_end - config.warmup;
-    let mut mean_queue = Vec::with_capacity(k);
-    let mut utilization = Vec::with_capacity(k);
-    let mut downtime_frac = Vec::with_capacity(k);
-    let mut recovery_time = Vec::with_capacity(k);
-    for (hop, hs) in hops.iter().enumerate() {
-        let mut a = hs.area;
-        if config.t_end > hs.last_change {
-            a += hs.q_len as f64 * (config.t_end - hs.last_change);
+    /// Assemble the result at `t_end`.
+    fn finish(&mut self) -> NetResult {
+        let config = self.config;
+        let window = config.t_end - config.warmup;
+        let mut flows = std::mem::take(&mut self.src.stats);
+        for f in &mut flows {
+            f.throughput = f.delivered as f64 / window;
         }
-        mean_queue.push(a / window);
-        utilization.push(hs.served as f64 / window / config.topology.links[hop].mu);
-        // Close an outage still open at the horizon, then normalise by
-        // the measurement window (fault-free hops report exact 0.0).
-        let fs = &fault_state[hop];
-        let mut dt = fs.downtime;
-        if fs.down {
-            dt += (config.t_end - fs.down_since.max(config.warmup)).max(0.0);
+        let [mean_queue, utilization, downtime_frac, recovery_time] = self.hops.finish(config);
+        let workload = self.workload.map(|_| self.wl.finish(config.t_end));
+        let (trace_t, trace_q, trace_ctl) = self.trace.take(self.mode, self.n_static);
+        NetResult {
+            trace_t,
+            trace_q,
+            trace_ctl,
+            total_throughput: flows.iter().map(|f| f.throughput).sum(),
+            flows,
+            mean_queue,
+            utilization,
+            capacity: config.topology.links.iter().map(|l| l.mu).sum(),
+            downtime_frac,
+            recovery_time,
+            workload,
         }
-        downtime_frac.push(dt / window);
-        recovery_time.push(if fs.recovery_n > 0 {
-            fs.recovery_sum / fs.recovery_n as f64
-        } else {
-            0.0
-        });
     }
-    for f in &mut stats {
-        f.throughput = f.delivered as f64 / window;
-    }
-    let total_throughput: f64 = stats.iter().map(|f| f.throughput).sum();
-    let capacity: f64 = config.topology.links.iter().map(|l| l.mu).sum();
-    let workload_stats = workload.map(|_| {
-        fcts.sort_by(f64::total_cmp);
-        slowdowns.sort_by(f64::total_cmp);
-        WorkloadStats {
-            arrived: wlc.arrived,
-            completed: wlc.completed,
-            completed_clean: wlc.completed_clean,
-            active_at_end: wlc.arrived - wlc.completed,
-            packets_sent: wlc.packets_sent,
-            packets_delivered: wlc.packets_delivered,
-            packets_dropped: wlc.packets_dropped,
-            retransmits: wlc.retransmits,
-            packets_gave_up: wlc.packets_gave_up,
-            flows_gave_up: wlc.flows_gave_up,
-            goodput: wlc.packets_delivered as f64 / config.t_end,
-            retx_overhead: wlc.retransmits as f64 / wlc.packets_sent.max(1) as f64,
-            peak_active: wlc.peak_active,
-            slot_high_water: dyn_flows.len() as u64,
-            fct: DistSummary::from_sorted(&fcts),
-            slowdown: DistSummary::from_sorted(&slowdowns),
-        }
-    });
-    // Full mode hands the trace buffers to the caller (the arena grows
-    // fresh ones next run); Summary leaves them in the arena for
-    // `run_network_summary`; Off recorded nothing.
-    let (out_t, out_q, out_ctl) = if trace == TraceMode::Full {
-        let out_t = std::mem::take(&mut trace_t);
-        // A workload-only run has no per-flow control state: one empty
-        // row per sample (`chunks(0)` would panic).
-        let out_ctl = if n_flows == 0 {
-            vec![Vec::new(); out_t.len()]
-        } else {
-            trace_ctl.chunks(n_flows).map(<[f64]>::to_vec).collect()
-        };
-        (out_t, std::mem::take(&mut trace_q), out_ctl)
-    } else {
-        (Vec::new(), Vec::new(), Vec::new())
-    };
-    // Return the scratch buffers (and their capacity) to the arena in
-    // one struct assignment.
-    *arena = NetArena {
-        ev,
-        states,
-        fifos,
-        fifo_bytes,
-        fifo_attempt,
-        hops,
-        qdisc: qdisc_state,
-        trace_t,
-        trace_q,
-        trace_ctl,
-        dyn_flows,
-        dyn_free,
-        fcts,
-        slowdowns,
-    };
-    Ok(NetResult {
-        trace_t: out_t,
-        trace_q: out_q,
-        trace_ctl: out_ctl,
-        flows: stats,
-        mean_queue,
-        total_throughput,
-        utilization,
-        capacity,
-        downtime_frac,
-        recovery_time,
-        workload: workload_stats,
-    })
 }
+
+// lint: hot-path arena(ev, fifos, fifo_bytes, fifo_attempt, times, queues, ctl, fcts, slowdowns, slots, free, hot)
+impl Hops {
+    /// Serve `hop`'s head of line at the hop's current (possibly
+    /// degraded) capacity, scaled by its byte factor.
+    #[inline]
+    fn start_service<const BYTES: bool>(
+        &mut self,
+        hop: usize,
+        t: f64,
+        rng: &mut StdRng,
+        ev: &mut EventQueue,
+    ) {
+        self.state[hop].busy = true;
+        let fs = &self.fault[hop];
+        let mut svc = fs.det_service;
+        if self.link[hop].expo {
+            svc = exp1(rng.gen()) / fs.mu; // draw: hop.service — exponential service uniform (expo hops only)
+        }
+        if BYTES {
+            let head = self.fifo_bytes[hop].front();
+            svc *= f64::from(*head.expect("service start at a hop with an empty byte queue"));
+        }
+        ev.schedule_lane(1 + hop, t + svc, EventKind::Departure { hop });
+    }
+
+    /// `FPK_CHECK`: `hop`'s word and byte rings move in lockstep.
+    #[inline]
+    fn assert_rings_synced(&self, hop: usize, t: f64, after: &str) {
+        assert_eq!(
+            self.fifos[hop].len(),
+            self.fifo_bytes[hop].len(),
+            "FPK_CHECK: hop {hop} word ring and byte ring desynced after {after} at t = {t}"
+        );
+    }
+}
+
+impl Sources {
+    /// Inject a fresh packet of `flow` at its route head at `at`. Only
+    /// byte mode draws (its size factor), so unit runs keep their stream.
+    #[inline]
+    fn emit<const BYTES: bool>(&self, flow: usize, at: f64, rng: &mut StdRng, ev: &mut EventQueue) {
+        let mut size = 1.0;
+        if BYTES {
+            let pb = self
+                .pb
+                .expect("byte-mode instantiation without packet_bytes");
+            size = (pb.dist.sample(rng) as f64 / pb.ref_bytes.get()) as f32; // draw: pkt.size_factor — per-packet byte-size factor (byte mode only)
+        }
+        let hop = self.hot[flow].route.first;
+        ev.push(
+            at,
+            EventKind::Arrival {
+                flow,
+                hop,
+                marked: false,
+                size,
+                attempt: 0,
+            },
+        );
+    }
+}
+
+impl DynFlow {
+    /// Account a delivered or dropped packet; the last one completes.
+    #[inline]
+    fn account(&mut self, flow: usize, t: f64, ev: &mut EventQueue) {
+        self.accounted += 1;
+        if self.accounted == self.size {
+            ev.push(t, EventKind::FlowComplete { flow });
+        }
+    }
+}
+
+impl<Q: QDisc, const BYTES: bool> Sim<'_, Q, BYTES> {
+    /// Pop events until the horizon, dispatching each to its handler.
+    fn run_events(&mut self) {
+        while let Some(event) = self.ev.pop() {
+            let t = event.t;
+            if t > self.t_end {
+                break;
+            }
+            match event.kind {
+                EventKind::SendPacket { flow } => self.on_send(t, flow),
+                EventKind::Toggle { flow } => self.on_toggle(t, flow),
+                EventKind::Arrival {
+                    flow,
+                    hop,
+                    marked,
+                    size,
+                    attempt,
+                } => self.on_arrival(t, flow, hop, marked, size, attempt),
+                EventKind::Departure { hop } => self.on_departure(t, hop),
+                EventKind::Observe { flow } => self.on_observe(t, flow),
+                EventKind::Feedback {
+                    flow,
+                    observed_queue,
+                } => self.on_feedback(flow, observed_queue),
+                EventKind::Ack { flow, marked } => self.on_ack(t, flow, marked),
+                EventKind::FlowArrival => self.on_flow_arrival(t),
+                EventKind::FlowComplete { flow } => self.on_flow_complete(t, flow),
+                EventKind::Sample => self.on_sample(t),
+                EventKind::LinkDown { hop } => self.on_link_down(t, hop),
+                EventKind::LinkUp { hop } => self.on_link_up(t, hop),
+                EventKind::FaultShift { hop } => self.on_fault_shift(t, hop),
+            }
+        }
+    }
+
+    /// A rate or on-off flow sends a packet and reschedules its chain.
+    #[inline]
+    fn on_send(&mut self, t: f64, flow: usize) {
+        let rng = &mut self.rng;
+        let (rate, poisson) = match (&self.flows[flow].source, &mut self.src.states[flow]) {
+            (SourceSpec::Rate { poisson, .. }, SourceState::Rate { lambda }) => {
+                (lambda.max(1e-9), *poisson)
+            }
+            (SourceSpec::OnOff { peak_rate, .. }, SourceState::OnOff { on, chain_alive }) => {
+                if !*on {
+                    // Chain dies during the OFF phase; the next
+                    // toggle-to-ON starts a fresh one.
+                    *chain_alive = false;
+                    return;
+                }
+                (peak_rate.max(1e-9), true)
+            }
+            _ => unreachable!("SendPacket for a window flow"),
+        };
+        if t >= self.warmup {
+            self.src.stats[flow].sent += 1;
+        }
+        let at = t + self.src.hot[flow].prop_delay;
+        // draw: rate.pkt — size factor per rate-source packet
+        // draw: onoff.pkt — size factor per on-off packet
+        self.src.emit::<BYTES>(flow, at, rng, &mut self.ev);
+        let mut gap = 1.0 / rate;
+        if poisson {
+            // draw: rate.gap — Poisson interpacket gap uniform (paced rate sources draw nothing)
+            // draw: onoff.gap — ON-phase interpacket gap uniform
+            gap = exp1(rng.gen()) / rate;
+        }
+        let kind = EventKind::SendPacket { flow };
+        self.ev
+            .schedule_lane(self.src.lane_send[flow], t + gap, kind);
+    }
+
+    /// An on-off flow switches phase and schedules its next toggle.
+    #[inline]
+    fn on_toggle(&mut self, t: f64, flow: usize) {
+        let rng = &mut self.rng;
+        let SourceSpec::OnOff {
+            peak_rate,
+            mean_on,
+            mean_off,
+            ..
+        } = &self.flows[flow].source
+        else {
+            unreachable!("Toggle for non-on-off flow")
+        };
+        let SourceState::OnOff { on, chain_alive } = &mut self.src.states[flow] else {
+            unreachable!("Toggle for a flow without on-off state")
+        };
+        // Exponential sojourn in the phase we are *entering*; the
+        // bootstrap toggle at t = 0 enters the ON phase.
+        let entering_on = !*on || t == 0.0;
+        let sojourn_mean = if entering_on { *mean_on } else { *mean_off };
+        if t > 0.0 {
+            *on = !*on;
+        }
+        if *on && !*chain_alive {
+            *chain_alive = true;
+            // First send a full exponential gap after the phase starts —
+            // emitting at the toggle instant itself would bias the mean
+            // rate upward.
+            let first = t + exp1(rng.gen()) / peak_rate.max(1e-9); // draw: onoff.first_send — first-send gap after toggle-to-ON
+            let lane = self.src.lane_send[flow];
+            self.ev
+                .schedule_lane(lane, first, EventKind::SendPacket { flow });
+        }
+        let next = t + exp1(rng.gen()) * sojourn_mean.max(1e-9); // draw: onoff.sojourn — next phase-sojourn uniform
+        self.ev.push(next, EventKind::Toggle { flow });
+    }
+
+    /// A packet lost at `hop` (fault loss or full buffer). A window flow
+    /// gets a marked ack from the drop point (drop-as-mark). A workload
+    /// packet is dropped for good, or under an [`RtoPolicy`] re-enters
+    /// its route head after the backed-off timeout (no draws) until it
+    /// delivers or runs out of retries.
+    #[inline]
+    fn drop_packet(&mut self, t: f64, flow: usize, hop: usize, size: f32, attempt: u8) {
+        let fh = self.src.hot[flow];
+        if flow < self.n_static {
+            if t >= self.warmup {
+                self.src.stats[flow].dropped += 1;
+            }
+            if fh.acked {
+                let back = t + fh.back_delay(hop);
+                self.ev.push(back, EventKind::Ack { flow, marked: true });
+            }
+            return;
+        }
+        let wl = &mut self.wl;
+        let d = &mut wl.slots[flow - self.n_static];
+        match wl.rto {
+            Some(r) if u32::from(attempt) < r.max_retries => {
+                wl.counters.retransmits += 1;
+                let wait = r.wait_before(u32::from(attempt) + 1);
+                let retry = EventKind::Arrival {
+                    flow,
+                    hop: fh.route.first,
+                    marked: false,
+                    size,
+                    attempt: attempt + 1,
+                };
+                self.ev.push(t + wait + fh.prop_delay, retry);
+            }
+            Some(_) => {
+                wl.counters.packets_gave_up += 1;
+                d.gave_up = true;
+                d.account(flow, t, &mut self.ev);
+            }
+            None => {
+                wl.counters.packets_dropped += 1;
+                d.account(flow, t, &mut self.ev);
+            }
+        }
+    }
+
+    /// A packet reaches `hop`: loss, buffer, marking, enqueue.
+    #[inline]
+    fn on_arrival(
+        &mut self,
+        t: f64,
+        flow: usize,
+        hop: usize,
+        marked: bool,
+        size: f32,
+        attempt: u8,
+    ) {
+        let rng = &mut self.rng;
+        let fh = self.src.hot[flow];
+        // Random link loss (per-hop fault injection; the loss
+        // probability is the hop's *current* one — static for `Iid`,
+        // state-dependent for Gilbert–Elliott).
+        let loss = self.hops.fault[hop].loss;
+        // draw: hop.loss — per-hop loss uniform (faulty hops only)
+        let lost = loss > 0.0 && rng.gen::<f64>() < loss;
+        let hops = &mut self.hops;
+        let full = hops.link[hop]
+            .buffer
+            .is_some_and(|cap| hops.state[hop].q_len >= cap);
+        if lost || full {
+            self.drop_packet(t, flow, hop, size, attempt);
+            return;
+        }
+        // Mark policy at this hop, OR-ed with marks from hops already
+        // crossed (`q_len` is the pre-enqueue packets-in-system count).
+        // A pure hook short-circuits behind an upstream mark — the
+        // historical fast path; a stateful one (RED's EWMA) runs for
+        // every surviving arrival so its scratch never depends on
+        // upstream marking.
+        let q_len = hops.state[hop].q_len;
+        let marked = if Q::MARK_IS_PURE && marked {
+            true
+        } else {
+            let hop_mark = Q::mark(
+                &self.qp,
+                &mut hops.qdisc,
+                hop,
+                t,
+                q_len,
+                fh.decbit,
+                fh.q_hat,
+                // draw: mark.pure — mark hook may draw (RED gentle mode); pure hooks draw nothing
+                // draw: mark.stateful — stateful mark hook (RED) draws its drop uniform here
+                rng,
+            );
+            marked || hop_mark
+        };
+        let hs = &mut hops.state[hop];
+        hs.advance(t, self.warmup);
+        hs.q_len += 1;
+        let q_now = hs.q_len;
+        hops.fifos[hop].push_back(fifo_word(flow, marked));
+        if BYTES {
+            hops.fifo_bytes[hop].push_back(size);
+        }
+        if self.wl.rto.is_some() {
+            hops.fifo_attempt[hop].push_back(attempt);
+        }
+        if self.strict && BYTES {
+            hops.assert_rings_synced(hop, t, "enqueue");
+        }
+        if Q::needs_observe(self.any_decbit) {
+            Q::observe(&mut hops.qdisc[hop], t, q_now as f64);
+        }
+        // A down hop parks the arrival in the queue: service restarts
+        // from `on_link_up`. An idle, up hop had an empty queue, so the
+        // arriving packet is the head of line that enters service.
+        if !hops.state[hop].busy && !hops.fault[hop].down {
+            hops.start_service::<BYTES>(hop, t, rng, &mut self.ev); // draw: arrival.service — service for the packet entering an idle hop
+        }
+    }
+
+    /// `hop` finishes its head of line: forward or deliver it.
+    #[inline]
+    fn on_departure(&mut self, t: f64, hop: usize) {
+        let hops = &mut self.hops;
+        let word = hops.fifos[hop].pop_front();
+        let (flow, marked) = fifo_flow_marked(word.expect("departure from empty queue"));
+        let mut size = 1.0f32;
+        if BYTES {
+            let head = hops.fifo_bytes[hop].pop_front();
+            size = head.expect("departure from empty byte queue");
+        }
+        let mut attempt = 0;
+        if self.wl.rto.is_some() {
+            let head = hops.fifo_attempt[hop].pop_front();
+            attempt = head.expect("departure from empty attempt queue");
+        }
+        if self.strict && BYTES {
+            hops.assert_rings_synced(hop, t, "dequeue");
+        }
+        let fh = self.src.hot[flow];
+        let exits = hop == fh.route.last;
+        let hs = &mut hops.state[hop];
+        hs.advance(t, self.warmup);
+        if t >= self.warmup {
+            hs.served += 1;
+            if exits && flow < self.n_static {
+                self.src.stats[flow].delivered += 1;
+            }
+        }
+        if exits && flow >= self.n_static {
+            // Workload conservation counters are never warm-up-gated;
+            // only the FCT *samples* are.
+            self.wl.counters.packets_delivered += 1;
+            let d = &mut self.wl.slots[flow - self.n_static];
+            d.delivered += 1;
+            d.account(flow, t, &mut self.ev);
+        }
+        hs.q_len -= 1;
+        let q_now = hs.q_len;
+        if Q::needs_observe(self.any_decbit) {
+            Q::observe(&mut hops.qdisc[hop], t, q_now as f64);
+        }
+        hops.fault[hop].sample_recovery(t, q_now);
+        if !exits {
+            // Forward to the next hop after one hop delay, carrying the
+            // marks collected so far (and, in byte mode, the packet's
+            // size factor; under RTO, its attempt index).
+            let next = EventKind::Arrival {
+                flow,
+                hop: hop + 1,
+                marked,
+                size,
+                attempt,
+            };
+            self.ev.push(t + fh.prop_delay, next);
+        } else if fh.acked {
+            // Leaves the network; window flows get an ack across the
+            // whole return path.
+            let back = t + fh.back_delay(hop);
+            self.ev.push(back, EventKind::Ack { flow, marked });
+        }
+        // A hop that went down mid-service finished its packet
+        // non-preemptively; it starts no successor until `on_link_up`
+        // restarts it.
+        if q_now > 0 && !hops.fault[hop].down {
+            let rng = &mut self.rng;
+            hops.start_service::<BYTES>(hop, t, rng, &mut self.ev); // draw: departure.service — service for the next head-of-line packet
+        } else {
+            hops.state[hop].busy = false;
+        }
+    }
+
+    /// A rate flow reads its path bottleneck (the most congested queue
+    /// on its route); the reading arrives one path delay stale.
+    #[inline]
+    fn on_observe(&mut self, t: f64, flow: usize) {
+        let SourceSpec::Rate {
+            update_interval, ..
+        } = &self.flows[flow].source
+        else {
+            unreachable!("Observe for non-rate flow");
+        };
+        let fh = self.src.hot[flow];
+        let observed_queue = (fh.route.first..=fh.route.last)
+            .map(|h| self.hops.state[h].q_len)
+            .max()
+            .unwrap_or(0);
+        let feedback = EventKind::Feedback {
+            flow,
+            observed_queue,
+        };
+        self.ev.push(t + fh.back_delay(fh.route.last), feedback);
+        let next = t + update_interval;
+        self.ev.push(next, EventKind::Observe { flow });
+    }
+
+    /// A rate flow's feedback lands: one rate-law update.
+    #[inline]
+    fn on_feedback(&mut self, flow: usize, observed_queue: u64) {
+        let SourceSpec::Rate {
+            law,
+            update_interval,
+            ..
+        } = &self.flows[flow].source
+        else {
+            unreachable!("Feedback for non-rate flow")
+        };
+        let SourceState::Rate { lambda } = &mut self.src.states[flow] else {
+            unreachable!("rate spec paired with non-rate state")
+        };
+        *lambda = rate_update(law, *lambda, observed_queue as f64, *update_interval);
+    }
+
+    /// A window/DECbit ack: update the window, send what it allows.
+    #[inline]
+    fn on_ack(&mut self, t: f64, flow: usize, marked: bool) {
+        let rng = &mut self.rng;
+        let (allowed, in_flight) = match (&self.flows[flow].source, &mut self.src.states[flow]) {
+            (SourceSpec::Window { aimd, .. }, state) => {
+                window_on_ack(aimd, state, marked);
+                let SourceState::Window {
+                    window, in_flight, ..
+                } = state
+                else {
+                    unreachable!("window spec paired with non-window state")
+                };
+                (window.floor().max(1.0) as u64, in_flight)
+            }
+            (SourceSpec::Decbit { .. }, SourceState::Decbit { ctl, in_flight }) => {
+                *in_flight = in_flight.saturating_sub(1);
+                let _ = ctl.on_ack(marked);
+                (ctl.window().floor().max(1.0) as u64, in_flight)
+            }
+            _ => unreachable!("Ack for a rate flow"),
+        };
+        let to_send = allowed.saturating_sub(*in_flight);
+        *in_flight += to_send;
+        if t >= self.warmup {
+            self.src.stats[flow].sent += to_send;
+        }
+        let at = t + self.src.hot[flow].prop_delay;
+        for _ in 0..to_send {
+            self.src.emit::<BYTES>(flow, at, rng, &mut self.ev); // draw: ack.pkt — size factor per ack-clocked window packet
+        }
+    }
+
+    /// A finite flow arrives: size, route, slot, burst, next arrival.
+    #[inline]
+    fn on_flow_arrival(&mut self, t: f64) {
+        let rng = &mut self.rng;
+        let w = self.workload.expect("FlowArrival without a workload");
+        // Draw order is the §3f contract: size, route, next gap (one
+        // f64 each; deterministic sizes draw nothing).
+        let size = w.sizes.sample(rng); // draw: wl.flow.size — flow size in packets (deterministic dists draw nothing)
+        let u: f64 = rng.gen::<f64>(); // draw: wl.flow.route — route-choice uniform
+        let route = w.routes[sample_cumulative(&self.wl.route_cum, u)];
+        if self.strict {
+            self.audit.chk_route_draws += 1;
+            if !matches!(w.sizes, FlowSizeDist::Deterministic { .. }) {
+                self.audit.chk_size_draws += 1;
+            }
+        }
+        // Finite flows are open-loop: no acks, no marking reaction
+        // (q_hat = ∞ never self-marks).
+        let fh = FlowHot {
+            route,
+            prop_delay: w.prop_delay,
+            q_hat: f64::INFINITY,
+            acked: false,
+            decbit: false,
+        };
+        let ideal = ideal_fct_sized(
+            &self.config.topology,
+            route,
+            size,
+            w.prop_delay,
+            self.wl.mean_factor,
+        );
+        let d = DynFlow {
+            size,
+            arrival_t: t,
+            ideal,
+            ..DynFlow::default()
+        };
+        let slot = match self.wl.free.pop() {
+            Some(s) => {
+                let s = s as usize;
+                self.src.hot[self.n_static + s] = fh;
+                self.wl.slots[s] = d;
+                s
+            }
+            None => {
+                self.src.hot.push(fh);
+                self.wl.slots.push(d);
+                self.wl.slots.len() - 1
+            }
+        };
+        let flow = self.n_static + slot;
+        assert!(
+            flow < (1 << 31),
+            "run_network: workload flow index exceeds the 31-bit FIFO word"
+        );
+        let c = &mut self.wl.counters;
+        c.arrived += 1;
+        c.active += 1;
+        c.peak_active = c.peak_active.max(c.active);
+        c.packets_sent += size;
+        // The whole transfer enters as a paced burst (1 µs spacing, like
+        // the window bootstrap), so an idle network completes it in
+        // exactly `ideal_fct`. Byte mode draws each packet's size here,
+        // after the route and before the next interarrival gap (§3f).
+        for b in 0..size {
+            let at = t + b as f64 * 1e-6 + w.prop_delay;
+            self.src.emit::<BYTES>(flow, at, rng, &mut self.ev); // draw: wl.flow.pkt — size factor per workload-burst packet
+        }
+        if w.max_flows.is_none_or(|m| self.wl.counters.arrived < m) {
+            let gap = w.arrivals.sample_interarrival(rng); // draw: wl.flow.gap — next interarrival gap
+            if self.strict {
+                self.audit.chk_gap_draws += 1;
+            }
+            let lane = self.wl.lane_arrival;
+            self.ev.schedule_lane(lane, t + gap, EventKind::FlowArrival);
+        }
+    }
+
+    /// A finite flow's last packet is accounted: sample its FCT.
+    #[inline]
+    fn on_flow_complete(&mut self, t: f64, flow: usize) {
+        let w = self.workload.expect("FlowComplete without a workload");
+        let wl = &mut self.wl;
+        let slot = flow - self.n_static;
+        let d = wl.slots[slot];
+        wl.counters.active -= 1;
+        wl.counters.completed += 1;
+        if d.gave_up {
+            wl.counters.flows_gave_up += 1;
+        }
+        if d.delivered == d.size {
+            wl.counters.completed_clean += 1;
+            // FCT/slowdown sample only the post-warm-up, fully
+            // delivered population.
+            if d.arrival_t >= self.warmup {
+                let fct = t - d.arrival_t;
+                wl.fcts.push(fct);
+                wl.slowdowns.push(fct / d.ideal);
+            }
+        }
+        // No event or FIFO word references the slot once the last packet
+        // is accounted (in-flight packets are by definition
+        // unaccounted), so reuse is safe. Slot numbering never feeds
+        // times or RNG, so recycling on/off only moves
+        // `slot_high_water`.
+        if self.strict {
+            assert!(
+                !wl.free.contains(&(slot as u32)),
+                "FPK_CHECK: flow slot {slot} completed while already on the free list"
+            );
+            assert_eq!(
+                d.accounted, d.size,
+                "FPK_CHECK: flow slot {slot} completed with {} of {} packets accounted",
+                d.accounted, d.size
+            );
+        }
+        if w.recycle_slots {
+            wl.free.push(slot as u32);
+        }
+    }
+
+    /// Record one trace sample and schedule the next.
+    #[inline]
+    fn on_sample(&mut self, t: f64) {
+        self.trace.times.push(t);
+        for hop in 0..self.hops.state.len() {
+            self.trace.queues[hop].push(self.hops.state[hop].q_len as f64);
+        }
+        let ctl = self.src.states.iter().map(|s| match s {
+            SourceState::Rate { lambda } => *lambda,
+            SourceState::Window { window, .. } => *window,
+            SourceState::Decbit { ctl, .. } => ctl.window(),
+            SourceState::OnOff { on, .. } => f64::from(u8::from(*on)),
+        });
+        self.trace.ctl.extend(ctl);
+        if self.strict {
+            // Periodic structural audit: the sample clock is the one
+            // low-rate event stream that is always present.
+            self.ev.assert_valid();
+        }
+        self.trace.next += 1;
+        if self.trace.next <= self.trace.last {
+            // The multiple can round a hair past t_end; clamp so the
+            // final sample still lands inside the horizon.
+            let tk = (self.trace.next as f64 * self.config.sample_interval).min(self.t_end);
+            self.ev.schedule_sample(tk);
+        }
+    }
+
+    /// A flapping link goes down for an Exp(`up_rate`) outage; the
+    /// packet in service still completes, then the queue parks.
+    #[inline]
+    fn on_link_down(&mut self, t: f64, hop: usize) {
+        let rng = &mut self.rng;
+        let FaultConfig::LinkFlap { up_rate, .. } = fault_at(&self.config.faults, hop) else {
+            unreachable!("LinkDown on a hop without a LinkFlap fault")
+        };
+        let fs = &mut self.hops.fault[hop];
+        fs.down = true;
+        fs.transition(true, &self.hops.state[hop], t, self.warmup);
+        fs.down_since = t;
+        if self.strict {
+            self.audit.fault_move();
+        }
+        let up = t + exp1(rng.gen()) / up_rate; // draw: fault.flap.downtime — outage-duration uniform
+        let lane = self.hops.lane_fault[hop];
+        self.ev.schedule_lane(lane, up, EventKind::LinkUp { hop });
+    }
+
+    /// A flapping link comes back up and restarts a stalled server.
+    #[inline]
+    fn on_link_up(&mut self, t: f64, hop: usize) {
+        let rng = &mut self.rng;
+        let FaultConfig::LinkFlap { down_rate, .. } = fault_at(&self.config.faults, hop) else {
+            unreachable!("LinkUp on a hop without a LinkFlap fault")
+        };
+        let hops = &mut self.hops;
+        let fs = &mut hops.fault[hop];
+        fs.down = false;
+        // Downtime is clamped to the measurement window, like every
+        // other post-warm-up accumulator.
+        fs.downtime += (t - fs.down_since.max(self.warmup)).max(0.0);
+        fs.transition(false, &hops.state[hop], t, self.warmup);
+        if self.strict {
+            self.audit.fault_move();
+        }
+        // Restart the stalled server for the parked head of line, if
+        // any packets accumulated during the outage.
+        if hops.state[hop].q_len > 0 && !hops.state[hop].busy {
+            hops.start_service::<BYTES>(hop, t, rng, &mut self.ev); // draw: fault.flap.resume — service restart for the parked head-of-line packet (expo hops only)
+        }
+        let down = t + exp1(rng.gen()) / down_rate; // draw: fault.flap.uptime — next up-time sojourn uniform
+        self.ev
+            .schedule_lane(hops.lane_fault[hop], down, EventKind::LinkDown { hop });
+    }
+
+    /// A Gilbert–Elliott chain flips state or a link toggles capacity.
+    #[inline]
+    fn on_fault_shift(&mut self, t: f64, hop: usize) {
+        let rng = &mut self.rng;
+        let hops = &mut self.hops;
+        let fs = &mut hops.fault[hop];
+        let next = match fault_at(&self.config.faults, hop) {
+            FaultConfig::GilbertElliott {
+                p_gb,
+                p_bg,
+                loss_good,
+                loss_bad,
+            } => {
+                fs.bad = !fs.bad;
+                fs.transition(fs.bad, &hops.state[hop], t, self.warmup);
+                fs.loss = if fs.bad { loss_bad } else { loss_good };
+                let exit_rate = if fs.bad { p_bg } else { p_gb };
+                if self.strict {
+                    self.audit.fault_move();
+                }
+                t + exp1(rng.gen()) / exit_rate // draw: fault.ge.sojourn — next Gilbert–Elliott state sojourn uniform
+            }
+            FaultConfig::Degrade { factor, period } => {
+                // Deterministic capacity clock: zero draws. The
+                // in-service packet keeps its scheduled departure; the
+                // new μ applies from the next service start.
+                fs.degraded = !fs.degraded;
+                fs.transition(fs.degraded, &hops.state[hop], t, self.warmup);
+                let mu = hops.link[hop].mu;
+                fs.mu = if fs.degraded { mu * factor } else { mu };
+                fs.det_service = 1.0 / fs.mu;
+                t + period
+            }
+            FaultConfig::Iid { .. } | FaultConfig::LinkFlap { .. } => {
+                unreachable!("FaultShift on a hop without a GE/Degrade fault")
+            }
+        };
+        self.ev
+            .schedule_lane(hops.lane_fault[hop], next, EventKind::FaultShift { hop });
+    }
+}
+// lint: end
 
 /// Fault process at `hop` (`faults` empty = fault-free everywhere).
 fn fault_at(faults: &[FaultConfig], hop: usize) -> FaultConfig {
