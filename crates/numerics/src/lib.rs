@@ -12,6 +12,8 @@
 //!   RK45) initial-value integrators with dense output and event location.
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
+//! * [`exec`] — the `FPK_THREADS` worker-count accessor every parallel
+//!   layer sizes itself from.
 //! * [`linalg`] — tridiagonal (Thomas) and banded solvers, small dense ops.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod dde;
+pub mod exec;
 pub mod grid;
 pub mod interp;
 pub mod linalg;

@@ -29,40 +29,11 @@
 use crate::ensemble::{CellAccum, Ensemble, EnsembleStats};
 use crate::pool::pool;
 use crate::sweep::{Cell, Sweep};
+pub use fpk_numerics::exec::thread_count;
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::NetArena;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Worker count: the `FPK_THREADS` override when set, otherwise the
-/// machine's available parallelism.
-///
-/// # Panics
-/// Panics when `FPK_THREADS` is set to anything but a positive integer
-/// (unset or empty means "no override"). A typo'd determinism override
-/// must fail loudly, not silently fall back to machine parallelism.
-#[must_use]
-pub fn thread_count() -> usize {
-    // lint: allow(env-var) — FPK_THREADS is a designated config accessor (DESIGN §3h); worker count never feeds simulation results.
-    match std::env::var("FPK_THREADS") {
-        Err(std::env::VarError::NotPresent) => default_parallelism(),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("FPK_THREADS must be a positive integer, got non-UTF-8 {raw:?}")
-        }
-        Ok(s) if s.is_empty() => default_parallelism(),
-        Ok(s) => match s.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!(
-                "FPK_THREADS must be a positive integer, got {s:?} \
-                 (unset it for machine parallelism)"
-            ),
-        },
-    }
-}
-
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
 
 /// Run `n_jobs` independent jobs on `threads` workers and return their
 /// results in job order, on the persistent pool. The output is
@@ -379,7 +350,6 @@ mod tests {
     use crate::test_env;
     use fpk_congestion::LinearExp;
     use fpk_sim::{Service, SimConfig, SourceSpec};
-    use std::panic::catch_unwind;
 
     fn sweep() -> Sweep {
         let base = Scenario::new(
@@ -443,32 +413,6 @@ mod tests {
         assert!(run_indexed(0, 4, |i| i).is_empty());
         // More workers than jobs clamps cleanly.
         assert_eq!(run_indexed(3, 64, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn thread_count_rejects_malformed_or_zero_override() {
-        let _guard = test_env::lock();
-        let _restore = test_env::VarGuard::capture("FPK_THREADS");
-        for bad in ["zero", "0", "-3", "1.5"] {
-            std::env::set_var("FPK_THREADS", bad);
-            let caught = catch_unwind(thread_count);
-            std::env::remove_var("FPK_THREADS");
-            let msg = caught
-                .expect_err("malformed FPK_THREADS must panic")
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(msg.contains(bad), "panic must quote the bad value: {msg}");
-        }
-        // Empty means "no override", like unset.
-        std::env::set_var("FPK_THREADS", "");
-        let n = thread_count();
-        std::env::remove_var("FPK_THREADS");
-        assert!(n >= 1);
-        std::env::set_var("FPK_THREADS", "3");
-        let n = thread_count();
-        std::env::remove_var("FPK_THREADS");
-        assert_eq!(n, 3);
     }
 
     #[test]
