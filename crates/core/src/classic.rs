@@ -10,7 +10,7 @@
 //! `f(q) ∝ exp(−2(μ−λ)q/σ²)` — the heavy-traffic diffusion approximation
 //! of a stable queue — which the unit tests verify.
 
-use crate::fv::{advect_sweep, diffuse_crank_nicolson, Limiter};
+use crate::fv::{advect_sweep, CnFactor, Limiter};
 use fpk_numerics::grid::Grid1d;
 use fpk_numerics::{NumericsError, Result};
 
@@ -36,7 +36,9 @@ pub struct Classic1dSolver<F: Fn(f64) -> f64> {
     t: f64,
     vel: Vec<f64>,
     flux: Vec<f64>,
-    bufs: [Vec<f64>; 5],
+    /// Crank–Nicolson factor of the latest diffusion step, reused while
+    /// the step size stays fixed.
+    cn: Option<CnFactor>,
 }
 
 impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
@@ -44,13 +46,13 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
     /// internally).
     ///
     /// # Errors
-    /// [`NumericsError::InvalidParameter`] for σ² < 0 or a zero-mass
-    /// initial condition; [`NumericsError::DimensionMismatch`] when
+    /// [`NumericsError::InvalidParameter`] for a negative or non-finite
+    /// σ² or a zero-mass initial condition; [`NumericsError::DimensionMismatch`] when
     /// `initial.len() != grid.n()`.
     pub fn new(problem: Classic1d<F>, initial: &[f64]) -> Result<Self> {
-        if problem.sigma2 < 0.0 {
+        if !(problem.sigma2 >= 0.0 && problem.sigma2.is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "Classic1dSolver: sigma2 must be >= 0",
+                context: "Classic1dSolver: sigma2 must be finite and >= 0",
             });
         }
         let n = problem.grid.n();
@@ -71,20 +73,13 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
         let vel: Vec<f64> = (0..=n)
             .map(|k| (problem.drift)(problem.grid.face(k)))
             .collect();
-        let bufs = [
-            vec![0.0; n],
-            vec![0.0; n],
-            vec![0.0; n],
-            vec![0.0; n],
-            vec![0.0; n],
-        ];
         Ok(Self {
             problem,
             f,
             t: 0.0,
             vel,
             flux: vec![0.0; n + 1],
-            bufs,
+            cn: None,
         })
     }
 
@@ -155,18 +150,14 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
                 &mut self.flux,
             );
             if self.problem.sigma2 > 0.0 {
-                let [b0, b1, b2, b3, b4] = &mut self.bufs;
-                diffuse_crank_nicolson(
-                    &mut self.f,
-                    0.5 * self.problem.sigma2,
-                    dx,
-                    dt,
-                    b0,
-                    b1,
-                    b2,
-                    b3,
-                    b4,
-                )?;
+                let d = 0.5 * self.problem.sigma2;
+                let r = 0.5 * d * dt / (dx * dx);
+                let cn = match self.cn.take() {
+                    Some(cn) if cn.r() == r => cn,
+                    _ => CnFactor::new(self.f.len(), r)?,
+                };
+                cn.solve(&mut self.f);
+                self.cn = Some(cn);
             }
             advect_sweep(
                 &mut self.f,
@@ -285,6 +276,24 @@ mod tests {
             grid,
         };
         assert!(Classic1dSolver::new(p3, &[0.0; 10]).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_sigma2() {
+        for sigma2 in [f64::NAN, f64::INFINITY] {
+            let p = Classic1d {
+                drift: |_q| -1.0,
+                sigma2,
+                grid: Grid1d::new(0.0, 5.0, 10).unwrap(),
+            };
+            match Classic1dSolver::new(p, &[1.0; 10]) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.contains("sigma2"), "{context}");
+                }
+                Err(e) => panic!("sigma2 = {sigma2}: wrong error {e:?}"),
+                Ok(_) => panic!("sigma2 = {sigma2} accepted"),
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use fpk_repro::congestion::theory::{sliding_share, ReturnMap};
 use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::fluid::single::{simulate, FluidParams};
-use fpk_repro::fpk::fv::{advect_sweep, diffuse_crank_nicolson, Limiter};
+use fpk_repro::fpk::fv::{advect_sweep, CnFactor, Limiter};
 use fpk_repro::numerics::dde::DdeProblem;
 use fpk_repro::scenarios::{Axis, Ensemble, Scenario, Sweep};
 use fpk_repro::sim::event::{Event, EventKind, EventQueue};
@@ -171,9 +171,8 @@ proptest! {
         let n = profile.len();
         let mut f = profile.clone();
         let mass0: f64 = f.iter().sum();
-        let mut b = [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
-        let [b0, b1, b2, b3, b4] = &mut b;
-        diffuse_crank_nicolson(&mut f, d, 1.0, dt, b0, b1, b2, b3, b4).unwrap();
+        // r = ½·d·dt/dx² with dx = 1.
+        CnFactor::new(n, 0.5 * d * dt).unwrap().solve(&mut f);
         let mass1: f64 = f.iter().sum();
         prop_assert!((mass1 - mass0).abs() <= 1e-9 * mass0.max(1.0));
         prop_assert!(f.iter().all(|v| v.is_finite()));
