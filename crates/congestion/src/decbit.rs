@@ -14,7 +14,7 @@
 //!   decision window carried the bit, multiply the window by `d`,
 //!   otherwise add `a`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Regenerative queue-length averager (router side of DECbit).
 ///
@@ -102,7 +102,7 @@ impl QueueAverager {
 }
 
 /// Source-side DECbit window policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DecbitPolicy {
     /// Additive window increase (RaJa: 1 packet).
     pub a: f64,

@@ -9,7 +9,7 @@
 //!   rate-equivalent mapping (`λ = w / RTT`).
 
 use crate::law::RateControl;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear increase / exponential decrease (the JRJ algorithm, Eq. 2):
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// dλ/dt =  c0          if Q ≤ q̂
 ///          -c1 · λ      if Q > q̂
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinearExp {
     /// Probe slope C0 > 0 (rate units per second²).
     pub c0: f64,
@@ -76,7 +76,7 @@ impl RateControl for LinearExp {
 /// isometry (|λ − μ| is preserved around a cycle, absent the q = 0
 /// boundary), so the law *orbits* instead of spiralling in — oscillation
 /// without any feedback delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinearLinear {
     /// Probe slope C0 > 0.
     pub c0: f64,
@@ -132,7 +132,7 @@ impl RateControl for LinearLinear {
 /// probes aggressively; its sliding-mode shares are *not* equalising
 /// (the equilibrium share condition `a·α = c1·(1−α)` is independent of λ,
 /// so any split of μ is neutrally stable — MIMD is not fair).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Mimd {
     /// Multiplicative probe rate a > 0 (per second).
     pub a: f64,
@@ -190,7 +190,7 @@ impl RateControl for Mimd {
 /// ```
 ///
 /// which is how the paper justifies analysing Eq. 2 in place of Eq. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WindowAimd {
     /// Additive window increment `a` (packets per RTT).
     pub a: f64,

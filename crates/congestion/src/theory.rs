@@ -53,10 +53,10 @@
 use crate::laws::{LinearExp, LinearLinear};
 use fpk_numerics::roots::brent;
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Outcome of one revolution of the single-source return map.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CycleOutcome {
     /// Rate when the trajectory next returns to the section
     /// `{q = q̂, λ < μ}`.

@@ -22,10 +22,10 @@
 //!   parameter mapping.
 
 use crate::laws::WindowAimd;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The closed-form sawtooth of Eq. 1 against a knee threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Sawtooth {
     /// Peak window just before the cut.
     pub w_peak: f64,

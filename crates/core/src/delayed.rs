@@ -50,20 +50,44 @@ pub struct DelayedPath {
 /// step (1 = every step).
 ///
 /// # Errors
-/// [`NumericsError::InvalidParameter`] for non-positive τ, dt, t_end, μ,
-/// `record_every == 0`, or negative σ².
+/// [`NumericsError::InvalidParameter`], naming the field, for a
+/// non-positive or non-finite τ, dt, t_end or μ, a negative or
+/// non-finite σ², or `record_every == 0`.
 pub fn simulate_delayed_path<L: RateControl>(
     law: &L,
     cfg: &DelayedMcConfig,
     record_every: usize,
 ) -> Result<DelayedPath> {
-    if !(cfg.tau > 0.0 && cfg.dt > 0.0 && cfg.t_end > 0.0 && cfg.mu > 0.0)
-        || cfg.sigma2 < 0.0
-        || record_every == 0
-    {
-        return Err(NumericsError::InvalidParameter {
-            context: "DelayedMcConfig: need tau, dt, t_end, mu > 0, sigma2 >= 0, record_every > 0",
-        });
+    let positive = |x: f64| x > 0.0 && x.is_finite();
+    for (ok, context) in [
+        (
+            positive(cfg.tau),
+            "DelayedMcConfig: tau must be finite and > 0",
+        ),
+        (
+            positive(cfg.dt),
+            "DelayedMcConfig: dt must be finite and > 0",
+        ),
+        (
+            positive(cfg.t_end),
+            "DelayedMcConfig: t_end must be finite and > 0",
+        ),
+        (
+            positive(cfg.mu),
+            "DelayedMcConfig: mu must be finite and > 0",
+        ),
+        (
+            cfg.sigma2 >= 0.0 && cfg.sigma2.is_finite(),
+            "DelayedMcConfig: sigma2 must be finite and >= 0",
+        ),
+        (
+            record_every > 0,
+            "simulate_delayed_path: record_every must be > 0",
+        ),
+    ] {
+        if !ok {
+            return Err(NumericsError::InvalidParameter { context });
+        }
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let zig = Ziggurat::new();
@@ -228,6 +252,29 @@ mod tests {
         let mut c3 = cfg(1.0, 0.1);
         c3.sigma2 = -0.1;
         assert!(simulate_delayed_path(&law(), &c3, 1).is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_by_name() {
+        let cases: [(&str, fn(&mut DelayedMcConfig)); 6] = [
+            ("tau", |c| c.tau = f64::INFINITY),
+            ("t_end", |c| c.t_end = f64::INFINITY),
+            ("dt", |c| c.dt = f64::INFINITY),
+            ("mu", |c| c.mu = f64::INFINITY),
+            ("sigma2", |c| c.sigma2 = f64::NAN),
+            ("sigma2", |c| c.sigma2 = f64::INFINITY),
+        ];
+        for (field, spoil) in cases {
+            let mut bad = cfg(1.0, 0.1);
+            bad.t_end = 2.0;
+            spoil(&mut bad);
+            match simulate_delayed_path(&law(), &bad, 1) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.contains(field), "{field}: {context}");
+                }
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

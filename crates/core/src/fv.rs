@@ -17,10 +17,10 @@
 //! appreciable mass reaches them (the mass audit in
 //! [`crate::density::Density::mass`] checks this).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Slope/flux limiter selection for the advection sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Limiter {
     /// First-order upwind (no correction) — most diffusive, unconditionally
     /// monotone.

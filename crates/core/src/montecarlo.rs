@@ -51,15 +51,28 @@ pub struct McConfig {
 
 impl McConfig {
     fn validate(&self) -> Result<()> {
-        if !(self.mu > 0.0) || self.sigma2 < 0.0 || !(self.dt > 0.0) {
-            return Err(NumericsError::InvalidParameter {
-                context: "McConfig: need mu > 0, sigma2 >= 0, dt > 0",
-            });
-        }
-        if self.n_particles == 0 || self.threads == 0 {
-            return Err(NumericsError::InvalidParameter {
-                context: "McConfig: need n_particles > 0 and threads > 0",
-            });
+        // Each check is phrased positively so NaN fails it too.
+        for (ok, context) in [
+            (
+                self.mu > 0.0 && self.mu.is_finite(),
+                "McConfig: mu must be finite and > 0",
+            ),
+            (
+                self.sigma2 >= 0.0 && self.sigma2.is_finite(),
+                "McConfig: sigma2 must be finite and >= 0",
+            ),
+            (
+                self.dt > 0.0 && self.dt.is_finite(),
+                "McConfig: dt must be finite and > 0",
+            ),
+            (
+                self.n_particles > 0 && self.threads > 0,
+                "McConfig: need n_particles > 0 and threads > 0",
+            ),
+        ] {
+            if !ok {
+                return Err(NumericsError::InvalidParameter { context });
+            }
         }
         Ok(())
     }
@@ -314,6 +327,32 @@ mod tests {
             threads: 4,
             init_mean: (8.0, -1.0),
             init_std: (1.0, 0.5),
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_by_name() {
+        let law = LinearExp::new(1.0, 0.5, 10.0);
+        let cases: [(&str, fn(&mut McConfig)); 5] = [
+            ("mu", |c| c.mu = f64::INFINITY),
+            ("sigma2", |c| c.sigma2 = f64::NAN),
+            ("sigma2", |c| c.sigma2 = f64::INFINITY),
+            ("dt", |c| c.dt = f64::INFINITY),
+            ("dt", |c| c.dt = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            let mut bad = McConfig {
+                n_particles: 100,
+                threads: 1,
+                ..cfg()
+            };
+            spoil(&mut bad);
+            match simulate_ensemble(&law, &bad, &[0.1]) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.contains(field), "{field}: {context}");
+                }
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
         }
     }
 

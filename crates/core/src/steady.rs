@@ -9,7 +9,7 @@ use crate::density::Density;
 use crate::solver::FpSolver;
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Convergence settings for the stationary solve.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +34,7 @@ impl Default for SteadyOptions {
 }
 
 /// Moments summarising a (stationary) density.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DensityMoments {
     /// Mean queue length.
     pub mean_q: f64,

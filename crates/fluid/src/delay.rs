@@ -42,10 +42,10 @@ use fpk_congestion::RateControl;
 use fpk_numerics::dde::DdeProblem;
 use fpk_numerics::signal::{analyze_oscillation, classify_regime, Oscillation, Regime};
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a delayed-feedback fluid run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DelayParams {
     /// Bottleneck service rate μ > 0.
     pub mu: f64,
@@ -148,7 +148,7 @@ pub fn simulate_delayed<L: RateControl>(
 
 /// Limit-cycle summary of a delayed run's queue trace: amplitude/period
 /// over the final `tail_fraction`, plus the regime classification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CycleSummary {
     /// Oscillation statistics, `None` when the tail has settled.
     pub oscillation: Option<Oscillation>,
@@ -157,7 +157,7 @@ pub struct CycleSummary {
 }
 
 /// Serialisable mirror of [`Regime`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RegimeLabel {
     /// Settled to the limit point.
     Converged,

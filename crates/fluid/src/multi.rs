@@ -9,10 +9,10 @@
 use crate::single::queue_drift;
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters for a multi-source fluid run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiParams {
     /// Bottleneck service rate μ > 0.
     pub mu: f64,
@@ -27,7 +27,7 @@ pub struct MultiParams {
 }
 
 /// Recorded multi-source trajectory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct MultiTrajectory {
     /// Sample times.
     pub t: Vec<f64>,

@@ -18,10 +18,10 @@
 use crate::single::{simulate, FluidParams, FluidTrajectory};
 use fpk_congestion::RateControl;
 use fpk_numerics::Result;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The four quadrants of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Quadrant {
     /// ν > 0, q ≤ q̂: queue filling, rate probing up.
     I,
@@ -52,7 +52,7 @@ pub fn drift<L: RateControl>(law: &L, mu: f64, q: f64, nu: f64) -> (f64, f64) {
 }
 
 /// One arrow of the direction field for Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FieldArrow {
     /// Queue coordinate of the sample point.
     pub q: f64,
@@ -115,7 +115,7 @@ pub fn check_figure2_signs<L: RateControl>(_law: &L, mu: f64, arrows: &[FieldArr
 
 /// A crossing of the Poincaré section `{q = q̂}` extracted from a
 /// trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SectionCrossing {
     /// Interpolated crossing time.
     pub t: f64,

@@ -9,10 +9,10 @@
 
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a single-source fluid run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FluidParams {
     /// Bottleneck service rate μ > 0.
     pub mu: f64,
@@ -53,7 +53,7 @@ impl FluidParams {
 }
 
 /// A recorded fluid trajectory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FluidTrajectory {
     /// Sample times.
     pub t: Vec<f64>,

@@ -18,10 +18,10 @@ use crate::single::{simulate, FluidParams};
 use fpk_congestion::theory::ReturnMap;
 use fpk_congestion::LinearExp;
 use fpk_numerics::Result;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of a Theorem-1 verification run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ConvergenceReport {
     /// Law parameters used.
     pub law: LinearExp,

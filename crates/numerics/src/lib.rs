@@ -14,12 +14,12 @@
 //!   steps with cubic-Hermite history interpolation.
 //! * [`exec`] — the `FPK_THREADS` worker-count accessor every parallel
 //!   layer sizes itself from.
-//! * [`linalg`] — tridiagonal (Thomas) and banded solvers, small dense ops.
+//! * [`linalg`] — tridiagonal (Thomas) and banded solvers.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
 //! * [`roots`] — bisection and Brent root finding.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
-//!   damping fits and steady-state detection.
+//!   regime classification and power-law fits.
 //! * [`stats`] — running moments, histograms, empirical CDFs, KS distance,
 //!   autocorrelation.
 //!

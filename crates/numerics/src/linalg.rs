@@ -64,39 +64,6 @@ pub fn solve_tridiagonal(
     Ok(())
 }
 
-/// Multiply a tridiagonal matrix by a vector: `out = A x`.
-///
-/// Same slice conventions as [`solve_tridiagonal`]. Used by tests to verify
-/// solves and by explicit operator application.
-///
-/// # Errors
-/// [`NumericsError::DimensionMismatch`] on inconsistent lengths.
-pub fn tridiagonal_matvec(
-    sub: &[f64],
-    diag: &[f64],
-    sup: &[f64],
-    x: &[f64],
-    out: &mut [f64],
-) -> Result<()> {
-    let n = diag.len();
-    if n == 0 || sub.len() != n || sup.len() != n || x.len() != n || out.len() != n {
-        return Err(NumericsError::DimensionMismatch {
-            context: "tridiagonal_matvec: all slices must share a positive length",
-        });
-    }
-    for i in 0..n {
-        let mut acc = diag[i] * x[i];
-        if i > 0 {
-            acc += sub[i] * x[i - 1];
-        }
-        if i + 1 < n {
-            acc += sup[i] * x[i + 1];
-        }
-        out[i] = acc;
-    }
-    Ok(())
-}
-
 /// A square banded matrix with `kl` sub-diagonals and `ku` super-diagonals,
 /// stored in LAPACK-style band storage with row-pivoted LU factorisation.
 #[derive(Debug, Clone)]
@@ -271,29 +238,6 @@ impl BandedMatrix {
     }
 }
 
-/// Euclidean norm of a vector.
-#[must_use]
-pub fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// Maximum absolute entry of a vector (∞-norm); 0 for an empty slice.
-#[must_use]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
-/// `y ← y + a·x` (BLAS axpy).
-///
-/// # Panics
-/// Panics in debug builds when lengths differ.
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += a * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,14 +259,18 @@ mod tests {
 
     #[test]
     fn thomas_solves_laplacian() {
-        // -u'' = f discretised: [-1, 2, -1]; verify against matvec.
+        // -u'' = f discretised: [-1, 2, -1]; solve A x = A x_true.
         let n = 20;
         let sub = vec![-1.0; n];
         let diag = vec![2.0; n];
         let sup = vec![-1.0; n];
         let x_true: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-        let mut rhs = vec![0.0; n];
-        tridiagonal_matvec(&sub, &diag, &sup, &x_true, &mut rhs).unwrap();
+        let applied = |i: usize| {
+            let left = if i > 0 { x_true[i - 1] } else { 0.0 };
+            let right = x_true.get(i + 1).copied().unwrap_or(0.0);
+            2.0 * x_true[i] - left - right
+        };
+        let mut rhs: Vec<f64> = (0..n).map(applied).collect();
         let mut scratch = vec![0.0; n];
         solve_tridiagonal(&sub, &diag, &sup, &mut rhs, &mut scratch).unwrap();
         for (a, b) in rhs.iter().zip(x_true.iter()) {
@@ -434,16 +382,5 @@ mod tests {
         let m = BandedMatrix::zeros(3, 1, 1).unwrap();
         let mut b = vec![1.0, 1.0, 1.0];
         assert!(m.solve_into(&mut b).is_err());
-    }
-
-    #[test]
-    fn norms_and_axpy() {
-        assert!(approx_eq(norm2(&[3.0, 4.0]), 5.0, 1e-15, 0.0));
-        assert!(approx_eq(norm_inf(&[-7.0, 4.0]), 7.0, 0.0, 0.0));
-        assert!(approx_eq(norm_inf(&[]), 0.0, 0.0, 0.0));
-        let mut y = vec![1.0, 2.0];
-        axpy(2.0, &[10.0, 20.0], &mut y);
-        assert!(approx_eq(y[0], 21.0, 0.0, 0.0));
-        assert!(approx_eq(y[1], 42.0, 0.0, 0.0));
     }
 }

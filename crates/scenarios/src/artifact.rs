@@ -10,11 +10,15 @@
 //! to an unsharded report's. The vendored `serde_json` writes floats in
 //! shortest-roundtrip form, so load → merge → re-serialise reproduces
 //! an unsharded report byte for byte.
+//!
+//! Loading decodes through the `Deserialize` derived on the report
+//! types, so the checkpoint schema is the struct definitions and
+//! nothing else. Fields added after checkpoints were first written are
+//! `Option`s or carry `#[serde(default)]`, so older shards keep loading.
 
-use crate::ensemble::{EnsembleStats, Stat, WorkloadEnsemble};
-use crate::exec::{AxisReport, CellReport, Shard, SweepReport};
+use crate::exec::{Shard, SweepReport};
 use fpk_numerics::Result;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -74,16 +78,17 @@ pub fn write_sweep_shard(report: &SweepReport, shard: Shard) -> PathBuf {
 /// Read a [`SweepReport`] (sharded or not) back from a JSON artifact.
 ///
 /// # Panics
-/// Panics when the file cannot be read or does not parse as a sweep
-/// report, naming the path — resuming from a corrupt checkpoint must
-/// fail loudly, not merge garbage.
+/// Panics when the file cannot be read, is not JSON, or does not decode
+/// as a sweep report, naming the path and, for a schema mismatch, the
+/// field (e.g. `cells[3].stats.jain.mean`) — resuming from a corrupt
+/// checkpoint must fail loudly, not merge garbage.
 #[must_use]
 pub fn load_sweep_report(path: &Path) -> SweepReport {
     let body =
         fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
     let value =
         serde_json::from_str(&body).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
-    sweep_report_from(&value, path)
+    SweepReport::from_value(&value).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()))
 }
 
 /// Load the `count` shard files of sweep `name` from the results dir
@@ -107,173 +112,13 @@ pub fn merge_sweep_shards(name: &str, count: usize) -> Result<SweepReport> {
     SweepReport::merge(parts)
 }
 
-// ---- Value → report mapping -------------------------------------------
-//
-// The vendored serde subset has no visitor-based Deserialize, so the
-// loader maps the parsed `serde::Value` tree by hand. Shape errors
-// panic with the offending path + field; see `load_sweep_report`.
-
-fn field<'a>(v: &'a Value, key: &str, path: &Path) -> &'a Value {
-    v.get(key)
-        .unwrap_or_else(|| panic!("parsing {}: missing field {key:?}", path.display()))
-}
-
-fn get_f64(v: &Value, key: &str, path: &Path) -> f64 {
-    field(v, key, path)
-        .as_f64()
-        .unwrap_or_else(|| panic!("parsing {}: field {key:?} is not a number", path.display()))
-}
-
-fn get_usize(v: &Value, key: &str, path: &Path) -> usize {
-    match *field(v, key, path) {
-        Value::UInt(u) => usize::try_from(u).ok(),
-        Value::Int(i) => usize::try_from(i).ok(),
-        _ => None,
-    }
-    .unwrap_or_else(|| panic!("parsing {}: field {key:?} is not an index", path.display()))
-}
-
-fn get_u64(v: &Value, key: &str, path: &Path) -> u64 {
-    match *field(v, key, path) {
-        Value::UInt(u) => Some(u),
-        Value::Int(i) => u64::try_from(i).ok(),
-        _ => None,
-    }
-    .unwrap_or_else(|| panic!("parsing {}: field {key:?} is not a u64", path.display()))
-}
-
-fn get_str(v: &Value, key: &str, path: &Path) -> String {
-    match field(v, key, path) {
-        Value::Str(s) => s.clone(),
-        _ => panic!("parsing {}: field {key:?} is not a string", path.display()),
-    }
-}
-
-fn get_array<'a>(v: &'a Value, key: &str, path: &Path) -> &'a [Value] {
-    match field(v, key, path) {
-        Value::Array(items) => items,
-        _ => panic!("parsing {}: field {key:?} is not an array", path.display()),
-    }
-}
-
-fn stat_from(v: &Value, path: &Path) -> Stat {
-    Stat {
-        mean: get_f64(v, "mean", path),
-        std_dev: get_f64(v, "std_dev", path),
-        ci95: get_f64(v, "ci95", path),
-        n: get_u64(v, "n", path),
-    }
-}
-
-/// Like [`stat_from`] but tolerating absence: checkpoint shards written
-/// before a field existed load as an empty (all-zero) [`Stat`].
-fn stat_or_zero(v: &Value, key: &str, path: &Path) -> Stat {
-    match v.get(key) {
-        None | Some(Value::Null) => Stat {
-            mean: 0.0,
-            std_dev: 0.0,
-            ci95: 0.0,
-            n: 0,
-        },
-        Some(s) => stat_from(s, path),
-    }
-}
-
-fn stats_from(v: &Value, path: &Path) -> EnsembleStats {
-    EnsembleStats {
-        replications: get_usize(v, "replications", path),
-        jain: stat_from(field(v, "jain", path), path),
-        mean_queue: stat_from(field(v, "mean_queue", path), path),
-        utilization: stat_from(field(v, "utilization", path), path),
-        total_throughput: stat_from(field(v, "total_throughput", path), path),
-        total_dropped: stat_from(field(v, "total_dropped", path), path),
-        flow_throughput: get_array(v, "flow_throughput", path)
-            .iter()
-            .map(|s| stat_from(s, path))
-            .collect(),
-        flow_ctl_std: get_array(v, "flow_ctl_std", path)
-            .iter()
-            .map(|s| stat_from(s, path))
-            .collect(),
-        oscillation_amplitude: match field(v, "oscillation_amplitude", path) {
-            Value::Null => None,
-            s => Some(stat_from(s, path)),
-        },
-        // Absent in pre-workload checkpoint files: default to None
-        // rather than panicking, so old shards stay loadable.
-        workload: match v.get("workload") {
-            None | Some(Value::Null) => None,
-            Some(w) => Some(workload_ensemble_from(w, path)),
-        },
-        // Absent in pre-fault checkpoint files: default to zero stats.
-        downtime_frac: stat_or_zero(v, "downtime_frac", path),
-        recovery_time: stat_or_zero(v, "recovery_time", path),
-    }
-}
-
-fn workload_ensemble_from(v: &Value, path: &Path) -> WorkloadEnsemble {
-    let stat = |key| stat_from(field(v, key, path), path);
-    WorkloadEnsemble {
-        arrived: stat("arrived"),
-        completed: stat("completed"),
-        fct_mean: stat("fct_mean"),
-        fct_p50: stat("fct_p50"),
-        fct_p99: stat("fct_p99"),
-        slowdown_mean: stat("slowdown_mean"),
-        slowdown_p99: stat("slowdown_p99"),
-        peak_active: stat("peak_active"),
-        // Absent in pre-RTO checkpoint files: default to zero stats.
-        packets_dropped: stat_or_zero(v, "packets_dropped", path),
-        goodput: stat_or_zero(v, "goodput", path),
-        retx_overhead: stat_or_zero(v, "retx_overhead", path),
-        packets_gave_up: stat_or_zero(v, "packets_gave_up", path),
-        flows_gave_up: stat_or_zero(v, "flows_gave_up", path),
-    }
-}
-
-fn sweep_report_from(v: &Value, path: &Path) -> SweepReport {
-    SweepReport {
-        name: get_str(v, "name", path),
-        base_seed: get_u64(v, "base_seed", path),
-        replications: get_usize(v, "replications", path),
-        axes: get_array(v, "axes", path)
-            .iter()
-            .map(|a| AxisReport {
-                name: get_str(a, "name", path),
-                values: get_array(a, "values", path)
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().unwrap_or_else(|| {
-                            panic!("parsing {}: axis value is not a number", path.display())
-                        })
-                    })
-                    .collect(),
-            })
-            .collect(),
-        cells: get_array(v, "cells", path)
-            .iter()
-            .map(|c| CellReport {
-                name: get_str(c, "name", path),
-                index: get_usize(c, "index", path),
-                coords: get_array(c, "coords", path)
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().unwrap_or_else(|| {
-                            panic!("parsing {}: coord is not a number", path.display())
-                        })
-                    })
-                    .collect(),
-                seed: get_u64(c, "seed", path),
-                stats: stats_from(field(c, "stats", path), path),
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::{EnsembleStats, Stat, WorkloadEnsemble};
+    use crate::exec::{AxisReport, CellReport};
     use crate::test_env;
+    use serde::Value;
 
     #[test]
     fn writes_and_returns_path_honoring_env_override() {
@@ -381,6 +226,144 @@ mod tests {
         );
     }
 
+    /// A two-cell checkpoint whose every `Stat` is non-zero.
+    fn checkpoint() -> Value {
+        let s = Stat {
+            mean: 1.5,
+            std_dev: 0.5,
+            ci95: 0.25,
+            n: 3,
+        };
+        let stats = EnsembleStats {
+            replications: 3,
+            jain: s,
+            mean_queue: s,
+            utilization: s,
+            total_throughput: s,
+            total_dropped: s,
+            flow_throughput: vec![s, s],
+            flow_ctl_std: vec![s],
+            oscillation_amplitude: Some(s),
+            downtime_frac: s,
+            recovery_time: s,
+            workload: Some(WorkloadEnsemble {
+                arrived: s,
+                completed: s,
+                fct_mean: s,
+                fct_p50: s,
+                fct_p99: s,
+                slowdown_mean: s,
+                slowdown_p99: s,
+                peak_active: s,
+                packets_dropped: s,
+                goodput: s,
+                retx_overhead: s,
+                packets_gave_up: s,
+                flows_gave_up: s,
+            }),
+        };
+        let cell = |index| CellReport {
+            name: format!("ckpt[mu={index}]"),
+            index,
+            coords: vec![30.0],
+            seed: 11,
+            stats: stats.clone(),
+        };
+        SweepReport {
+            name: "ckpt".into(),
+            base_seed: 7,
+            replications: 3,
+            axes: vec![AxisReport {
+                name: "mu".into(),
+                values: vec![30.0, 45.0],
+            }],
+            cells: vec![cell(0), cell(1)],
+        }
+        .to_value()
+    }
+
+    fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Object(fields) = v else {
+            panic!("not an object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    fn cell_stats(v: &mut Value, index: usize) -> &mut Value {
+        let Value::Array(cells) = member(v, "cells") else {
+            panic!("cells is not an array")
+        };
+        member(&mut cells[index], "stats")
+    }
+
+    /// Drop `keys` from every object at or below `v`.
+    fn strip(v: &mut Value, keys: &[&str]) {
+        match v {
+            Value::Object(fields) => {
+                fields.retain(|(k, _)| !keys.contains(&k.as_str()));
+                fields.iter_mut().for_each(|(_, x)| strip(x, keys));
+            }
+            Value::Array(items) => items.iter_mut().for_each(|x| strip(x, keys)),
+            _ => {}
+        }
+    }
+
+    /// Write `v` to a scratch file named `file` and load it back.
+    fn load_value(file: &str, v: &Value) -> std::thread::Result<SweepReport> {
+        let path = std::env::temp_dir().join(file);
+        fs::write(&path, serde_json::to_string(v).unwrap()).unwrap();
+        let loaded = std::panic::catch_unwind(|| load_sweep_report(&path));
+        let _ = fs::remove_file(&path);
+        loaded
+    }
+
+    fn panic_message(caught: std::thread::Result<SweepReport>) -> String {
+        caught
+            .expect_err("a corrupt checkpoint must panic")
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn checkpoints_predating_later_fields_load_with_defaults() {
+        let zero = serde_json::to_string(&Stat::default()).unwrap();
+        let mut v = checkpoint();
+        // Cell 0 predates workloads, faults and RTOs; cell 1 has a
+        // workload but predates faults and RTOs.
+        strip(cell_stats(&mut v, 0), &["workload"]);
+        strip(
+            &mut v,
+            &[
+                "downtime_frac",
+                "recovery_time",
+                "packets_dropped",
+                "goodput",
+                "retx_overhead",
+                "packets_gave_up",
+                "flows_gave_up",
+            ],
+        );
+        let report = load_value("fpk_old_checkpoint_selftest.json", &v).unwrap();
+        let (old, newer) = (&report.cells[0].stats, &report.cells[1].stats);
+        assert!(old.workload.is_none());
+        let wl = newer.workload.as_ref().expect("cell 1 keeps its workload");
+        assert_eq!(wl.arrived.mean, 1.5);
+        for s in [
+            old.downtime_frac,
+            old.recovery_time,
+            newer.downtime_frac,
+            wl.packets_dropped,
+            wl.goodput,
+            wl.retx_overhead,
+            wl.packets_gave_up,
+            wl.flows_gave_up,
+        ] {
+            assert_eq!(serde_json::to_string(&s).unwrap(), zero);
+        }
+        assert_eq!(old.jain.n, 3);
+    }
+
     #[test]
     fn load_rejects_corrupt_checkpoints_loudly() {
         let _guard = test_env::lock();
@@ -388,14 +371,29 @@ mod tests {
         fs::write(&path, b"{\"name\": \"x\", \"truncated\": ").unwrap();
         let caught = std::panic::catch_unwind(|| load_sweep_report(&path));
         let _ = fs::remove_file(&path);
-        let msg = caught
-            .expect_err("corrupt JSON must panic")
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = panic_message(caught);
         assert!(
             msg.contains("fpk_corrupt_checkpoint_selftest.json"),
             "panic must name the file: {msg}"
+        );
+
+        // Well-formed JSON of the wrong shape names the full field path.
+        let mut v = checkpoint();
+        *member(member(cell_stats(&mut v, 1), "jain"), "mean") = Value::Str("oops".into());
+        let msg = panic_message(load_value("fpk_mistyped_checkpoint_selftest.json", &v));
+        assert!(
+            msg.contains("fpk_mistyped_checkpoint_selftest.json")
+                && msg.contains("cells[1].stats.jain.mean: expected a number"),
+            "panic must name the file and the field path: {msg}"
+        );
+
+        let mut v = checkpoint();
+        strip(&mut v, &["base_seed"]);
+        let msg = panic_message(load_value("fpk_seedless_checkpoint_selftest.json", &v));
+        assert!(
+            msg.contains("fpk_seedless_checkpoint_selftest.json")
+                && msg.contains("base_seed: missing field"),
+            "panic must name the file and the missing field: {msg}"
         );
     }
 }

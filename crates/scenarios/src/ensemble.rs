@@ -17,7 +17,9 @@ use serde::{Deserialize, Serialize};
 use crate::scenario::Scenario;
 
 /// Mean / spread / confidence summary of one scalar across replications.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// The all-zero default is what checkpoints written before a `Stat` field
+/// existed load as.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct Stat {
     /// Sample mean.
     pub mean: f64,
@@ -77,8 +79,10 @@ pub struct EnsembleStats {
     pub oscillation_amplitude: Option<Stat>,
     /// Worst per-hop downtime fraction (link-flap outage share of the
     /// post-warmup window; 0 without dynamic faults).
+    #[serde(default)]
     pub downtime_frac: Stat,
     /// Mean post-fault recovery time across hops that recorded one.
+    #[serde(default)]
     pub recovery_time: Stat,
     /// Finite-flow workload statistics, `Some` iff the replications
     /// carried a workload (presence must agree across replications).
@@ -112,19 +116,24 @@ pub struct WorkloadEnsemble {
     pub peak_active: Stat,
     /// Per-run count of workload packets terminally dropped (always 0
     /// under a retry policy — terminal losses become `packets_gave_up`).
+    #[serde(default)]
     pub packets_dropped: Stat,
     /// Per-run goodput (first-copy deliveries per second of horizon).
+    #[serde(default)]
     pub goodput: Stat,
     /// Per-run retransmission overhead (retransmits / packets sent).
+    #[serde(default)]
     pub retx_overhead: Stat,
     /// Per-run count of packets abandoned after exhausting retries.
+    #[serde(default)]
     pub packets_gave_up: Stat,
     /// Per-run count of flows with at least one abandoned packet.
+    #[serde(default)]
     pub flows_gave_up: Stat,
 }
 
 /// Replication policy: how many seeds per cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Ensemble {
     /// Number of replications R (seeds per cell); must be ≥ 1.
     pub replications: usize,

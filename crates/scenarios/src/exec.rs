@@ -221,7 +221,7 @@ impl SweepReport {
 /// execution: shard `index` of `count` owns the cells whose grid index
 /// is ≡ `index` (mod `count`). The modulo partition balances load even
 /// when cost varies smoothly along an axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Shard {
     /// Which slice this is (`0..count`).
     pub index: usize,

@@ -17,11 +17,11 @@ use fpk_sim::{
     run_network_summary, run_network_workload_summary, FaultConfig, FlowSpec, NetArena, NetConfig,
     PacketBytes, QdiscKind, Route, RunSummary, SimConfig, SourceSpec, Topology, Workload,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A named bundle of everything one simulation run needs except the
 /// seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Scenario {
     /// Human-readable name; sweep cells append their coordinates.
     pub name: String,

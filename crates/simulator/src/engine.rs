@@ -22,10 +22,10 @@
 //! [`FlowSpec::single_hop`]: crate::network::FlowSpec::single_hop
 
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bottleneck service-time distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Service {
     /// Constant service time 1/μ.
     Deterministic,
@@ -36,7 +36,7 @@ pub enum Service {
 /// Single-bottleneck simulation configuration: the link (μ, service,
 /// buffer) plus run control. Run it through
 /// [`NetConfig::single_link`](crate::network::NetConfig::single_link).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimConfig {
     /// Bottleneck service rate μ (packets/s).
     pub mu: f64,
@@ -63,7 +63,7 @@ pub struct SimConfig {
 /// state machine on the hop's dedicated event side-lane; hops whose
 /// fault is absent or `Iid` consume **zero** extra RNG draws, so
 /// fault-free runs stay bit-identical to the pre-enum engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultConfig {
     /// Time-invariant random loss. Window flows receive a marked ack
     /// for the loss (drop-as-signal); rate flows simply lose the

@@ -6,10 +6,10 @@ use crate::network::{run_network_core, FlowSpec, NetArena, NetConfig, NetResult,
 use crate::workload::{Workload, WorkloadStats};
 use fpk_numerics::signal::{analyze_oscillation, Oscillation};
 use fpk_numerics::{NumericsError, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A compact per-run summary used by the experiment harnesses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunSummary {
     /// Per-flow throughputs (packets/s).
     pub throughputs: Vec<f64>,

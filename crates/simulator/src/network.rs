@@ -48,7 +48,7 @@ use crate::workload::{
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
@@ -58,7 +58,7 @@ use std::marker::PhantomData;
 /// are **identical across modes** — sampling draws no randomness — so
 /// the mode only controls what lands in [`NetResult`]'s trace fields and
 /// how much the run allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum TraceMode {
     /// Record nothing: `trace_t`/`trace_q`/`trace_ctl` come back empty.
     /// For consumers that only read counters and per-hop means
@@ -77,7 +77,7 @@ pub enum TraceMode {
 }
 
 /// One link of a topology: a FIFO queue with its own service process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Link {
     /// Service rate μ (packets/s).
     pub mu: f64,
@@ -90,7 +90,7 @@ pub struct Link {
 /// An ordered chain of links, indexed `0..len()`. Flows cross contiguous
 /// spans of it ([`Route`]), so a single link is the classic bottleneck,
 /// K equal links a tandem, and per-hop cross traffic a parking lot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Topology {
     /// The links in path order.
     pub links: Vec<Link>,
@@ -131,7 +131,7 @@ impl Topology {
 }
 
 /// A contiguous span of hops a flow crosses, inclusive on both ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Route {
     /// First hop index (0-based).
     pub first: usize,
@@ -170,7 +170,7 @@ impl Route {
 /// one-way delay, so a window flow's effective round trip grows with its
 /// hop count (`aimd.rtt` = 2 × per-hop delay — the historical tandem
 /// interpretation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlowSpec {
     /// Traffic source driving the flow.
     pub source: SourceSpec,
@@ -190,7 +190,7 @@ impl FlowSpec {
 }
 
 /// Network simulation configuration: the topology plus run control.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetConfig {
     /// The ordered links.
     pub topology: Topology,
@@ -366,7 +366,7 @@ impl NetConfig {
 }
 
 /// Per-flow counters (collected after warm-up).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct NetFlowStats {
     /// Packets handed to the network.
     pub sent: u64,
@@ -385,7 +385,7 @@ pub struct NetFlowStats {
 /// The three trace fields are populated under [`TraceMode::Full`] only;
 /// [`TraceMode::Off`] and [`TraceMode::Summary`] leave them empty (the
 /// latter keeps the data in the [`NetArena`] for the summary fast path).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetResult {
     /// Trace sample times.
     pub trace_t: Vec<f64>,

@@ -29,11 +29,11 @@
 
 use fpk_congestion::decbit::QueueAverager;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which queue discipline every hop of a run uses — the serialisable
 /// enum half of the dispatch; the generic half is [`QDisc`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum QdiscKind {
     /// Per-flow marking (the historical behaviour): Rate/Window flows
     /// mark on instantaneous queue > their own `q̂`, DECbit flows on

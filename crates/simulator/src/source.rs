@@ -3,10 +3,10 @@
 
 use fpk_congestion::decbit::{DecbitPolicy, DecbitWindow};
 use fpk_congestion::{LinearExp, WindowAimd};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static description of one flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum SourceSpec {
     /// A rate-based source: emits packets at rate λ(t), receives a
     /// delayed queue-length observation every `update_interval` seconds

@@ -24,11 +24,11 @@ use crate::network::{Route, Topology};
 use crate::units::Bytes;
 use fpk_numerics::{NumericsError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Interarrival-time process of a [`Workload`] (flow arrivals, open
 /// loop: arrivals never react to congestion).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential interarrival gaps with the given
     /// mean rate (flows per second).
@@ -96,7 +96,7 @@ impl ArrivalProcess {
 
 /// Flow-size distribution of a [`Workload`], in whole packets (samples
 /// are rounded and clamped to ≥ 1 packet).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FlowSizeDist {
     /// Every flow moves exactly `packets` packets.
     Deterministic {
@@ -256,7 +256,7 @@ pub fn sample_cumulative(cum: &[f64], u: f64) -> usize {
 /// consume **zero** RNG draws — the retry schedule is a deterministic
 /// function of the drop time — so enabling RTO never perturbs the
 /// draw-order contract of DESIGN §3f (see DESIGN §3i).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RtoPolicy {
     /// Timeout before the first retransmission (seconds, > 0).
     pub rto_base: f64,
@@ -314,7 +314,7 @@ impl RtoPolicy {
 /// react to. An optional [`RtoPolicy`] makes each flow re-send lost
 /// packets after an exponentially backed-off timeout, bounding loss to
 /// packets that exhaust their retry budget ("gave up").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Workload {
     /// Flow interarrival process.
     pub arrivals: ArrivalProcess,
@@ -487,7 +487,7 @@ pub fn ideal_fct_sized(
 /// `Deterministic { packets: N }` dist with `ref_bytes = N` is
 /// bit-identical to unit-packet mode (factor exactly 1.0, zero extra
 /// draws; pinned by `tests/engine_equivalence.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PacketBytes {
     /// Per-packet byte-size distribution (the `packets` fields of
     /// [`FlowSizeDist`] are read as **bytes** here).
@@ -524,7 +524,7 @@ impl PacketBytes {
 /// Count / mean / percentile summary of one per-flow metric (FCT or
 /// slowdown). All-zero when `count == 0` — always check `count` before
 /// reading the moments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct DistSummary {
     /// Number of recorded samples.
     pub count: u64,
@@ -577,7 +577,7 @@ impl DistSummary {
 /// stay per-unique-packet. Flow counters are *not* gated on warm-up —
 /// conservation must be exact — but FCT/slowdown samples are recorded
 /// only for flows arriving after `warmup`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct WorkloadStats {
     /// Flows admitted within the horizon.
     pub arrived: u64,
