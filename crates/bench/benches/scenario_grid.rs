@@ -2,13 +2,12 @@
 //! sizes, pitting one worker against the machine's worker count:
 //!
 //! * `serial/<size>` — [`run_sweep_on`] at width 1: the calling thread
-//!   runs every cell itself, with its own cached `NetArena`.
+//!   runs every cell itself, with one `NetArena`.
 //! * `parallel/<size>` — [`run_sweep_on`] at the machine's worker count:
-//!   the persistent worker pool with per-worker arenas kept across
-//!   calls.
+//!   cells striped over scoped worker threads, one `NetArena` each.
 //!
-//! Both rows aggregate each cell streamingly and spawn nothing per
-//! sweep.
+//! Both rows aggregate each cell streamingly; the parallel row pays one
+//! thread spawn per extra worker per sweep.
 //!
 //! The three sizes share one base workload (a short rate-controlled
 //! run, 5 replications per cell — the experiment bins' ensemble width)

@@ -1,8 +1,9 @@
 //! The process-wide worker-count setting.
 //!
 //! Every parallel layer of the workspace — the Fokker–Planck slab
-//! stepper in `fpk-core` and the sweep pool in `fpk-scenarios` — sizes
-//! itself from [`thread_count`]. Both are bit-identical for any worker
+//! stepper in `fpk-core` and the sweep executor in `fpk-scenarios`,
+//! both plain `std::thread::scope` workers — sizes itself from
+//! [`thread_count`]. Both are bit-identical for any worker
 //! count, so the `FPK_THREADS` override only changes wall-clock time.
 
 /// Worker count: the `FPK_THREADS` override when set, otherwise the

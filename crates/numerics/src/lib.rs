@@ -8,8 +8,8 @@
 //! # Modules
 //!
 //! * [`grid`] — uniform cell-centred 1-D and 2-D grids with ghost cells.
-//! * [`ode`] — fixed-step (Euler, Heun, RK4) and adaptive (Dormand–Prince
-//!   RK45) initial-value integrators with dense output and event location.
+//! * [`ode`] — the adaptive Dormand–Prince RK45 initial-value integrator
+//!   with dense output and event location.
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
 //! * [`exec`] — the `FPK_THREADS` worker-count accessor every parallel

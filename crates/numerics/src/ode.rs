@@ -1,11 +1,9 @@
-//! Initial-value ODE integrators.
+//! Adaptive initial-value ODE integration.
 //!
 //! The fluid model of Bolot–Shankar and the characteristic curves of the
 //! Fokker–Planck equation (Section 5 of the paper) are systems
 //! `dy/dt = F(t, y)`. This module provides:
 //!
-//! * fixed-step explicit methods — [`euler_step`], [`heun_step`],
-//!   [`rk4_step`] and the driver [`integrate_fixed`];
 //! * the adaptive Dormand–Prince 5(4) pair ([`Dopri5`]) with PI step-size
 //!   control and third-order Hermite dense output;
 //! * switching-surface *event location* ([`Dopri5::integrate_with_event`]),
@@ -27,77 +25,6 @@ impl<F: FnMut(f64, &[f64], &mut [f64])> Rhs for F {
     fn eval(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
         self(t, y, dydt)
     }
-}
-
-/// One explicit Euler step: `y ← y + h·F(t, y)`. First order.
-pub fn euler_step<R: Rhs>(rhs: &mut R, t: f64, y: &mut [f64], h: f64, scratch: &mut [f64]) {
-    rhs.eval(t, y, scratch);
-    for (yi, ki) in y.iter_mut().zip(scratch.iter()) {
-        *yi += h * ki;
-    }
-}
-
-/// One Heun (explicit trapezoid) step. Second order.
-pub fn heun_step<R: Rhs>(
-    rhs: &mut R,
-    t: f64,
-    y: &mut [f64],
-    h: f64,
-    k1: &mut [f64],
-    k2: &mut [f64],
-    ytmp: &mut [f64],
-) {
-    rhs.eval(t, y, k1);
-    for i in 0..y.len() {
-        ytmp[i] = y[i] + h * k1[i];
-    }
-    rhs.eval(t + h, ytmp, k2);
-    for i in 0..y.len() {
-        y[i] += 0.5 * h * (k1[i] + k2[i]);
-    }
-}
-
-/// One classical fourth-order Runge–Kutta step.
-#[allow(clippy::too_many_arguments)]
-pub fn rk4_step<R: Rhs>(
-    rhs: &mut R,
-    t: f64,
-    y: &mut [f64],
-    h: f64,
-    k1: &mut [f64],
-    k2: &mut [f64],
-    k3: &mut [f64],
-    k4: &mut [f64],
-    ytmp: &mut [f64],
-) {
-    let n = y.len();
-    rhs.eval(t, y, k1);
-    for i in 0..n {
-        ytmp[i] = y[i] + 0.5 * h * k1[i];
-    }
-    rhs.eval(t + 0.5 * h, ytmp, k2);
-    for i in 0..n {
-        ytmp[i] = y[i] + 0.5 * h * k2[i];
-    }
-    rhs.eval(t + 0.5 * h, ytmp, k3);
-    for i in 0..n {
-        ytmp[i] = y[i] + h * k3[i];
-    }
-    rhs.eval(t + h, ytmp, k4);
-    for i in 0..n {
-        y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
-
-/// Fixed-step integration method selector for [`integrate_fixed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FixedMethod {
-    /// First-order explicit Euler.
-    Euler,
-    /// Second-order Heun.
-    Heun,
-    /// Fourth-order classical Runge–Kutta.
-    Rk4,
 }
 
 /// A recorded trajectory: times and the state at each time.
@@ -136,59 +63,6 @@ impl Trajectory {
             _ => None,
         }
     }
-}
-
-/// Integrate `dy/dt = F(t, y)` from `t0` to `t1` with `steps` equal steps,
-/// recording every state (including the initial one).
-///
-/// # Errors
-/// Returns [`NumericsError::InvalidParameter`] when `steps == 0` or
-/// `t1 <= t0`.
-pub fn integrate_fixed<R: Rhs>(
-    rhs: &mut R,
-    method: FixedMethod,
-    t0: f64,
-    t1: f64,
-    y0: &[f64],
-    steps: usize,
-) -> Result<Trajectory> {
-    if steps == 0 {
-        return Err(NumericsError::InvalidParameter {
-            context: "integrate_fixed: steps must be positive",
-        });
-    }
-    if !(t1 > t0) {
-        return Err(NumericsError::InvalidParameter {
-            context: "integrate_fixed: t1 must exceed t0",
-        });
-    }
-    let n = y0.len();
-    let h = (t1 - t0) / steps as f64;
-    let mut y = y0.to_vec();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut ytmp = vec![0.0; n];
-    let mut traj = Trajectory {
-        t: Vec::with_capacity(steps + 1),
-        y: Vec::with_capacity(steps + 1),
-    };
-    traj.t.push(t0);
-    traj.y.push(y.clone());
-    for s in 0..steps {
-        let t = t0 + s as f64 * h;
-        match method {
-            FixedMethod::Euler => euler_step(rhs, t, &mut y, h, &mut k1),
-            FixedMethod::Heun => heun_step(rhs, t, &mut y, h, &mut k1, &mut k2, &mut ytmp),
-            FixedMethod::Rk4 => rk4_step(
-                rhs, t, &mut y, h, &mut k1, &mut k2, &mut k3, &mut k4, &mut ytmp,
-            ),
-        }
-        traj.t.push(t0 + (s + 1) as f64 * h);
-        traj.y.push(y.clone());
-    }
-    Ok(traj)
 }
 
 // ---------------------------------------------------------------------------
@@ -554,57 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn euler_first_order_accuracy() {
-        let mut f = decay;
-        let coarse = integrate_fixed(&mut f, FixedMethod::Euler, 0.0, 1.0, &[1.0], 100).unwrap();
-        let fine = integrate_fixed(&mut f, FixedMethod::Euler, 0.0, 1.0, &[1.0], 200).unwrap();
-        let exact = (-1.0f64).exp();
-        let e_coarse = (coarse.last().unwrap().1[0] - exact).abs();
-        let e_fine = (fine.last().unwrap().1[0] - exact).abs();
-        // halving h should roughly halve the error
-        assert!(
-            e_fine < 0.6 * e_coarse,
-            "e_coarse={e_coarse} e_fine={e_fine}"
-        );
-    }
-
-    #[test]
-    fn heun_second_order_accuracy() {
-        let mut f = decay;
-        let coarse = integrate_fixed(&mut f, FixedMethod::Heun, 0.0, 1.0, &[1.0], 50).unwrap();
-        let fine = integrate_fixed(&mut f, FixedMethod::Heun, 0.0, 1.0, &[1.0], 100).unwrap();
-        let exact = (-1.0f64).exp();
-        let e_coarse = (coarse.last().unwrap().1[0] - exact).abs();
-        let e_fine = (fine.last().unwrap().1[0] - exact).abs();
-        assert!(e_fine < 0.3 * e_coarse);
-    }
-
-    #[test]
-    fn rk4_matches_exponential() {
-        let mut f = decay;
-        let traj = integrate_fixed(&mut f, FixedMethod::Rk4, 0.0, 2.0, &[1.0], 200).unwrap();
-        let exact = (-2.0f64).exp();
-        assert!(approx_eq(traj.last().unwrap().1[0], exact, 1e-9, 1e-12));
-    }
-
-    #[test]
-    fn rk4_oscillator_energy() {
-        let mut f = oscillator;
-        let traj = integrate_fixed(
-            &mut f,
-            FixedMethod::Rk4,
-            0.0,
-            2.0 * std::f64::consts::PI,
-            &[1.0, 0.0],
-            1000,
-        )
-        .unwrap();
-        let yf = traj.last().unwrap().1;
-        assert!(approx_eq(yf[0], 1.0, 0.0, 1e-8));
-        assert!(approx_eq(yf[1], 0.0, 0.0, 1e-8));
-    }
-
-    #[test]
     fn dopri5_exponential_high_accuracy() {
         let solver = Dopri5::default();
         let mut f = decay;
@@ -707,15 +530,12 @@ mod tests {
     #[test]
     fn trajectory_component_extraction() {
         let mut f = oscillator;
-        let traj = integrate_fixed(&mut f, FixedMethod::Rk4, 0.0, 1.0, &[1.0, 0.0], 10).unwrap();
+        let traj = Dopri5::default()
+            .integrate(&mut f, 0.0, 1.0, &[1.0, 0.0])
+            .unwrap();
         let c0 = traj.component(0);
-        assert_eq!(c0.len(), 11);
+        assert_eq!(c0.len(), traj.len());
         assert!(approx_eq(c0[0], 1.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn fixed_rejects_zero_steps() {
-        let mut f = decay;
-        assert!(integrate_fixed(&mut f, FixedMethod::Rk4, 0.0, 1.0, &[1.0], 0).is_err());
+        assert!(approx_eq(c0[c0.len() - 1], 1.0f64.cos(), 1e-6, 1e-9));
     }
 }

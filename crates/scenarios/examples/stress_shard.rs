@@ -7,7 +7,7 @@
 //! as `n` separate processes would; the merge step then only reads the
 //! checkpoint files. CI runs this twice with different `FPK_THREADS`
 //! and diffs the two results directories: every byte of every artifact
-//! must be independent of worker count, shard order, and pool state.
+//! must be independent of worker count and shard order.
 //!
 //! ```text
 //! FPK_RESULTS_DIR=/tmp/a FPK_THREADS=1 cargo run --example stress_shard

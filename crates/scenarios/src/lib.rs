@@ -16,13 +16,13 @@
 //! * [`Ensemble`] — R replications per cell aggregated into
 //!   mean / std-dev / 95% CI per `RunSummary` field, streamed through
 //!   [`CellAccum`] so huge grids never hold per-replication summaries.
-//! * [`run_sweep`] — a parallel executor on a persistent worker [`pool`]
-//!   (workers spawned once per process, parked between sweeps, each
-//!   keeping its `NetArena` scratch) with the `montecarlo.rs`
-//!   determinism policy: bit-identical output for a fixed base seed
-//!   regardless of thread count (`FPK_THREADS` overrides the worker
-//!   count), plus the shared `results/<name>.json` artifact writer
-//!   ([`write_json`]). Stress-scale grids shard across processes with
+//! * [`run_sweep`] — a parallel executor that stripes cells over
+//!   scoped worker threads (one `NetArena` scratch per worker) with the
+//!   `montecarlo.rs` determinism policy: bit-identical output for a
+//!   fixed base seed regardless of thread count (`FPK_THREADS`
+//!   overrides the worker count), plus the shared
+//!   `results/<name>.json` artifact writer ([`write_json`]).
+//!   Stress-scale grids shard across processes with
 //!   [`run_sweep_shard`] / [`SweepReport::merge`], and control-law A/B
 //!   contrasts pair seeds via [`Sweep::with_common_random_numbers`] and
 //!   [`paired_diff`].
@@ -62,7 +62,6 @@
 pub mod artifact;
 pub mod ensemble;
 pub mod exec;
-pub mod pool;
 pub mod scenario;
 pub mod sweep;
 

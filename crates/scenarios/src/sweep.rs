@@ -132,11 +132,18 @@ impl Axis {
         })
     }
 
-    /// Sweep the buffer limit; non-finite values mean "infinite".
+    /// Sweep the buffer limit of every link; non-finite values mean
+    /// "infinite".
     #[must_use]
     pub fn buffer(values: Vec<f64>) -> Self {
         Self::new("buffer", values, |sc, v| {
-            sc.config.buffer = if v.is_finite() { Some(v as u64) } else { None };
+            let buffer = if v.is_finite() { Some(v as u64) } else { None };
+            sc.config.buffer = buffer;
+            if let Some(topology) = &mut sc.topology {
+                for link in &mut topology.links {
+                    link.buffer = buffer;
+                }
+            }
         })
     }
 
@@ -602,6 +609,24 @@ mod tests {
             fpk_sim::Route { first: 0, last: 1 }
         );
         assert_eq!(sc.name, "grid[hops=3,mu1=25,span=2]");
+    }
+
+    #[test]
+    fn buffer_axis_reaches_every_link_of_a_topology() {
+        let cells = Sweep::new(base(), 1)
+            .axis(Axis::hop_count(vec![3.0]))
+            .axis(Axis::buffer(vec![8.0, f64::INFINITY]))
+            .cells();
+        for (cell, want) in cells.iter().zip([Some(8), None]) {
+            let (net, _) = cell.scenario.network(1).unwrap();
+            assert_eq!(net.topology.len(), 3);
+            assert!(
+                net.topology.links.iter().all(|l| l.buffer == want),
+                "{}: {:?}",
+                cell.scenario.name,
+                net.topology.links
+            );
+        }
     }
 
     #[test]

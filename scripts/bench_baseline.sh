@@ -6,11 +6,12 @@
 # (small/medium/large — a 6-cell table grid, a 24-cell table grid, a
 # 1000-cell stress slice): `serial/<size>` is the streaming executor at
 # width 1 (the calling thread runs every cell), `parallel/<size>` is
-# the same executor on the persistent pool at machine width. The
-# parallel row must beat serial at every size — that ratio is the
-# regression this bench exists to catch; the group overrides the
-# quick-mode sample cap because the margin is a few percent. `event_queue` pits the
-# hand-rolled indexed event heap against a reference BinaryHeap.
+# the same executor striping cells over scoped worker threads at
+# machine width. The parallel row must beat serial at every size —
+# that ratio is the regression this bench exists to catch; the group
+# overrides the quick-mode sample cap because the margin is a few
+# percent. `event_queue` pits the hand-rolled indexed event heap
+# against a reference BinaryHeap.
 #
 # Quick mode (FPK_BENCH_QUICK=1, honoured by the vendored criterion —
 # see DESIGN.md §Vendoring) cuts per-sample time and sample counts hard:

@@ -368,10 +368,10 @@ fn serial_reference(sweep: &Sweep, replications: usize) -> Result<Vec<EnsembleSt
 }
 
 /// ~1.5×10⁵ flows across a 4-cell × 2-replication workload sweep must
-/// serialize bit-identically from the pooled executor at widths 1 and
-/// 3, and its per-cell statistics must match the serial
-/// collect-then-aggregate reference (no `FPK_THREADS` env involvement —
-/// the widths are passed explicitly).
+/// serialize bit-identically from the executor at widths 1 and 3, and
+/// its per-cell statistics must match the serial collect-then-aggregate
+/// reference (no `FPK_THREADS` env involvement — the widths are passed
+/// explicitly).
 #[test]
 fn workload_sweep_bit_identical_across_executors() {
     let sweep = workload_sweep();
@@ -406,7 +406,7 @@ fn workload_sweep_bit_identical_across_executors() {
     );
     let a = serde_json::to_string(&a).unwrap();
     let b = serde_json::to_string(&run_sweep_on(&sweep, 2, 3).unwrap()).unwrap();
-    assert_eq!(a, b, "pooled width 1 vs 3 diverged");
+    assert_eq!(a, b, "width 1 vs 3 diverged");
 }
 
 /// 10⁵ short flows through one bottleneck: with slot recycling the
