@@ -69,6 +69,16 @@ impl McConfig {
                 self.n_particles > 0 && self.threads > 0,
                 "McConfig: need n_particles > 0 and threads > 0",
             ),
+            (
+                self.init_mean.0.is_finite() && self.init_mean.1.is_finite(),
+                "McConfig: init_mean must be finite",
+            ),
+            (
+                [self.init_std.0, self.init_std.1]
+                    .iter()
+                    .all(|s| *s >= 0.0 && s.is_finite()),
+                "McConfig: init_std must be finite and >= 0",
+            ),
         ] {
             if !ok {
                 return Err(NumericsError::InvalidParameter { context });
@@ -110,22 +120,25 @@ impl McSnapshot {
 }
 
 /// Simulate the ensemble, recording snapshots at the requested times
-/// (which must be non-negative and strictly increasing).
+/// (which must be finite, non-negative and strictly increasing).
 ///
 /// # Errors
-/// Configuration validation errors, or empty/unsorted `snapshot_times`.
+/// Configuration validation errors, or empty, unsorted or non-finite
+/// `snapshot_times`.
 pub fn simulate_ensemble<L: RateControl + Sync>(
     law: &L,
     cfg: &McConfig,
     snapshot_times: &[f64],
 ) -> Result<Vec<McSnapshot>> {
     cfg.validate()?;
-    if snapshot_times.is_empty()
-        || snapshot_times.windows(2).any(|w| w[1] <= w[0])
-        || snapshot_times[0] < 0.0
-    {
+    // Phrased positively so that NaN fails it too.
+    let times_ok = snapshot_times.first().is_some_and(|&t0| t0 >= 0.0)
+        && snapshot_times.iter().all(|t| t.is_finite())
+        && snapshot_times.windows(2).all(|w| w[1] > w[0]);
+    if !times_ok {
         return Err(NumericsError::InvalidParameter {
-            context: "simulate_ensemble: snapshot times must be non-negative and increasing",
+            context:
+                "simulate_ensemble: snapshot_times must be finite, non-negative and increasing",
         });
     }
     let n = cfg.n_particles;
@@ -333,12 +346,16 @@ mod tests {
     #[test]
     fn non_finite_parameters_rejected_by_name() {
         let law = LinearExp::new(1.0, 0.5, 10.0);
-        let cases: [(&str, fn(&mut McConfig)); 5] = [
+        let cases: [(&str, fn(&mut McConfig)); 9] = [
             ("mu", |c| c.mu = f64::INFINITY),
             ("sigma2", |c| c.sigma2 = f64::NAN),
             ("sigma2", |c| c.sigma2 = f64::INFINITY),
             ("dt", |c| c.dt = f64::INFINITY),
             ("dt", |c| c.dt = f64::NAN),
+            ("init_mean", |c| c.init_mean.0 = f64::NAN),
+            ("init_mean", |c| c.init_mean.1 = f64::NEG_INFINITY),
+            ("init_std", |c| c.init_std.0 = f64::INFINITY),
+            ("init_std", |c| c.init_std.1 = f64::NAN),
         ];
         for (field, spoil) in cases {
             let mut bad = McConfig {
@@ -352,6 +369,19 @@ mod tests {
                     assert!(context.contains(field), "{field}: {context}");
                 }
                 other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        let small = McConfig {
+            n_particles: 100,
+            threads: 1,
+            ..cfg()
+        };
+        for times in [[f64::NAN, 1.0], [0.1, f64::NAN], [0.1, f64::INFINITY]] {
+            match simulate_ensemble(&law, &small, &times) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.contains("snapshot_times"), "{times:?}: {context}");
+                }
+                other => panic!("{times:?}: expected InvalidParameter, got {other:?}"),
             }
         }
     }

@@ -17,7 +17,7 @@
 //! * [`linalg`] — tridiagonal (Thomas) and banded solvers.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
-//! * [`roots`] — bisection and Brent root finding.
+//! * [`roots`] — Brent root finding.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
 //!   regime classification and power-law fits.
 //! * [`stats`] — running moments, histograms, empirical CDFs, KS distance,

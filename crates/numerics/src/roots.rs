@@ -1,54 +1,9 @@
-//! Scalar root finding: bisection and Brent's method.
+//! Scalar root finding by Brent's method.
 //!
-//! Used by the congestion-control theory module to solve equilibrium
-//! equations (e.g. the heterogeneous-parameter share fixed point) and by
-//! the phase-plane return map to locate spiral crossings.
+//! Used by the phase-plane return map of the congestion-control theory
+//! module to find when the queue falls back to its threshold q̂.
 
 use crate::{NumericsError, Result};
-
-/// Bisection on `[a, b]` where `f(a)` and `f(b)` have opposite signs.
-/// Converges linearly but unconditionally.
-///
-/// # Errors
-/// * [`NumericsError::NoBracket`] when the endpoint values share a sign.
-/// * [`NumericsError::NoConvergence`] when `max_iter` halvings fail to
-///   reach `tol` (cannot happen for `tol >= (b-a)·2^{-max_iter}`).
-pub fn bisect<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64> {
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa * fb > 0.0 {
-        return Err(NumericsError::NoBracket { context: "bisect" });
-    }
-    for _ in 0..max_iter {
-        let m = 0.5 * (a + b);
-        let fm = f(m);
-        if fm == 0.0 || 0.5 * (b - a) < tol {
-            return Ok(m);
-        }
-        if fa * fm < 0.0 {
-            b = m;
-        } else {
-            a = m;
-            fa = fm;
-        }
-    }
-    Err(NumericsError::NoConvergence {
-        context: "bisect",
-        iterations: max_iter,
-    })
-}
 
 /// Brent's method: inverse-quadratic interpolation with bisection
 /// safeguards. Superlinear on smooth functions, never worse than
@@ -130,69 +85,10 @@ pub fn brent<F: FnMut(f64) -> f64>(
     })
 }
 
-/// Newton's method with an analytic derivative, falling back on error when
-/// the derivative vanishes. Quadratic convergence near simple roots.
-///
-/// # Errors
-/// * [`NumericsError::Singular`] when the derivative underflows.
-/// * [`NumericsError::NoConvergence`] after `max_iter` iterations.
-pub fn newton<F, D>(mut f: F, mut df: D, x0: f64, tol: f64, max_iter: usize) -> Result<f64>
-where
-    F: FnMut(f64) -> f64,
-    D: FnMut(f64) -> f64,
-{
-    let mut x = x0;
-    for _ in 0..max_iter {
-        let fx = f(x);
-        if fx.abs() < tol {
-            return Ok(x);
-        }
-        let dfx = df(x);
-        if dfx.abs() < 1e-300 {
-            return Err(NumericsError::Singular { context: "newton" });
-        }
-        x -= fx / dfx;
-    }
-    Err(NumericsError::NoConvergence {
-        context: "newton",
-        iterations: max_iter,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
-
-    #[test]
-    fn bisect_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 200).unwrap();
-        assert!(approx_eq(r, std::f64::consts::SQRT_2, 1e-10, 1e-12));
-    }
-
-    #[test]
-    fn bisect_endpoint_roots() {
-        assert!(approx_eq(
-            bisect(|x| x, 0.0, 1.0, 1e-12, 100).unwrap(),
-            0.0,
-            0.0,
-            1e-12
-        ));
-        assert!(approx_eq(
-            bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 100).unwrap(),
-            1.0,
-            0.0,
-            1e-12
-        ));
-    }
-
-    #[test]
-    fn bisect_rejects_nonbracket() {
-        assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-10, 100),
-            Err(NumericsError::NoBracket { .. })
-        ));
-    }
 
     #[test]
     fn brent_transcendental() {
@@ -211,19 +107,5 @@ mod tests {
     #[test]
     fn brent_rejects_nonbracket() {
         assert!(brent(|x| x * x + 1.0, -1.0, 1.0, 1e-10, 100).is_err());
-    }
-
-    #[test]
-    fn newton_cuberoot() {
-        let r = newton(|x| x * x * x - 27.0, |x| 3.0 * x * x, 5.0, 1e-12, 100).unwrap();
-        assert!(approx_eq(r, 3.0, 1e-10, 1e-12));
-    }
-
-    #[test]
-    fn newton_flat_derivative_errors() {
-        assert!(matches!(
-            newton(|_| 1.0, |_| 0.0, 0.0, 1e-12, 10),
-            Err(NumericsError::Singular { .. })
-        ));
     }
 }

@@ -7,15 +7,21 @@
 # their JSON is compared).
 # Exits non-zero on any difference.
 #
+# Each run's wall seconds go to times-base.tsv and times-head.tsv next
+# to the two result trees (outside what is diffed), and a base/head
+# table of them is printed at the end. One run per side: the times are
+# indicative, not a benchmark.
+#
 # Usage: scripts/results_ab.sh <base-rev>
 #
-# The base revision is checked out in a temporary `git worktree` and
-# built with its own CARGO_TARGET_DIR, so the two builds never share
-# artefacts; both are removed on exit, the two result trees are kept
-# (their paths are printed). The current checkout, uncommitted changes
-# included, builds into its usual target directory. Expect one cold
-# release build for the base plus two suite runs (about 2 min each on 2
-# cores). Set TMPDIR to choose where the scratch directory goes.
+# The base revision is exported with `git archive` into a scratch
+# directory and built with its own CARGO_TARGET_DIR, so the two builds
+# never share artefacts; both are removed on exit, the result trees and
+# time tables are kept (their paths are printed). The current checkout,
+# uncommitted changes included, builds into its usual target directory.
+# Expect one cold release build for the base plus two suite runs (about
+# 2 min each on 2 cores). Set TMPDIR to choose where the scratch
+# directory goes.
 
 set -euo pipefail
 if [ $# -ne 1 ]; then
@@ -26,19 +32,22 @@ cd "$(dirname "$0")/.."
 head_dir="$PWD"
 base_rev="$(git rev-parse --verify "$1^{commit}")"
 work="$(mktemp -d)"
-cleanup() {
-    git -C "$head_dir" worktree remove --force "$work/src" 2>/dev/null || true
-    git -C "$head_dir" worktree prune
-    rm -rf "$work/src" "$work/target"
-}
-trap cleanup EXIT
-git worktree add --detach --quiet "$work/src" "$base_rev"
+trap 'rm -rf "$work/src" "$work/target"' EXIT
+mkdir "$work/src"
+git archive "$base_rev" | tar -x -C "$work/src"
 
-# run_side <checkout> <results dir>: build and run every bin and example
-# of <checkout> (CARGO_TARGET_DIR taken from the environment).
+# since <start>: wall seconds elapsed since the `date +%s.%N` stamp <start>.
+since() {
+    awk -v a="$1" -v b="$(date +%s.%N)" 'BEGIN { printf "%.3f", b - a }'
+}
+
+# run_side <checkout> <results dir> <times tsv>: build and run every bin
+# and example of <checkout> (CARGO_TARGET_DIR taken from the
+# environment), appending each run's wall seconds to <times tsv>.
 run_side() {
-    local src="$1" out="$2" target name f
+    local src="$1" out="$2" times="$3" target name f t0
     mkdir -p "$out/examples"
+    printf 'kind\tname\twall_s\n' > "$times"
     cd "$src"
     target="${CARGO_TARGET_DIR:-$src/target}"
     cargo build --release --quiet --offline -p fpk-bench --bins
@@ -46,21 +55,38 @@ run_side() {
     for f in crates/bench/src/bin/*.rs; do
         name="$(basename "$f" .rs)"
         echo "  bin $name"
+        t0="$(date +%s.%N)"
         FPK_RESULTS_DIR="$out" "$target/release/$name" > /dev/null
+        printf 'bin\t%s\t%s\n' "$name" "$(since "$t0")" >> "$times"
     done
     for f in examples/*.rs; do
         name="$(basename "$f" .rs)"
         echo "  example $name"
+        t0="$(date +%s.%N)"
         # Artefact paths in the output name the results dir; mask it.
         FPK_RESULTS_DIR="$out" "$target/release/examples/$name" |
             sed "s|$out|<results>|g" > "$out/examples/$name.txt"
+        printf 'example\t%s\t%s\n' "$name" "$(since "$t0")" >> "$times"
     done
 }
 
 echo "== base $base_rev"
-(CARGO_TARGET_DIR="$work/target" run_side "$work/src" "$work/results-base")
+(CARGO_TARGET_DIR="$work/target" run_side "$work/src" "$work/results-base" "$work/times-base.tsv")
 echo "== head (current checkout)"
-(run_side "$head_dir" "$work/results-head")
+(run_side "$head_dir" "$work/results-head" "$work/times-head.tsv")
+
+echo "== wall seconds, one run per side (indicative)"
+awk -F'\t' '
+    BEGIN { printf "%-8s %-30s %9s %9s %7s\n", "kind", "name", "base_s", "head_s", "head/base" }
+    FNR == 1 { next }
+    NR == FNR { base[$1 "\t" $2] = $3; next }
+    {
+        b = base[$1 "\t" $2]
+        printf "%-8s %-30s %9.3f %9.3f %7s\n", $1, $2, b, $3, (b > 0 ? sprintf("%.2f", $3 / b) : "-")
+        tb += b; th += $3
+    }
+    END { printf "%-8s %-30s %9.3f %9.3f %7s\n", "all", "", tb, th, (tb > 0 ? sprintf("%.2f", th / tb) : "-") }
+' "$work/times-base.tsv" "$work/times-head.tsv"
 
 if diff -r "$work/results-base" "$work/results-head"; then
     echo "results_ab: byte-identical ($work/results-base vs $work/results-head)"
