@@ -69,20 +69,33 @@ impl DelayParams {
                 context: "DelayParams: need lambda0.len() == taus.len() >= 1",
             });
         }
-        if !(self.mu > 0.0 && self.t_end > 0.0) || self.steps == 0 {
-            return Err(NumericsError::InvalidParameter {
-                context: "DelayParams: need mu, t_end > 0 and steps > 0",
-            });
-        }
-        if self.q0 < 0.0 || self.lambda0.iter().any(|&l| l < 0.0) {
-            return Err(NumericsError::InvalidParameter {
-                context: "DelayParams: initial conditions must be non-negative",
-            });
-        }
-        if self.taus.iter().any(|&t| !(t > 0.0)) {
-            return Err(NumericsError::InvalidParameter {
-                context: "DelayParams: delays must be positive (use multi:: for zero delay)",
-            });
+        // Each check is phrased positively so NaN fails it too.
+        for (ok, context) in [
+            (
+                self.mu > 0.0 && self.mu.is_finite(),
+                "DelayParams: mu must be finite and > 0",
+            ),
+            (
+                self.t_end > 0.0 && self.t_end.is_finite(),
+                "DelayParams: t_end must be finite and > 0",
+            ),
+            (self.steps > 0, "DelayParams: steps must be > 0"),
+            (
+                self.q0 >= 0.0 && self.q0.is_finite(),
+                "DelayParams: q0 must be finite and >= 0",
+            ),
+            (
+                self.lambda0.iter().all(|&l| l >= 0.0 && l.is_finite()),
+                "DelayParams: lambda0 must be finite and >= 0",
+            ),
+            (
+                self.taus.iter().all(|&t| t > 0.0),
+                "DelayParams: delays must be positive (use multi:: for zero delay)",
+            ),
+        ] {
+            if !ok {
+                return Err(NumericsError::InvalidParameter { context });
+            }
         }
         Ok(())
     }
@@ -250,6 +263,27 @@ mod tests {
         let mut p3 = params_one(1.0);
         p3.mu = 0.0;
         assert!(simulate_delayed(&[law()], &p3).is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_by_name() {
+        let cases: [(&str, fn(&mut DelayParams)); 5] = [
+            ("mu", |p| p.mu = f64::INFINITY),
+            ("q0", |p| p.q0 = f64::NAN),
+            ("lambda0", |p| p.lambda0[0] = f64::NAN),
+            ("t_end", |p| p.t_end = f64::INFINITY),
+            ("t_end", |p| p.t_end = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            let mut bad = params_one(1.0);
+            spoil(&mut bad);
+            match simulate_delayed(&[law()], &bad) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.split(' ').any(|w| w == field), "{field}: {context}");
+                }
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -57,10 +57,28 @@ pub fn trace_events<L: RateControl>(
     lambda0: f64,
     t_end: f64,
 ) -> Result<EventTrace> {
-    if !(mu > 0.0 && t_end > 0.0) || q0 < 0.0 || lambda0 < 0.0 {
-        return Err(NumericsError::InvalidParameter {
-            context: "trace_events: need mu, t_end > 0 and non-negative initial state",
-        });
+    // Each check is phrased positively so NaN fails it too.
+    for (ok, context) in [
+        (
+            mu > 0.0 && mu.is_finite(),
+            "trace_events: mu must be finite and > 0",
+        ),
+        (
+            t_end > 0.0 && t_end.is_finite(),
+            "trace_events: t_end must be finite and > 0",
+        ),
+        (
+            q0 >= 0.0 && q0.is_finite(),
+            "trace_events: q0 must be finite and >= 0",
+        ),
+        (
+            lambda0 >= 0.0 && lambda0.is_finite(),
+            "trace_events: lambda0 must be finite and >= 0",
+        ),
+    ] {
+        if !ok {
+            return Err(NumericsError::InvalidParameter { context });
+        }
     }
     let q_hat = law.q_hat();
     let solver = Dopri5::new(Dopri5Options {
@@ -210,6 +228,26 @@ mod tests {
 
     fn law() -> LinearExp {
         LinearExp::new(1.0, 0.5, 10.0)
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_by_name() {
+        // (field, [mu, q0, lambda0, t_end]).
+        let cases = [
+            ("mu", [f64::INFINITY, 2.0, 1.0, 40.0]),
+            ("q0", [5.0, f64::NAN, 1.0, 40.0]),
+            ("lambda0", [5.0, 2.0, f64::NAN, 40.0]),
+            ("t_end", [5.0, 2.0, 1.0, f64::INFINITY]),
+            ("t_end", [5.0, 2.0, 1.0, f64::NAN]),
+        ];
+        for (field, [mu, q0, lambda0, t_end]) in cases {
+            match trace_events(&law(), mu, q0, lambda0, t_end) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.split(' ').any(|w| w == field), "{field}: {context}");
+                }
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

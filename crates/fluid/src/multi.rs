@@ -87,15 +87,32 @@ pub fn simulate_multi<L: RateControl>(laws: &[L], params: &MultiParams) -> Resul
             context: "simulate_multi: need laws.len() == lambda0.len() >= 1",
         });
     }
-    if !(params.mu > 0.0 && params.t_end > 0.0 && params.dt > 0.0 && params.dt < params.t_end) {
-        return Err(NumericsError::InvalidParameter {
-            context: "simulate_multi: need mu, dt, t_end > 0 and dt < t_end",
-        });
-    }
-    if params.q0 < 0.0 || params.lambda0.iter().any(|&l| l < 0.0) {
-        return Err(NumericsError::InvalidParameter {
-            context: "simulate_multi: initial conditions must be non-negative",
-        });
+    // Each check is phrased positively so NaN fails it too.
+    for (ok, context) in [
+        (
+            params.mu > 0.0 && params.mu.is_finite(),
+            "simulate_multi: mu must be finite and > 0",
+        ),
+        (
+            params.t_end > 0.0 && params.t_end.is_finite(),
+            "simulate_multi: t_end must be finite and > 0",
+        ),
+        (
+            params.dt > 0.0 && params.dt < params.t_end,
+            "simulate_multi: dt must lie in (0, t_end)",
+        ),
+        (
+            params.q0 >= 0.0 && params.q0.is_finite(),
+            "simulate_multi: q0 must be finite and >= 0",
+        ),
+        (
+            params.lambda0.iter().all(|&l| l >= 0.0 && l.is_finite()),
+            "simulate_multi: lambda0 must be finite and >= 0",
+        ),
+    ] {
+        if !ok {
+            return Err(NumericsError::InvalidParameter { context });
+        }
     }
     let m = laws.len();
     let n_steps = (params.t_end / params.dt).ceil() as usize;
@@ -168,6 +185,28 @@ mod tests {
             lambda0: (0..n).map(|i| i as f64 * 0.5).collect(),
             t_end: 600.0,
             dt: 2e-3,
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_by_name() {
+        let cases: [(&str, fn(&mut MultiParams)); 6] = [
+            ("mu", |p| p.mu = f64::INFINITY),
+            ("q0", |p| p.q0 = f64::NAN),
+            ("lambda0", |p| p.lambda0[1] = f64::NAN),
+            ("lambda0", |p| p.lambda0[0] = f64::INFINITY),
+            ("t_end", |p| p.t_end = f64::INFINITY),
+            ("t_end", |p| p.t_end = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            let mut bad = params(2);
+            spoil(&mut bad);
+            match simulate_multi(&[LinearExp::new(1.0, 0.5, 10.0); 2], &bad) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.split(' ').any(|w| w == field), "{field}: {context}");
+                }
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
         }
     }
 

@@ -30,23 +30,36 @@ impl FluidParams {
     /// Validate the parameter set.
     ///
     /// # Errors
-    /// [`NumericsError::InvalidParameter`] for non-positive `mu`, `t_end`
-    /// or `dt`, or negative initial conditions.
+    /// [`NumericsError::InvalidParameter`] naming the field, for a
+    /// non-positive or non-finite `mu` or `t_end`, `dt` outside
+    /// `(0, t_end)`, or a negative or non-finite initial condition.
     pub fn validate(&self) -> Result<()> {
-        if !(self.mu > 0.0) || !(self.t_end > 0.0) || !(self.dt > 0.0) {
-            return Err(NumericsError::InvalidParameter {
-                context: "FluidParams: mu, t_end, dt must be positive",
-            });
-        }
-        if self.q0 < 0.0 || self.lambda0 < 0.0 {
-            return Err(NumericsError::InvalidParameter {
-                context: "FluidParams: q0 and lambda0 must be non-negative",
-            });
-        }
-        if self.dt >= self.t_end {
-            return Err(NumericsError::InvalidParameter {
-                context: "FluidParams: dt must be smaller than t_end",
-            });
+        // Each check is phrased positively so NaN fails it too.
+        for (ok, context) in [
+            (
+                self.mu > 0.0 && self.mu.is_finite(),
+                "FluidParams: mu must be finite and > 0",
+            ),
+            (
+                self.t_end > 0.0 && self.t_end.is_finite(),
+                "FluidParams: t_end must be finite and > 0",
+            ),
+            (
+                self.dt > 0.0 && self.dt < self.t_end,
+                "FluidParams: dt must lie in (0, t_end)",
+            ),
+            (
+                self.q0 >= 0.0 && self.q0.is_finite(),
+                "FluidParams: q0 must be finite and >= 0",
+            ),
+            (
+                self.lambda0 >= 0.0 && self.lambda0.is_finite(),
+                "FluidParams: lambda0 must be finite and >= 0",
+            ),
+        ] {
+            if !ok {
+                return Err(NumericsError::InvalidParameter { context });
+            }
         }
         Ok(())
     }
@@ -187,6 +200,27 @@ mod tests {
         let mut p3 = std_params();
         p3.dt = p3.t_end + 1.0;
         assert!(p3.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_rejected_by_name() {
+        let cases: [(&str, fn(&mut FluidParams)); 5] = [
+            ("mu", |p| p.mu = f64::INFINITY),
+            ("q0", |p| p.q0 = f64::NAN),
+            ("lambda0", |p| p.lambda0 = f64::NAN),
+            ("t_end", |p| p.t_end = f64::INFINITY),
+            ("t_end", |p| p.t_end = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            let mut bad = std_params();
+            spoil(&mut bad);
+            match simulate(&LinearExp::new(1.0, 0.5, 10.0), &bad) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert!(context.split(' ').any(|w| w == field), "{field}: {context}");
+                }
+                other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -198,12 +198,6 @@ impl Histogram {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
-    /// Centre of bin `b`.
-    #[must_use]
-    pub fn bin_center(&self, b: usize) -> f64 {
-        self.lo + (b as f64 + 0.5) * self.bin_width()
-    }
-
     /// Probability-density estimate: counts normalised so the histogram
     /// integrates to the in-range fraction of samples.
     #[must_use]
@@ -443,13 +437,6 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let h = Histogram::new(0.0, 4.0, 4).unwrap();
-        assert!(approx_eq(h.bin_center(0), 0.5, 1e-15, 0.0));
-        assert!(approx_eq(h.bin_center(3), 3.5, 1e-15, 0.0));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::{
-    run_network_summary, run_network_workload_summary, FaultConfig, FlowSpec, NetArena, NetConfig,
-    PacketBytes, QdiscKind, Route, RunSummary, SimConfig, SourceSpec, Topology, Workload,
+    run_network_summary, FaultConfig, FlowSpec, NetArena, NetConfig, PacketBytes, QdiscKind, Route,
+    RunSummary, SimConfig, SourceSpec, Topology, Workload,
 };
 use serde::Serialize;
 
@@ -206,10 +206,9 @@ impl Scenario {
         self.run_seeded_in(&mut NetArena::new(), seed)
     }
 
-    /// [`Self::run_seeded`] against caller-owned scratch state: the run
-    /// records its traces into the arena
-    /// ([`fpk_sim::TraceMode::Summary`]) and the summary is computed
-    /// straight from them, so a replication loop holding one arena
+    /// [`Self::run_seeded`] against caller-owned scratch state, through
+    /// [`run_network_summary`]: the trace buffers go back into the arena
+    /// after the summary, so a replication loop holding one arena
     /// performs no per-run trace allocation. Output is bit-identical to
     /// [`Self::run_seeded`].
     ///
@@ -217,10 +216,8 @@ impl Scenario {
     /// Same contract as [`Self::run_seeded`].
     pub fn run_seeded_in(&self, arena: &mut NetArena, seed: u64) -> Result<RunSummary> {
         let (net, flows) = self.network(seed)?;
-        match &self.workload {
-            Some(w) => run_network_workload_summary(arena, &net, &flows, w, self.tail_fraction),
-            None => run_network_summary(arena, &net, &flows, self.tail_fraction),
-        }
+        let workload = self.workload.as_ref();
+        run_network_summary(arena, &net, &flows, workload, self.tail_fraction)
     }
 }
 
@@ -277,11 +274,13 @@ mod tests {
 
     #[test]
     fn single_bottleneck_summary_matches_full_trace_path() {
-        // The arena summary path must not move any number: the scenario
-        // summary equals run_network on the single link + summarize_network
-        // on the same seed, field for field.
+        // A summary on a reused arena must not move any number: the
+        // scenario summary equals a fresh run_network on the single link
+        // + summarize_network on the same seed, field for field.
         let sc = base().with_faults(FaultConfig::Iid { loss_prob: 0.02 });
-        let via_scenario = sc.run_seeded(11).unwrap();
+        let mut arena = NetArena::new();
+        sc.run_seeded_in(&mut arena, 5).unwrap();
+        let via_scenario = sc.run_seeded_in(&mut arena, 11).unwrap();
         let mut cfg = sc.config.clone();
         cfg.seed = 11;
         let flows: Vec<FlowSpec> = sc

@@ -458,7 +458,7 @@ mod tests {
             let peak_window = out
                 .trace_ctl
                 .iter()
-                .map(|c| c[0])
+                .copied()
                 .fold(f64::MIN, f64::max)
                 .ceil() as u64;
             assert!(
@@ -690,7 +690,7 @@ mod decbit_tests {
     #[test]
     fn decbit_window_stays_bounded() {
         let out = run(&cfg(), &[decbit_src(3.0)]).unwrap();
-        let max_w = out.trace_ctl.iter().map(|c| c[0]).fold(f64::MIN, f64::max);
+        let max_w = out.trace_ctl.iter().copied().fold(f64::MIN, f64::max);
         assert!(max_w < 60.0, "window should not blow up: {max_w}");
         assert!(max_w >= 1.0);
     }
@@ -727,10 +727,7 @@ mod decbit_tests {
         };
         let out_inst = run(&cfg(), &[inst]).unwrap();
         let out_avg = run(&cfg(), &[decbit_src(3.0)]).unwrap();
-        let var = |trace: &[Vec<f64>]| {
-            let xs: Vec<f64> = trace.iter().map(|c| c[0]).collect();
-            fpk_numerics::stats::variance(&xs[xs.len() / 2..])
-        };
+        let var = |xs: &[f64]| fpk_numerics::stats::variance(&xs[xs.len() / 2..]);
         // Not asserting a strict ordering (different decision cadences),
         // but both must be finite and the DECbit one non-degenerate.
         assert!(var(&out_inst.trace_ctl).is_finite());
@@ -816,7 +813,7 @@ mod onoff_tests {
     #[test]
     fn trace_records_phase() {
         let out = run(&cfg(200.0), &[onoff(5.0, 0.5, 1.0)]).unwrap();
-        let phases: Vec<f64> = out.trace_ctl.iter().map(|c| c[0]).collect();
+        let phases = &out.trace_ctl;
         assert!(phases.contains(&1.0), "should see ON samples");
         assert!(phases.contains(&0.0), "should see OFF samples");
     }

@@ -26,7 +26,10 @@
 //!   (Poisson / heavy-tailed Pareto), flow-size distributions, Zipf
 //!   route popularity, and FCT/slowdown summaries
 //!   ([`run_network_workload`]).
-//! * [`metrics`] — fairness/oscillation summaries of a run ([`RunSummary`]).
+//! * [`metrics`] — fairness/oscillation summaries of a run ([`RunSummary`]):
+//!   one reduction, [`summarize_network`], which [`run_network_summary`]
+//!   applies to a full-trace run on a reusable [`NetArena`] (the sweep
+//!   path; no per-run trace allocation after the arena's first run).
 //!
 //! Every run is reproducible from its seed; `EXPERIMENTS.md` (workspace
 //! root) records the seeds each experiment binary uses.
@@ -69,12 +72,10 @@ pub mod units;
 pub mod workload;
 
 pub use engine::{FaultConfig, Service, SimConfig};
-pub use metrics::{
-    run_network_summary, run_network_workload_summary, summarize_network, RunSummary,
-};
+pub use metrics::{run_network_summary, summarize_network, RunSummary};
 pub use network::{
-    run_network, run_network_in, run_network_workload, run_network_workload_in, FlowSpec, Link,
-    NetArena, NetConfig, NetFlowStats, NetResult, Route, Topology, TraceMode,
+    run_network, run_network_workload, FlowSpec, Link, NetArena, NetConfig, NetFlowStats,
+    NetResult, Route, Topology, TraceMode,
 };
 pub use qdisc::{
     red_mark_probability, AveragedMark, Fifo, HopQdiscState, QDisc, QdiscKind, QdiscParams,

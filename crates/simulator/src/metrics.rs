@@ -1,6 +1,5 @@
 //! Post-processing of simulation results: fairness summaries and
-//! oscillation analysis of queue traces, from a full-trace
-//! [`NetResult`] or straight from a run's [`NetArena`].
+//! oscillation analysis of a run's queue and control traces.
 
 use crate::network::{run_network_core, FlowSpec, NetArena, NetConfig, NetResult, TraceMode};
 use crate::workload::{Workload, WorkloadStats};
@@ -40,74 +39,18 @@ pub struct RunSummary {
     pub recovery_time: f64,
 }
 
-/// Graceful-degradation summary pair from a network result: the worst
-/// per-hop downtime fraction and the mean recovery time over hops that
-/// sampled one. One definition shared by [`summarize_network`] and the
-/// arena fast path so the two cannot drift apart.
-fn fault_recovery_summary(result: &NetResult) -> (f64, f64) {
-    let downtime = result.downtime_frac.iter().copied().fold(0.0, f64::max);
-    let sampled: Vec<f64> = result
-        .recovery_time
-        .iter()
-        .copied()
-        .filter(|&r| r > 0.0)
-        .collect();
-    let recovery = if sampled.is_empty() {
-        0.0
-    } else {
-        fpk_numerics::stats::mean(&sampled)
-    };
-    (downtime, recovery)
-}
-
-/// Shared contract checks of the two summary entry points. Validated
-/// here rather than letting the values fall through to
-/// `analyze_oscillation`: a NaN or out-of-range fraction is a caller bug
-/// and must be reported against the summary API's contract.
-fn validate_tail(tail_fraction: f64, trace_len: usize) -> Result<()> {
-    if tail_fraction.is_nan() || !(0.0..=1.0).contains(&tail_fraction) || tail_fraction == 0.0 {
-        return Err(NumericsError::InvalidParameter {
-            context: "summarize: tail_fraction must lie in (0, 1]",
-        });
-    }
-    if trace_len < 3 {
-        return Err(NumericsError::InvalidParameter {
-            context: "summarize: trace too short",
-        });
-    }
-    Ok(())
-}
-
-/// Start index of the control-trace tail window: the oscillation
-/// analysis' fraction cut with its keep-at-least-3-samples clamp. The
-/// one definition serves both trace layouts so the Full-trace and
-/// arena summary paths cannot drift apart.
-fn ctl_tail_start(n_samples: usize, tail_fraction: f64) -> usize {
-    let start = ((1.0 - tail_fraction) * n_samples as f64) as usize;
-    start.min(n_samples.saturating_sub(3))
-}
-
 /// Per-flow control-signal standard deviation over the trace tail —
-/// the same tail window as the oscillation analysis.
-fn tail_ctl_std(trace_ctl: &[Vec<f64>], n_flows: usize, tail_fraction: f64) -> Vec<f64> {
-    let tail = &trace_ctl[ctl_tail_start(trace_ctl.len(), tail_fraction)..];
+/// the same tail window as the oscillation analysis: the fraction cut,
+/// clamped to keep at least three samples.
+fn tail_ctl_std(result: &NetResult, tail_fraction: f64) -> Vec<f64> {
+    let n_flows = result.flows.len();
+    let n_samples = result.trace_ctl.len().checked_div(n_flows).unwrap_or(0);
+    let s0 = (((1.0 - tail_fraction) * n_samples as f64) as usize).min(n_samples.saturating_sub(3));
     (0..n_flows)
         .map(|i| {
-            let xs: Vec<f64> = tail.iter().map(|c| c[i]).collect();
-            fpk_numerics::stats::variance(&xs).sqrt()
-        })
-        .collect()
-}
-
-/// [`tail_ctl_std`] over the arena's *flattened* control trace
-/// (`flat[sample * n_flows + flow]`). Shares [`ctl_tail_start`] with
-/// the nested version so the two paths produce bit-identical output.
-fn tail_ctl_std_flat(flat: &[f64], n_flows: usize, tail_fraction: f64) -> Vec<f64> {
-    let n_samples = flat.len().checked_div(n_flows).unwrap_or(0);
-    let s0 = ctl_tail_start(n_samples, tail_fraction);
-    (0..n_flows)
-        .map(|i| {
-            let xs: Vec<f64> = (s0..n_samples).map(|s| flat[s * n_flows + i]).collect();
+            let xs: Vec<f64> = (s0..n_samples)
+                .map(|s| result.trace_ctl[s * n_flows + i])
+                .collect();
             fpk_numerics::stats::variance(&xs).sqrt()
         })
         .collect()
@@ -126,21 +69,45 @@ fn tail_ctl_std_flat(flat: &[f64], n_flows: usize, tail_fraction: f64) -> Vec<f6
 /// three samples or `tail_fraction` is NaN or outside `(0, 1]`;
 /// propagates fairness-metric errors.
 pub fn summarize_network(result: &NetResult, tail_fraction: f64) -> Result<RunSummary> {
-    validate_tail(tail_fraction, result.trace_t.len())?;
+    // Checked here rather than letting the values fall through to
+    // `analyze_oscillation`: a NaN or out-of-range fraction is a caller
+    // bug and must be reported against the summary API's contract.
+    if !(tail_fraction > 0.0 && tail_fraction <= 1.0) {
+        return Err(NumericsError::InvalidParameter {
+            context: "summarize: tail_fraction must lie in (0, 1]",
+        });
+    }
+    if result.trace_t.len() < 3 {
+        return Err(NumericsError::InvalidParameter {
+            context: "summarize: trace too short",
+        });
+    }
     let throughputs: Vec<f64> = result.flows.iter().map(|f| f.throughput).collect();
     let jain = jain_or_unit(&throughputs)?;
     let bottleneck = result.bottleneck_hop();
     let queue_oscillation =
         analyze_oscillation(&result.trace_t, &result.trace_q[bottleneck], tail_fraction)?;
-    let ctl_std = tail_ctl_std(&result.trace_ctl, result.flows.len(), tail_fraction);
-    let (downtime_frac, recovery_time) = fault_recovery_summary(result);
+    // Graceful degradation: the worst per-hop downtime fraction and the
+    // mean recovery time over the hops that sampled one.
+    let downtime_frac = result.downtime_frac.iter().copied().fold(0.0, f64::max);
+    let sampled: Vec<f64> = result
+        .recovery_time
+        .iter()
+        .copied()
+        .filter(|&r| r > 0.0)
+        .collect();
+    let recovery_time = if sampled.is_empty() {
+        0.0
+    } else {
+        fpk_numerics::stats::mean(&sampled)
+    };
     Ok(RunSummary {
         jain,
         mean_queue: fpk_numerics::stats::mean(&result.mean_queue),
         utilization: net_utilization(result),
         queue_oscillation,
         total_dropped: result.flows.iter().map(|f| f.dropped).sum(),
-        ctl_std,
+        ctl_std: tail_ctl_std(result, tail_fraction),
         throughputs,
         workload: result.workload.clone(),
         downtime_frac,
@@ -174,74 +141,31 @@ fn net_utilization(result: &NetResult) -> f64 {
     }
 }
 
-/// Run a network simulation and summarise it in one step, recording
-/// traces into `arena`'s reusable buffers instead of the result
-/// ([`TraceMode::Summary`], forced regardless of `config.trace`).
+/// Run a network simulation (with a finite-flow [`Workload`] when
+/// `workload` is `Some`) and summarise it in one step, reusing `arena`.
 ///
-/// This is the sweep fast path: a replication loop holding one arena
-/// performs **no per-run trace allocation** — and the output is
-/// bit-identical to `summarize_network(&run_network(..)?, ..)` on the
-/// same seed, because the dynamics are trace-mode-independent and the
-/// summary arithmetic is shared.
+/// This is the sweep path: the run records [`TraceMode::Full`]
+/// (regardless of `config.trace`), [`summarize_network`] reads the
+/// result, and the trace buffers then move back into the arena, so a
+/// replication loop holding one arena allocates **no trace storage**
+/// after its first run. The output is bit-identical to
+/// `summarize_network(&run_network(..)?, ..)` on the same seed.
 ///
 /// # Errors
-/// Propagates `run_network` validation errors and the
-/// [`summarize_network`] contract (trace shorter than three samples,
-/// bad `tail_fraction`).
+/// Propagates [`crate::run_network`] / [`crate::run_network_workload`]
+/// validation errors and the [`summarize_network`] contract (trace
+/// shorter than three samples, bad `tail_fraction`).
 pub fn run_network_summary(
     arena: &mut NetArena,
     config: &NetConfig,
     flows: &[FlowSpec],
+    workload: Option<&Workload>,
     tail_fraction: f64,
 ) -> Result<RunSummary> {
-    let out = run_network_core(arena, config, flows, None, TraceMode::Summary)?;
-    arena_summary(arena, out, tail_fraction)
-}
-
-/// [`run_network_summary`] for a run carrying a finite-flow
-/// [`Workload`]: the workload analogue of the sweep fast path, with the
-/// FCT/slowdown summaries landing in [`RunSummary::workload`].
-///
-/// # Errors
-/// Propagates [`crate::run_network_workload`] validation errors and the
-/// [`summarize_network`] contract (trace shorter than three samples, bad
-/// `tail_fraction`).
-pub fn run_network_workload_summary(
-    arena: &mut NetArena,
-    config: &NetConfig,
-    flows: &[FlowSpec],
-    workload: &Workload,
-    tail_fraction: f64,
-) -> Result<RunSummary> {
-    let out = run_network_core(arena, config, flows, Some(workload), TraceMode::Summary)?;
-    arena_summary(arena, out, tail_fraction)
-}
-
-/// Summary arithmetic shared by the two arena fast paths. Identical
-/// field-for-field to [`summarize_network`] modulo the flattened
-/// control-trace layout, so the Full-trace and arena paths cannot
-/// drift apart.
-fn arena_summary(arena: &NetArena, out: NetResult, tail_fraction: f64) -> Result<RunSummary> {
-    let tr = &arena.trace;
-    validate_tail(tail_fraction, tr.times.len())?;
-    let throughputs: Vec<f64> = out.flows.iter().map(|f| f.throughput).collect();
-    let jain = jain_or_unit(&throughputs)?;
-    let bottleneck = out.bottleneck_hop();
-    let queue_oscillation = analyze_oscillation(&tr.times, &tr.queues[bottleneck], tail_fraction)?;
-    let ctl_std = tail_ctl_std_flat(&tr.ctl, out.flows.len(), tail_fraction);
-    let (downtime_frac, recovery_time) = fault_recovery_summary(&out);
-    Ok(RunSummary {
-        jain,
-        mean_queue: fpk_numerics::stats::mean(&out.mean_queue),
-        utilization: net_utilization(&out),
-        queue_oscillation,
-        total_dropped: out.flows.iter().map(|f| f.dropped).sum(),
-        ctl_std,
-        throughputs,
-        workload: out.workload,
-        downtime_frac,
-        recovery_time,
-    })
+    let out = run_network_core(arena, config, flows, workload, TraceMode::Full)?;
+    let summary = summarize_network(&out, tail_fraction);
+    arena.recycle(out);
+    summary
 }
 
 #[cfg(test)]
@@ -308,10 +232,14 @@ mod tests {
         assert!(summarize_network(&r, f64::NAN).is_err());
     }
 
-    #[test]
-    fn run_network_summary_matches_full_trace_path() {
-        // The arena fast path must not move a single bit relative to
-        // run_network (Full traces) + summarize_network.
+    /// Bit-level fingerprint of a summary: `{:?}` prints every `f64` in
+    /// its shortest round-trip form, so equal strings mean equal bits.
+    fn bits(s: &RunSummary) -> String {
+        format!("{s:?}")
+    }
+
+    /// A lossy single bottleneck shared by a rate and a window flow.
+    fn mixed_single_link() -> (NetConfig, Vec<FlowSpec>) {
         use crate::network::Topology;
         let cfg = NetConfig {
             topology: Topology::single(50.0, Service::Exponential, Some(40)),
@@ -337,23 +265,56 @@ mod tests {
                 w0: 2.0,
             }),
         ];
+        (cfg, flows)
+    }
+
+    #[test]
+    fn run_network_summary_matches_full_trace_path() {
+        // A summary on a reused arena must not move a single bit
+        // relative to a fresh run_network + summarize_network.
+        let (cfg, flows) = mixed_single_link();
         let reference = summarize_network(&run_network(&cfg, &flows).unwrap(), 0.5).unwrap();
         let mut arena = NetArena::new();
         // Dirty the arena first so reuse is exercised, then summarise.
-        run_network_summary(&mut arena, &cfg, &flows, 0.5).unwrap();
-        let fast = run_network_summary(&mut arena, &cfg, &flows, 0.5).unwrap();
-        assert_eq!(fast.throughputs, reference.throughputs);
-        assert_eq!(fast.jain.to_bits(), reference.jain.to_bits());
-        assert_eq!(fast.mean_queue.to_bits(), reference.mean_queue.to_bits());
-        assert_eq!(fast.utilization.to_bits(), reference.utilization.to_bits());
-        assert_eq!(fast.total_dropped, reference.total_dropped);
-        assert_eq!(fast.ctl_std, reference.ctl_std);
-        let osc = |s: &RunSummary| {
-            s.queue_oscillation
-                .as_ref()
-                .map(|o| (o.amplitude.to_bits(), o.period.to_bits()))
+        run_network_summary(&mut arena, &cfg, &flows, None, 0.5).unwrap();
+        let fast = run_network_summary(&mut arena, &cfg, &flows, None, 0.5).unwrap();
+        assert_eq!(bits(&fast), bits(&reference));
+    }
+
+    #[test]
+    fn run_network_summary_reuses_trace_buffers() {
+        // The property the sweep path exists for: after its first run an
+        // arena allocates no trace storage, static flows or workload.
+        use crate::network::{run_network_workload, Route};
+        use crate::workload::{ArrivalProcess, FlowSizeDist};
+        let (cfg, flows) = mixed_single_link();
+        let workload = Workload::new(
+            ArrivalProcess::Poisson { rate: 4.0 },
+            FlowSizeDist::Exponential { mean: 5.0 },
+            vec![Route::single(0)],
+        );
+        let buffers = |a: &NetArena| {
+            [
+                (a.trace.times.as_ptr(), a.trace.times.capacity()),
+                (a.trace.ctl.as_ptr(), a.trace.ctl.capacity()),
+            ]
         };
-        assert_eq!(osc(&fast), osc(&reference));
+        for wl in [None, Some(&workload)] {
+            let reference = match wl {
+                Some(w) => run_network_workload(&cfg, &flows, w),
+                None => run_network(&cfg, &flows),
+            };
+            let reference = summarize_network(&reference.unwrap(), 0.5).unwrap();
+            let mut arena = NetArena::new();
+            let first = run_network_summary(&mut arena, &cfg, &flows, wl, 0.5).unwrap();
+            let before = buffers(&arena);
+            let repeat = run_network_summary(&mut arena, &cfg, &flows, wl, 0.5).unwrap();
+            assert_eq!(buffers(&arena), before, "workload: {}", wl.is_some());
+            assert!(before.iter().all(|&(_, cap)| cap > 0));
+            assert_eq!(repeat.workload.is_some(), wl.is_some());
+            assert_eq!(bits(&first), bits(&reference));
+            assert_eq!(bits(&repeat), bits(&reference));
+        }
     }
 
     #[test]

@@ -64,14 +64,12 @@ pub enum TraceMode {
     /// For consumers that only read counters and per-hop means
     /// (throughput-only sweeps, the tandem goldens).
     Off,
-    /// Record traces into the reusable [`NetArena`] buffers only; the
-    /// returned [`NetResult`]'s trace fields stay empty. This is the
-    /// fast path behind [`crate::metrics::run_network_summary`]: a
-    /// [`crate::RunSummary`] is computed straight from the arena, so a
-    /// replication loop allocates no trace storage after its first run.
-    Summary,
     /// Record traces and hand them out in [`NetResult`], preallocated at
-    /// exact capacity (`⌊t_end/sample_interval⌋ + 1` samples).
+    /// exact capacity (`⌊t_end/sample_interval⌋ + 1` samples). The
+    /// buffers move out of the [`NetArena`] without a copy;
+    /// [`crate::metrics::run_network_summary`] moves them back after
+    /// summarising, so a replication loop allocates no trace storage
+    /// after its first run.
     #[default]
     Full,
 }
@@ -247,14 +245,21 @@ impl NetConfig {
                 context: "NetConfig: need at least one link",
             });
         }
-        if self.topology.links.iter().any(|l| !(l.mu > 0.0)) {
+        for l in &self.topology.links {
+            if !(l.mu > 0.0 && l.mu.is_finite()) {
+                return Err(NumericsError::InvalidParameter {
+                    context: "NetConfig: link mu must be positive and finite",
+                });
+            }
+        }
+        if !(self.t_end > 0.0 && self.t_end.is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "NetConfig: link service rates must be positive",
+                context: "NetConfig: t_end must be positive and finite",
             });
         }
-        if !(self.t_end > 0.0 && self.sample_interval > 0.0) {
+        if !(self.sample_interval > 0.0 && self.sample_interval.is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "NetConfig: t_end and sample_interval must be positive",
+                context: "NetConfig: sample_interval must be positive and finite",
             });
         }
         if !(0.0..self.t_end).contains(&self.warmup) {
@@ -383,8 +388,7 @@ pub struct NetFlowStats {
 /// Result of one network run.
 ///
 /// The three trace fields are populated under [`TraceMode::Full`] only;
-/// [`TraceMode::Off`] and [`TraceMode::Summary`] leave them empty (the
-/// latter keeps the data in the [`NetArena`] for the summary fast path).
+/// [`TraceMode::Off`] leaves them empty.
 #[derive(Debug, Clone, Serialize)]
 pub struct NetResult {
     /// Trace sample times.
@@ -392,8 +396,9 @@ pub struct NetResult {
     /// Queue length of each hop at each sample: `trace_q[hop][k]`.
     pub trace_q: Vec<Vec<f64>>,
     /// Per-flow control state at each sample (λ for rate sources, window
-    /// for window sources): `trace_ctl[k][i]`.
-    pub trace_ctl: Vec<Vec<f64>>,
+    /// for window sources), row-major: flow `i` at sample `k` is
+    /// `trace_ctl[k * flows.len() + i]`.
+    pub trace_ctl: Vec<f64>,
     /// Per-flow counters.
     pub flows: Vec<NetFlowStats>,
     /// Time-averaged queue length per hop after warm-up.
@@ -461,6 +466,14 @@ impl NetArena {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Move a [`TraceMode::Full`] result's trace buffers back into the
+    /// arena, so the next run reuses their capacity.
+    pub(crate) fn recycle(&mut self, result: NetResult) {
+        self.trace.times = result.trace_t;
+        self.trace.queues = result.trace_q;
+        self.trace.ctl = result.trace_ctl;
     }
 }
 
@@ -860,7 +873,7 @@ impl Wl {
 pub(crate) struct Trace {
     pub(crate) times: Vec<f64>,
     /// `queues[hop][sample]`, reused across runs.
-    pub(crate) queues: Vec<Vec<f64>>,
+    queues: Vec<Vec<f64>>,
     /// Flattened control trace, stride = flow count (row per sample).
     pub(crate) ctl: Vec<f64>,
     /// Next sample index to schedule, and the last inside the horizon.
@@ -890,26 +903,17 @@ impl Trace {
     }
 
     /// The `(trace_t, trace_q, trace_ctl)` fields of the result. Full
-    /// mode hands the buffers to the caller (the arena grows fresh ones
-    /// next run); Summary leaves them in the arena for
-    /// `run_network_summary`; Off recorded nothing.
-    fn take(
-        &mut self,
-        mode: TraceMode,
-        n_flows: usize,
-    ) -> (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        if mode != TraceMode::Full {
-            return (Vec::new(), Vec::new(), Vec::new());
+    /// mode moves the buffers to the caller ([`NetArena::recycle`] moves
+    /// them back); Off recorded nothing and keeps them in the arena.
+    fn take(&mut self, mode: TraceMode) -> (Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
+        match mode {
+            TraceMode::Off => Default::default(),
+            TraceMode::Full => (
+                std::mem::take(&mut self.times),
+                std::mem::take(&mut self.queues),
+                std::mem::take(&mut self.ctl),
+            ),
         }
-        let times = std::mem::take(&mut self.times);
-        // A workload-only run has no per-flow control state: one empty
-        // row per sample (`chunks(0)` would panic).
-        let ctl = if n_flows == 0 {
-            vec![Vec::new(); times.len()]
-        } else {
-            self.ctl.chunks(n_flows).map(<[f64]>::to_vec).collect()
-        };
-        (times, std::mem::take(&mut self.queues), ctl)
     }
 }
 
@@ -964,30 +968,16 @@ fn fifo_flow_marked(word: u32) -> (usize, bool) {
 /// historical tandem engine's counters (both pinned by golden constants
 /// in `tests/engine_equivalence.rs`).
 ///
-/// Allocates a fresh [`NetArena`] per call; use [`run_network_in`] to
-/// amortise the scratch state over many runs.
+/// Allocates a fresh [`NetArena`] per call;
+/// [`crate::metrics::run_network_summary`] amortises the scratch state
+/// over many runs.
 ///
 /// # Errors
 /// [`NumericsError::InvalidParameter`] for an empty topology or flow
 /// list, non-positive rates/times, routes out of range, or `loss_prob`
 /// outside [0, 1).
 pub fn run_network(config: &NetConfig, flows: &[FlowSpec]) -> Result<NetResult> {
-    run_network_in(&mut NetArena::new(), config, flows)
-}
-
-/// [`run_network`] against caller-owned scratch state. The arena is
-/// fully reset first, so the output is identical to a fresh run; what
-/// the reuse buys is zero per-run allocation for everything except the
-/// returned [`NetResult`] (and, under [`TraceMode::Full`], its traces).
-///
-/// # Errors
-/// See [`run_network`].
-pub fn run_network_in(
-    arena: &mut NetArena,
-    config: &NetConfig,
-    flows: &[FlowSpec],
-) -> Result<NetResult> {
-    run_network_core(arena, config, flows, None, config.trace)
+    run_network_core(&mut NetArena::new(), config, flows, None, config.trace)
 }
 
 /// [`run_network`] plus a finite-flow [`Workload`]: open-loop flow
@@ -1010,21 +1000,13 @@ pub fn run_network_workload(
     flows: &[FlowSpec],
     workload: &Workload,
 ) -> Result<NetResult> {
-    run_network_workload_in(&mut NetArena::new(), config, flows, workload)
-}
-
-/// [`run_network_workload`] against caller-owned scratch state (the
-/// workload analogue of [`run_network_in`]).
-///
-/// # Errors
-/// See [`run_network_workload`].
-pub fn run_network_workload_in(
-    arena: &mut NetArena,
-    config: &NetConfig,
-    flows: &[FlowSpec],
-    workload: &Workload,
-) -> Result<NetResult> {
-    run_network_core(arena, config, flows, Some(workload), config.trace)
+    run_network_core(
+        &mut NetArena::new(),
+        config,
+        flows,
+        Some(workload),
+        config.trace,
+    )
 }
 
 /// Entry point behind every public runner: validate, resolve the
@@ -1065,7 +1047,7 @@ struct Sim<'a, Q: QDisc, const BYTES: bool> {
     flows: &'a [FlowSpec],
     workload: Option<&'a Workload>,
     qp: QdiscParams,
-    /// Effective trace mode (the summary fast path overrides the config).
+    /// Effective trace mode (`run_network_summary` forces `Full`).
     mode: TraceMode,
     warmup: f64,
     t_end: f64,
@@ -1388,7 +1370,7 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
         }
         let [mean_queue, utilization, downtime_frac, recovery_time] = self.hops.finish(config);
         let workload = self.workload.map(|_| self.wl.finish(config.t_end));
-        let (trace_t, trace_q, trace_ctl) = self.trace.take(self.mode, self.n_static);
+        let (trace_t, trace_q, trace_ctl) = self.trace.take(self.mode);
         NetResult {
             trace_t,
             trace_q,
@@ -2317,6 +2299,27 @@ mod tests {
         let mut cfg = net(2);
         cfg.warmup = cfg.t_end;
         assert!(run_network(&cfg, &flows).is_err());
+        // Non-finite run control, rejected by field name.
+        let mu = |cfg: &mut NetConfig, v| cfg.topology.links[1].mu = v;
+        let t_end = |cfg: &mut NetConfig, v| cfg.t_end = v;
+        let sample = |cfg: &mut NetConfig, v| cfg.sample_interval = v;
+        let cases: [(&str, fn(&mut NetConfig, f64)); 3] = [
+            ("link mu", mu),
+            ("t_end", t_end),
+            ("sample_interval", sample),
+        ];
+        for (field, set) in cases {
+            for v in [f64::INFINITY, f64::NAN] {
+                let mut cfg = net(2);
+                set(&mut cfg, v);
+                match run_network(&cfg, &flows) {
+                    Err(NumericsError::InvalidParameter { context }) => {
+                        assert!(context.contains(field), "{field} = {v}: {context}");
+                    }
+                    other => panic!("{field} = {v} accepted: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -2326,29 +2329,21 @@ mod tests {
         let full = run_network(&cfg, &flows).unwrap();
         cfg.trace = TraceMode::Off;
         let off = run_network(&cfg, &flows).unwrap();
-        cfg.trace = TraceMode::Summary;
-        let summary = run_network(&cfg, &flows).unwrap();
-        assert!(!full.trace_t.is_empty());
+        assert_eq!(full.trace_ctl.len(), full.trace_t.len() * flows.len());
         assert!(off.trace_t.is_empty() && off.trace_q.is_empty() && off.trace_ctl.is_empty());
-        assert!(
-            summary.trace_t.is_empty(),
-            "Summary keeps traces in the arena"
-        );
-        for other in [&off, &summary] {
-            for (a, b) in full.flows.iter().zip(&other.flows) {
-                assert_eq!(a.sent, b.sent);
-                assert_eq!(a.delivered, b.delivered);
-                assert_eq!(a.dropped, b.dropped);
-                assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-            }
-            let full_mq: Vec<u64> = full.mean_queue.iter().map(|q| q.to_bits()).collect();
-            let other_mq: Vec<u64> = other.mean_queue.iter().map(|q| q.to_bits()).collect();
-            assert_eq!(full_mq, other_mq);
-            assert_eq!(
-                full.total_throughput.to_bits(),
-                other.total_throughput.to_bits()
-            );
+        for (a, b) in full.flows.iter().zip(&off.flows) {
+            assert_eq!(a.sent, b.sent);
+            assert_eq!(a.delivered, b.delivered);
+            assert_eq!(a.dropped, b.dropped);
+            assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
         }
+        let full_mq: Vec<u64> = full.mean_queue.iter().map(|q| q.to_bits()).collect();
+        let off_mq: Vec<u64> = off.mean_queue.iter().map(|q| q.to_bits()).collect();
+        assert_eq!(full_mq, off_mq);
+        assert_eq!(
+            full.total_throughput.to_bits(),
+            off.total_throughput.to_bits()
+        );
     }
 
     #[test]
@@ -2359,11 +2354,12 @@ mod tests {
         let cfg = net(3);
         let flows = vec![window_flow(Route::full(3)), window_flow(Route::single(1))];
         let mut arena = NetArena::new();
-        let fresh = run_network_in(&mut arena, &cfg, &flows).unwrap();
-        let other_cfg = net(1);
-        let other_flows = vec![window_flow(Route::single(0))];
-        run_network_in(&mut arena, &other_cfg, &other_flows).unwrap();
-        let reused = run_network_in(&mut arena, &cfg, &flows).unwrap();
+        let mut run = |cfg: &NetConfig, flows: &[FlowSpec]| {
+            run_network_core(&mut arena, cfg, flows, None, cfg.trace).unwrap()
+        };
+        let fresh = run(&cfg, &flows);
+        run(&net(1), &[window_flow(Route::single(0))]);
+        let reused = run(&cfg, &flows);
         assert_eq!(fresh.trace_t, reused.trace_t);
         assert_eq!(fresh.trace_q, reused.trace_q);
         assert_eq!(fresh.trace_ctl, reused.trace_ctl);

@@ -249,10 +249,7 @@ fn window_map_sawtooth_matches_packet_simulator() {
         &[SourceSpec::Window { aimd, w0: 2.0 }],
     )
     .unwrap();
-    let tail: Vec<f64> = out.trace_ctl[out.trace_ctl.len() / 2..]
-        .iter()
-        .map(|c| c[0])
-        .collect();
+    let tail = &out.trace_ctl[out.trace_ctl.len() / 2..];
     let mean_w = tail.iter().sum::<f64>() / tail.len() as f64;
     let peak_w = tail.iter().cloned().fold(f64::MIN, f64::max);
     // Map-level prediction vs packet measurement: same scale (within

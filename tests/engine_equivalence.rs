@@ -143,10 +143,8 @@ fn single_link_goldens_mixed_sources_with_loss() {
         0x4047_a000_0000_0000,
         "total_throughput"
     );
-    let ctl_last: Vec<u64> = out
-        .trace_ctl
-        .last()
-        .unwrap()
+    let last_row = out.trace_ctl.len() - out.flows.len();
+    let ctl_last: Vec<u64> = out.trace_ctl[last_row..]
         .iter()
         .map(|v| v.to_bits())
         .collect();
@@ -370,7 +368,7 @@ fn fingerprint(out: &NetResult) -> String {
             b(qsum)
         );
     }
-    let ctl: f64 = out.trace_ctl.iter().flatten().sum();
+    let ctl: f64 = out.trace_ctl.iter().sum();
     s += &format!("trace {} {}\n", out.trace_t.len(), b(ctl));
     if let Some(w) = &out.workload {
         s += &format!(

@@ -65,12 +65,12 @@ fn idle_single_hop_fct_is_exact() {
         0.0,
         7,
     );
-    // Full trace on a zero-static-flow run: control rows must come back
-    // empty (one per sample) rather than panicking.
+    // Full trace on a zero-static-flow run: samples are recorded, and
+    // the control trace (stride = zero flows) comes back empty.
     cfg.trace = TraceMode::Full;
     let out = run_network_workload(&cfg, &[], &w).unwrap();
-    assert_eq!(out.trace_ctl.len(), out.trace_t.len());
-    assert!(out.trace_ctl.iter().all(Vec::is_empty));
+    assert!(!out.trace_t.is_empty());
+    assert!(out.trace_ctl.is_empty());
     let stats = out.workload.expect("workload stats");
     assert_eq!(stats.arrived, 1);
     assert_eq!(stats.completed_clean, 1);

@@ -326,8 +326,9 @@ proptest! {
     ) {
         // DESIGN §"engine hot path": the trace mode only controls what
         // is recorded, never the dynamics. Off must reproduce Full's
-        // counters bit for bit, and the arena summary fast path must
-        // reproduce `summarize_network` of the Full run bit for bit.
+        // counters bit for bit, and `run_network_summary` on a reused
+        // arena must reproduce `summarize_network` of the fresh Full run
+        // bit for bit.
         let seed = seed_raw as u64;
         let flows = vec![
             FlowSpec {
@@ -383,10 +384,14 @@ proptest! {
         prop_assert_eq!(full.total_throughput.to_bits(), off.total_throughput.to_bits());
 
         let reference = summarize_network(&full, 0.5).unwrap();
+        // Dirty the arena with another seed so reuse is exercised; the
+        // summary records full traces whatever `config.trace` says.
         let mut arena = fpk_repro::sim::NetArena::new();
-        let fast =
-            fpk_repro::sim::run_network_summary(&mut arena, &mk(TraceMode::Full), &flows, 0.5)
-                .unwrap();
+        let summary = |arena: &mut _, cfg: &NetConfig| {
+            fpk_repro::sim::run_network_summary(arena, cfg, &flows, None, 0.5).unwrap()
+        };
+        summary(&mut arena, &NetConfig { seed: seed ^ 1, ..mk(TraceMode::Full) });
+        let fast = summary(&mut arena, &mk(TraceMode::Off));
         prop_assert_eq!(&fast.throughputs, &reference.throughputs);
         prop_assert_eq!(fast.jain.to_bits(), reference.jain.to_bits());
         prop_assert_eq!(fast.mean_queue.to_bits(), reference.mean_queue.to_bits());

@@ -78,7 +78,7 @@ fn des_rate_source_smoke() {
     .expect("rate run");
     check_result(&out, 1, "rate source");
     // The adaptive source must actually move its rate off λ0.
-    let ctl: Vec<f64> = out.trace_ctl.iter().map(|c| c[0]).collect();
+    let ctl = &out.trace_ctl;
     assert!(
         ctl.iter().any(|&l| (l - 20.0).abs() > 1e-6),
         "rate never adapted"
@@ -116,7 +116,7 @@ fn des_window_source_smoke() {
     .expect("window run");
     check_result(&out, 1, "window source");
     // Windows stay positive and the slow-start from w0 = 2 grows.
-    let peak = out.trace_ctl.iter().map(|c| c[0]).fold(f64::MIN, f64::max);
+    let peak = out.trace_ctl.iter().copied().fold(f64::MIN, f64::max);
     assert!(peak > 2.0, "window never grew past w0 (peak {peak})");
 }
 
@@ -245,7 +245,7 @@ fn des_window_source_with_loss_smoke() {
     check_lossy_result(&out, "lossy window source");
     // The marked acks must actually cut the window now and then, yet the
     // window can never fall below 1 — the flow never stalls.
-    let windows: Vec<f64> = out.trace_ctl.iter().map(|c| c[0]).collect();
+    let windows = &out.trace_ctl;
     assert!(windows.iter().all(|&w| w >= 1.0), "window fell below 1");
     assert!(
         windows.iter().any(|&w| w > 2.0),
@@ -283,7 +283,7 @@ fn des_decbit_source_with_loss_smoke() {
     )
     .expect("lossy decbit run");
     check_lossy_result(&out, "lossy DECbit source");
-    let windows: Vec<f64> = out.trace_ctl.iter().map(|c| c[0]).collect();
+    let windows = &out.trace_ctl;
     assert!(
         windows.iter().all(|&w| w >= 1.0),
         "DECbit window fell below 1 under drop-as-mark"

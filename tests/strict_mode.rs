@@ -38,7 +38,7 @@ fn base_net(t_end: f64, seed: u64) -> NetConfig {
         warmup: 1.0,
         sample_interval: 0.1,
         seed,
-        trace: TraceMode::Summary,
+        trace: TraceMode::Full,
         qdisc: QdiscKind::RedMark {
             min_th: 2.5,
             max_th: 10.0,
