@@ -1,36 +1,24 @@
 //! `fpk-bench` — the experiment harness.
 //!
-//! One binary per figure/table of the paper (see `DESIGN.md` §5 for the
-//! experiment index and `EXPERIMENTS.md` for recorded outcomes):
+//! One module per figure/table of the paper under [`exp`], each run by
+//! name through the `fpk-exp` binary; `DESIGN.md` §7 describes the
+//! registry and `EXPERIMENTS.md` records the experiments' seeds. The registry
+//! [`exp::EXPERIMENTS`] is the index: `fpk-exp list` prints each
+//! experiment's name, paper section and claim.
 //!
-//! | binary | artefact | claim reproduced |
-//! |---|---|---|
-//! | `fig1_queue_trajectory` | Figure 1 | sample path of Q(t) under adaptive control |
-//! | `fig2_characteristics`  | Figure 2 | drift directions in the four (q, ν) quadrants |
-//! | `fig3_convergent_spiral`| Figure 3 | spiral into the limit point (q̂, μ) |
-//! | `tbl1_theorem1`         | Thm 1    | universal convergence + contraction factors |
-//! | `tbl2_fp_vs_mc`         | Eq. 14   | PDE density ↔ Langevin ensemble agreement |
-//! | `fig4_sigma_spread`     | §5       | stationary spread vs σ |
-//! | `tbl3_fair_share`       | §6       | equal parameters → equal shares |
-//! | `tbl4_hetero_share`     | §6       | shares ∝ C0/C1, theory vs fluid vs packets |
-//! | `fig5_delay_limit_cycle`| §7       | limit-cycle amplitude/period vs delay |
-//! | `fig6_delay_unfairness` | §7       | throughput ratio vs RTT ratio |
-//! | `tbl5_algorithm_oscillation` | §7  | linear/exp vs linear/linear dichotomy |
-//! | `fig7_density_evolution`| §4       | f(t, q, ν) transport snapshots |
-//! | `tbl6_ablation_limiter` | ablation | limiter choice vs numerical diffusion |
-//! | `tbl7_ablation_grid`    | ablation | grid/Δt refinement convergence |
-//! | `fig_fct_vs_load`       | extension | finite-flow FCT/slowdown vs offered load; deterministic-size rows pinned to Pollaczek–Khinchine (DESIGN §3f) |
-//! | `fig_marking_compare`   | extension | queue disciplines (FIFO/threshold/DECbit-averaged/RED) vs probe p99 FCT behind lax elephants (DESIGN §3g) |
-//! | `fig_fault_recovery`    | extension | goodput under GE bursts / link flaps vs RTO retry budget; 6 retries restore ≥ 90% of lossless goodput where no-retry loses ≥ 30% (DESIGN §3i) |
+//! ```console
+//! $ cargo run --release -p fpk-bench --bin fpk-exp -- list
+//! $ cargo run --release -p fpk-bench --bin fpk-exp -- <name>
+//! $ cargo run --release -p fpk-bench --bin fpk-exp -- all
+//! ```
 //!
-//! Every binary prints a human-readable table to stdout **and** writes a
-//! JSON artefact to `results/` so `EXPERIMENTS.md` can be regenerated
-//! mechanically. Run all of them via
-//! `for b in $(ls crates/bench/src/bin | sed s/.rs//); do cargo run --release -p fpk-bench --bin $b; done`.
+//! Every experiment prints a human-readable table to stdout **and**
+//! writes a JSON artefact to `results/<name>.json`, so `EXPERIMENTS.md`
+//! can be regenerated mechanically.
 //!
 //! # Example
 //!
-//! The table/number formatting helpers every binary shares:
+//! The table/number formatting helpers every experiment shares:
 //!
 //! ```
 //! use fpk_bench::{fmt, print_table};
@@ -44,6 +32,8 @@
 use serde::Serialize;
 use std::path::PathBuf;
 
+pub mod exp;
+
 /// Where JSON artefacts are written (`results/` under the workspace root,
 /// or the current directory as a fallback). Delegates to the shared
 /// writer in `fpk_scenarios::artifact`.
@@ -56,8 +46,8 @@ pub fn results_dir() -> PathBuf {
 /// shared `fpk_scenarios` artifact writer.
 ///
 /// # Panics
-/// Panics when serialisation or the write fails — an experiment binary
-/// should fail loudly rather than record nothing.
+/// Panics when serialisation or the write fails — an experiment should
+/// fail loudly rather than record nothing.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let path = fpk_scenarios::write_json(name, value);
     println!("\n[artefact written to {}]", path.display());

@@ -311,13 +311,6 @@ pub fn sliding_duty_cycle(laws: &[LinearExp], mu: f64) -> Result<f64> {
     Ok(mu / (mu + s))
 }
 
-/// The fluid-limit equilibrium of a single JRJ source: queue pinned at the
-/// target, rate matching service (Theorem 1's limit point).
-#[must_use]
-pub fn single_source_equilibrium(law: &LinearExp, mu: f64) -> (f64, f64) {
-    (law.q_hat, mu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,11 +475,5 @@ mod tests {
         assert!(sliding_share(&[], 5.0).is_err());
         assert!(sliding_share(&[LinearExp::new(0.0, 1.0, 1.0)], 5.0).is_err());
         assert!(sliding_share(&[LinearExp::new(1.0, 1.0, 1.0)], 0.0).is_err());
-    }
-
-    #[test]
-    fn equilibrium_is_target_and_service_rate() {
-        let law = LinearExp::new(1.0, 0.5, 12.0);
-        assert_eq!(single_source_equilibrium(&law, 3.0), (12.0, 3.0));
     }
 }

@@ -109,15 +109,6 @@ impl FluidTrajectory {
     pub fn final_state(&self) -> (f64, f64) {
         (*self.q.last().unwrap(), *self.lambda.last().unwrap())
     }
-
-    /// Time-averaged λ over the final `fraction` of the run (throughput
-    /// proxy).
-    #[must_use]
-    pub fn mean_rate_tail(&self, fraction: f64) -> f64 {
-        let start = ((1.0 - fraction.clamp(0.0, 1.0)) * self.lambda.len() as f64) as usize;
-        let tail = &self.lambda[start.min(self.lambda.len().saturating_sub(1))..];
-        tail.iter().sum::<f64>() / tail.len() as f64
-    }
 }
 
 /// The fluid right-hand side for one (q, λ) pair, with the empty-queue
@@ -311,16 +302,6 @@ mod tests {
             "linear/linear should keep oscillating, band = {}",
             late_max - late_min
         );
-    }
-
-    #[test]
-    fn mean_rate_tail_of_constant_is_constant() {
-        let traj = FluidTrajectory {
-            t: (0..100).map(|i| i as f64).collect(),
-            q: vec![1.0; 100],
-            lambda: vec![3.0; 100],
-        };
-        assert!((traj.mean_rate_tail(0.5) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -252,17 +252,6 @@ impl SweepReport {
             .filter(|c| c.coords.get(axis).is_some_and(|&x| (x - v).abs() < 1e-12))
             .collect()
     }
-
-    /// [`Self::cells_where`], selecting the axis by *name* instead of
-    /// position — robust against axes being reordered or inserted.
-    /// Returns an empty vector when no axis carries that name.
-    #[must_use]
-    pub fn cells_where_label(&self, axis_name: &str, v: f64) -> Vec<&CellReport> {
-        self.axes
-            .iter()
-            .position(|a| a.name == axis_name)
-            .map_or_else(Vec::new, |k| self.cells_where(k, v))
-    }
 }
 
 /// One slice of a sweep grid for multi-process (checkpoint/resume)
@@ -726,20 +715,5 @@ mod tests {
         let hits = report.cells_where(0, 30.0);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|c| c.coords[0] == 30.0));
-    }
-
-    #[test]
-    fn cells_where_label_selects_by_axis_name() {
-        let report = run_sweep_on(&sweep(), 1, 2).unwrap();
-        let by_label = report.cells_where_label("flows", 2.0);
-        assert_eq!(by_label.len(), 2);
-        assert!(by_label.iter().all(|c| c.coords[1] == 2.0));
-        // Same selection as the positional accessor.
-        let by_index = report.cells_where(1, 2.0);
-        let a: Vec<usize> = by_label.iter().map(|c| c.index).collect();
-        let b: Vec<usize> = by_index.iter().map(|c| c.index).collect();
-        assert_eq!(a, b);
-        // Unknown axis names select nothing rather than panicking.
-        assert!(report.cells_where_label("no_such_axis", 2.0).is_empty());
     }
 }

@@ -136,13 +136,6 @@ impl Scenario {
         self
     }
 
-    /// Override the oscillation-analysis tail fraction.
-    #[must_use]
-    pub fn with_tail_fraction(mut self, tail_fraction: f64) -> Self {
-        self.tail_fraction = tail_fraction;
-        self
-    }
-
     /// The topology this scenario runs on: the explicit one, or the
     /// 1-link topology `config` describes.
     #[must_use]

@@ -414,12 +414,6 @@ impl Sweep {
         self
     }
 
-    /// True when cells share one seed stream (CRN pairing).
-    #[must_use]
-    pub fn common_random_numbers(&self) -> bool {
-        self.crn
-    }
-
     /// Name of the base scenario.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -732,8 +726,6 @@ mod tests {
     fn crn_pairs_every_cell_on_one_seed_stream() {
         let plain = Sweep::new(base(), 42).axis(Axis::mu(vec![10.0, 20.0, 30.0]));
         let crn = plain.clone().with_common_random_numbers();
-        assert!(!plain.common_random_numbers());
-        assert!(crn.common_random_numbers());
         let cells = crn.cells();
         // Every cell shares cell 0's seed — replication r is seed-paired
         // across the whole grid.

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Byte-identity A/B of every experiment artefact: build a base revision
-# and the current checkout in release mode, run the experiment bins and
-# the examples of each into their own FPK_RESULTS_DIR, and `diff -r`
-# the two trees. The examples' stdout is captured next to the JSON, with
-# the results dir masked (they print no timings; the bins do, so only
-# their JSON is compared).
+# and the current checkout in release mode, run the experiments and the
+# examples of each into their own FPK_RESULTS_DIR, and `diff -r` the two
+# trees. The examples' stdout is captured next to the JSON, with the
+# results dir masked (they print no timings; the experiments do, so
+# only their JSON is compared).
 # Exits non-zero on any difference.
+#
+# The experiments are the names the current checkout's `fpk-exp list`
+# prints. A side that has the `fpk-exp` binary runs `fpk-exp <name>`;
+# an older base, built before it, has one binary per experiment and
+# runs `<name>` instead. Either way the base must know every name.
 #
 # Each run's wall seconds go to times-base.tsv and times-head.tsv next
 # to the two result trees (outside what is diffed), and a base/head
@@ -41,23 +46,31 @@ since() {
     awk -v a="$1" -v b="$(date +%s.%N)" 'BEGIN { printf "%.3f", b - a }'
 }
 
-# run_side <checkout> <results dir> <times tsv>: build and run every bin
-# and example of <checkout> (CARGO_TARGET_DIR taken from the
-# environment), appending each run's wall seconds to <times tsv>.
+# The experiment names, from the current checkout's registry.
+cargo build --release --quiet --offline -p fpk-bench --bin fpk-exp
+experiments="$("${CARGO_TARGET_DIR:-$head_dir/target}/release/fpk-exp" list | awk '{ print $1 }')"
+
+# run_side <checkout> <results dir> <times tsv>: build <checkout>, run
+# each of $experiments and every example (CARGO_TARGET_DIR taken from
+# the environment), appending each run's wall seconds to <times tsv>.
 run_side() {
-    local src="$1" out="$2" times="$3" target name f t0
+    local src="$1" out="$2" times="$3" target name f t0 exp
     mkdir -p "$out/examples"
     printf 'kind\tname\twall_s\n' > "$times"
     cd "$src"
     target="${CARGO_TARGET_DIR:-$src/target}"
     cargo build --release --quiet --offline -p fpk-bench --bins
     cargo build --release --quiet --offline -p fpk-repro --examples
-    for f in crates/bench/src/bin/*.rs; do
-        name="$(basename "$f" .rs)"
-        echo "  bin $name"
+    for name in $experiments; do
+        if [ -x "$target/release/fpk-exp" ]; then
+            exp=("$target/release/fpk-exp" "$name")
+        else
+            exp=("$target/release/$name")
+        fi
+        echo "  experiment $name"
         t0="$(date +%s.%N)"
-        FPK_RESULTS_DIR="$out" "$target/release/$name" > /dev/null
-        printf 'bin\t%s\t%s\n' "$name" "$(since "$t0")" >> "$times"
+        FPK_RESULTS_DIR="$out" "${exp[@]}" > /dev/null
+        printf 'exp\t%s\t%s\n' "$name" "$(since "$t0")" >> "$times"
     done
     for f in examples/*.rs; do
         name="$(basename "$f" .rs)"

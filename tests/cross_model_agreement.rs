@@ -94,7 +94,6 @@ fn fp_mean_tracks_fluid_before_switching() {
 }
 
 #[test]
-#[ignore = "slow tier (~6 s unoptimised): 40k-particle ensemble vs 160×96 PDE; run via `cargo test -- --ignored`"]
 fn fp_marginal_matches_monte_carlo_transient() {
     let mu = 5.0;
     let sigma2 = 0.4;
@@ -120,9 +119,10 @@ fn fp_marginal_matches_monte_carlo_transient() {
     let d = solver.density();
     let ks = ks_sample_vs_density(&mc[0].q, &d.grid.x.centers(), &d.marginal_q()).unwrap();
     // At t = 3 the bulk is parked against the q = 0 wall; agreement there
-    // is limited by the PDE's numerical ν-diffusion at this (test-sized)
-    // grid — tbl7_ablation_grid shows the moments still converging under
-    // refinement. KS ≈ 0.11 at 160×96; assert a safety band above that.
+    // is limited by the PDE's first-order scheme smearing q at this
+    // (test-sized) grid: refining q shrinks the gap, while refining ν or
+    // switching the limiter barely moves it. KS ≈ 0.11 at 160×96; assert
+    // a safety band above that.
     assert!(ks < 0.15, "transient KS distance {ks}");
     assert!((d.mean_q() - mc[0].mean_q()).abs() < 0.5);
 }

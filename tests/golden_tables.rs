@@ -1,13 +1,13 @@
 //! Golden-value regression tests.
 //!
-//! Re-computes the core numbers behind `tbl1_theorem1` (return-map
-//! contraction factors) and `tbl3_fair_share`/`tbl4_hetero_share`
-//! (sliding-mode shares) through the public library API and pins them to
-//! checked-in expected values. Future refactors of the theory or
-//! numerics layers must reproduce these to the stated tolerances; a
-//! deliberate behaviour change must update the constants in the same
-//! commit (run `cargo test --test golden_tables -- --ignored --nocapture`
-//! to print freshly computed values in copy-pasteable form).
+//! Re-computes the core numbers behind Table 1 (return-map contraction
+//! factors) and Tables 3 and 4 (sliding-mode shares) through the public
+//! library API and pins them to checked-in expected values. Future
+//! refactors of the theory or numerics layers must reproduce these to
+//! the stated tolerances; a deliberate behaviour change must update the
+//! constants in the same commit (run
+//! `cargo test --test golden_tables -- --ignored --nocapture` to print
+//! freshly computed values in copy-pasteable form).
 
 use fpk_repro::congestion::fairness::jain_index;
 use fpk_repro::congestion::theory::{sliding_duty_cycle, sliding_share, ReturnMap};
@@ -25,7 +25,7 @@ fn assert_close(actual: f64, expected: f64, rtol: f64, what: &str) {
     );
 }
 
-/// The `tbl1_theorem1` parameter sweep: (C0, C1, q̂, μ, λ0).
+/// The Table 1 parameter sweep: (C0, C1, q̂, μ, λ0).
 const TBL1_CASES: [(f64, f64, f64, f64, f64); 7] = [
     (1.0, 0.5, 10.0, 5.0, 0.5),
     (1.0, 0.5, 10.0, 5.0, 4.5),
