@@ -54,7 +54,7 @@ pub fn run(name: &str) {
             let k = v.round() as usize;
             let aimd = WindowAimd::new(1.0, 0.5, 0.05, 10.0);
             let window = SourceSpec::Window { aimd, w0: 2.0 };
-            sc.topology = Some(Topology::uniform(
+            sc.set_topology(Topology::uniform(
                 k,
                 Link {
                     mu: 100.0,

@@ -4,32 +4,6 @@
 //! discrete-event sources) sees only this trait, so new laws plug into all
 //! three analyses at once.
 
-/// The binary congestion signal a source receives about the bottleneck.
-///
-/// The paper's laws switch on `Q(t) > q̂`; packet-level systems infer the
-/// same bit from loss or marks. Keeping it an enum (rather than a bool)
-/// leaves room for richer signals in extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CongestionSignal {
-    /// Queue at or below target — keep probing for bandwidth.
-    Underloaded,
-    /// Queue above target — back off.
-    Congested,
-}
-
-impl CongestionSignal {
-    /// Derive the signal from a queue observation and threshold, the
-    /// paper's `Q(t) > q̂` test.
-    #[must_use]
-    pub fn from_queue(q: f64, q_hat: f64) -> Self {
-        if q > q_hat {
-            CongestionSignal::Congested
-        } else {
-            CongestionSignal::Underloaded
-        }
-    }
-}
-
 /// A dynamic rate-control law `dλ/dt = g(Q, λ)`.
 ///
 /// Implementations must be memoryless in `(Q, λ)` — all state lives in the
@@ -44,18 +18,6 @@ pub trait RateControl {
 
     /// The switching threshold q̂ (target queue length).
     fn q_hat(&self) -> f64;
-
-    /// The rate derivative given a pre-computed congestion signal; default
-    /// dispatches through [`RateControl::g`] semantics via a synthetic
-    /// queue observation. Laws whose `g` depends on `q` beyond the binary
-    /// comparison should override this.
-    fn g_signal(&self, signal: CongestionSignal, lambda: f64) -> f64 {
-        let q = match signal {
-            CongestionSignal::Underloaded => self.q_hat(),
-            CongestionSignal::Congested => self.q_hat() + 1.0,
-        };
-        self.g(q, lambda)
-    }
 
     /// Human-readable law name for reports and experiment output.
     fn name(&self) -> &'static str {
@@ -78,9 +40,6 @@ impl<T: RateControl + ?Sized> RateControl for &T {
     fn q_hat(&self) -> f64 {
         (**self).q_hat()
     }
-    fn g_signal(&self, signal: CongestionSignal, lambda: f64) -> f64 {
-        (**self).g_signal(signal, lambda)
-    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -92,23 +51,6 @@ impl<T: RateControl + ?Sized> RateControl for &T {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn signal_from_queue_threshold_semantics() {
-        // Paper: increase when Q <= q̂ (inclusive), decrease when Q > q̂.
-        assert_eq!(
-            CongestionSignal::from_queue(5.0, 5.0),
-            CongestionSignal::Underloaded
-        );
-        assert_eq!(
-            CongestionSignal::from_queue(5.0 + 1e-12, 5.0),
-            CongestionSignal::Congested
-        );
-        assert_eq!(
-            CongestionSignal::from_queue(0.0, 5.0),
-            CongestionSignal::Underloaded
-        );
-    }
 
     struct Toy;
     impl RateControl for Toy {
@@ -125,19 +67,6 @@ mod tests {
         fn is_multiplicative_decrease(&self) -> bool {
             true
         }
-    }
-
-    #[test]
-    fn default_g_signal_matches_g() {
-        let law = Toy;
-        assert_eq!(
-            law.g_signal(CongestionSignal::Underloaded, 3.0),
-            law.g(2.0, 3.0)
-        );
-        assert_eq!(
-            law.g_signal(CongestionSignal::Congested, 3.0),
-            law.g(3.0, 3.0)
-        );
     }
 
     #[test]

@@ -218,16 +218,6 @@ impl WindowAimd {
             self.q_hat,
         )
     }
-
-    /// One discrete window update as in Eq. 1.
-    #[must_use]
-    pub fn update_window(&self, w: f64, congested: bool) -> f64 {
-        if congested {
-            self.d * w
-        } else {
-            w + self.a
-        }
-    }
 }
 
 impl RateControl for WindowAimd {
@@ -251,7 +241,6 @@ impl RateControl for WindowAimd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::law::CongestionSignal;
 
     #[test]
     fn linear_exp_branches() {
@@ -260,16 +249,6 @@ mod tests {
         assert_eq!(law.g(10.0, 100.0), 2.0); // boundary counts as not congested
         assert_eq!(law.g(10.1, 100.0), -50.0); // above target: -C1·λ
         assert!(law.is_multiplicative_decrease());
-    }
-
-    #[test]
-    fn linear_exp_signal_dispatch() {
-        let law = LinearExp::standard();
-        assert_eq!(law.g_signal(CongestionSignal::Underloaded, 7.0), law.c0);
-        assert_eq!(
-            law.g_signal(CongestionSignal::Congested, 7.0),
-            -law.c1 * 7.0
-        );
     }
 
     #[test]
@@ -297,13 +276,6 @@ mod tests {
         assert!((r.c0 - 100.0).abs() < 1e-9); // 1 / 0.01
         assert!((r.c1 - 0.5f64.ln().abs() / 0.1).abs() < 1e-9);
         assert_eq!(r.q_hat, 10.0);
-    }
-
-    #[test]
-    fn window_update_rule() {
-        let w = WindowAimd::new(2.0, 0.5, 0.1, 10.0);
-        assert_eq!(w.update_window(8.0, false), 10.0);
-        assert_eq!(w.update_window(8.0, true), 4.0);
     }
 
     #[test]

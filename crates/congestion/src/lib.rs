@@ -54,5 +54,5 @@ pub mod laws;
 pub mod theory;
 pub mod window_map;
 
-pub use law::{CongestionSignal, RateControl};
+pub use law::RateControl;
 pub use laws::{LinearExp, LinearLinear, Mimd, WindowAimd};

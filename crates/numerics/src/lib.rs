@@ -20,8 +20,7 @@
 //! * [`roots`] — Brent root finding.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
 //!   regime classification and power-law fits.
-//! * [`stats`] — running moments, histograms, empirical CDFs, KS distance,
-//!   autocorrelation.
+//! * [`stats`] — running moments, histograms, empirical CDFs, KS distance.
 //!
 //! # Design notes
 //!

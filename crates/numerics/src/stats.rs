@@ -1,5 +1,5 @@
 //! Descriptive statistics: running moments, histograms, empirical CDFs,
-//! Kolmogorov–Smirnov distance, autocorrelation.
+//! Kolmogorov–Smirnov distance.
 //!
 //! The Fokker–Planck density is cross-validated against Langevin
 //! Monte-Carlo histograms (experiment E4 in `DESIGN.md`); the KS distance
@@ -286,36 +286,6 @@ pub fn ks_sample_vs_density(sample: &[f64], centers: &[f64], pdf: &[f64]) -> Res
     Ok(d)
 }
 
-/// Biased (1/n-normalised) autocorrelation of `x` at lags `0..max_lag`.
-///
-/// # Errors
-/// [`NumericsError::InvalidParameter`] when `x.len() <= max_lag` or the
-/// series is empty / constant (zero variance).
-pub fn autocorrelation(x: &[f64], max_lag: usize) -> Result<Vec<f64>> {
-    if x.is_empty() || x.len() <= max_lag {
-        return Err(NumericsError::InvalidParameter {
-            context: "autocorrelation: need len > max_lag > 0",
-        });
-    }
-    let n = x.len();
-    let mean = x.iter().sum::<f64>() / n as f64;
-    let var: f64 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-    if var <= 0.0 {
-        return Err(NumericsError::InvalidParameter {
-            context: "autocorrelation: zero-variance series",
-        });
-    }
-    let mut out = Vec::with_capacity(max_lag + 1);
-    for lag in 0..=max_lag {
-        let mut acc = 0.0;
-        for i in 0..n - lag {
-            acc += (x[i] - mean) * (x[i + lag] - mean);
-        }
-        out.push(acc / (n as f64 * var));
-    }
-    Ok(out)
-}
-
 /// Sample mean of a slice; 0 for empty input.
 #[must_use]
 pub fn mean(x: &[f64]) -> f64 {
@@ -468,28 +438,5 @@ mod tests {
         let sample: Vec<f64> = (0..2000).map(|i| (i as f64 + 0.5) / 2000.0).collect();
         let d = ks_sample_vs_density(&sample, &centers, &pdf).unwrap();
         assert!(d < 0.02, "d={d}");
-    }
-
-    #[test]
-    fn autocorrelation_lag0_is_one() {
-        let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        let ac = autocorrelation(&x, 10).unwrap();
-        assert!(approx_eq(ac[0], 1.0, 1e-12, 0.0));
-    }
-
-    #[test]
-    fn autocorrelation_periodic_signal() {
-        // Period-20 sine: autocorrelation at lag 20 should be near 1.
-        let x: Vec<f64> = (0..400)
-            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 20.0).sin())
-            .collect();
-        let ac = autocorrelation(&x, 25).unwrap();
-        assert!(ac[20] > 0.9, "ac[20]={}", ac[20]);
-        assert!(ac[10] < -0.9, "ac[10]={}", ac[10]);
-    }
-
-    #[test]
-    fn autocorrelation_rejects_constant() {
-        assert!(autocorrelation(&[3.0; 50], 5).is_err());
     }
 }

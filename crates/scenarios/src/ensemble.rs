@@ -546,7 +546,7 @@ mod tests {
         // the queue in *every* paired replication, so the difference
         // comes out positive with a CI that excludes zero even at R=4.
         let mut b = scenario();
-        b.config.mu = 100.0;
+        b.net.topology.links[0].mu = 100.0;
         let diff = paired_diff(&a, &b, 7, 4, |s| s.mean_queue).unwrap();
         assert!(
             diff.mean > diff.ci95 && diff.mean > 0.0,

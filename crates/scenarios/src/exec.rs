@@ -606,7 +606,7 @@ mod tests {
         s = Sweep::new(
             {
                 let mut base = s.cells()[0].scenario.clone();
-                base.config.mu = -1.0;
+                base.net.topology.links[0].mu = -1.0;
                 base
             },
             1,

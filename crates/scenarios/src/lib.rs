@@ -6,10 +6,13 @@
 //! loop every experiment binary used to carry with four composable
 //! pieces:
 //!
-//! * [`Scenario`] — a named bundle of `SimConfig` + sources + faults,
-//!   optionally a multi-hop `Topology` with per-source `Route`s:
-//!   everything a run needs but a seed. Every scenario runs through the
-//!   one topology-first engine (`fpk_sim::run_network`).
+//! * [`Scenario`] — a name, one `fpk_sim::NetConfig` (topology, per-hop
+//!   faults, run control, queue discipline, packet sizing), the sources
+//!   with optional per-source `Route`s, and an optional finite-flow
+//!   `Workload`: everything a run needs but a seed. `Scenario::new`
+//!   builds the single bottleneck from a `SimConfig`. Every scenario
+//!   runs through the one topology-first engine
+//!   (`fpk_sim::run_network`).
 //! * [`Sweep`] + [`Axis`] — expand parameter axes into a cartesian grid
 //!   of cells, each with a deterministic seed derived splitmix-style
 //!   from `(base_seed, cell_index)`.

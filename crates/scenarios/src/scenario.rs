@@ -1,7 +1,7 @@
 //! A [`Scenario`] is a named, self-contained description of one DES
-//! experiment: simulator configuration, traffic sources, fault
-//! injection, and (optionally) a multi-hop [`Topology`] with per-source
-//! [`Route`]s instead of the single bottleneck.
+//! experiment: a [`NetConfig`] (topology, per-hop faults, run control,
+//! queue discipline, packet sizing), traffic sources with optional
+//! per-source [`Route`]s, and an optional finite-flow [`Workload`].
 //!
 //! Scenarios are the unit the sweep/ensemble machinery replicates: a
 //! scenario plus a seed fully determines a run, and
@@ -14,7 +14,7 @@
 
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::{
-    run_network_summary, FaultConfig, FlowSpec, NetArena, NetConfig, PacketBytes, QdiscKind, Route,
+    run_network_summary, FaultConfig, FlowSpec, NetArena, NetConfig, PacketBytes, Route,
     RunSummary, SimConfig, SourceSpec, Topology, Workload,
 };
 use serde::Serialize;
@@ -25,74 +25,54 @@ use serde::Serialize;
 pub struct Scenario {
     /// Human-readable name; sweep cells append their coordinates.
     pub name: String,
-    /// Run control (horizon, warm-up, sampling, and — when [`Self::topology`]
-    /// is `None` — the single bottleneck's μ/service/buffer). The `seed`
-    /// field is overwritten by [`Scenario::run_seeded`].
-    pub config: SimConfig,
+    /// The network every run uses. `net.faults` holds one entry per
+    /// link ([`Self::set_topology`] keeps it so); `net.seed` is replaced
+    /// by each run's seed.
+    pub net: NetConfig,
     /// Traffic sources feeding the network.
     pub sources: Vec<SourceSpec>,
-    /// Fault injection applied at *every* hop (random loss before each
-    /// queue). Overridden per hop by [`Self::hop_faults`] when set.
-    pub faults: FaultConfig,
-    /// When set, the run uses this multi-hop topology; `config`'s
-    /// μ/service/buffer fields are ignored in favour of the per-link
-    /// values.
-    pub topology: Option<Topology>,
     /// Per-source routes, aligned with `sources`. `None` = every flow
     /// crosses the full topology (for the single bottleneck that is the
     /// classic one-hop path).
     pub routes: Option<Vec<Route>>,
-    /// Per-hop fault overrides (one entry per link). `None` = replicate
-    /// [`Self::faults`] at every hop.
-    pub hop_faults: Option<Vec<FaultConfig>>,
     /// Finite-flow workload running alongside (or instead of) the
     /// static `sources`: open-loop arrivals, flow sizes, Zipf route
     /// popularity. When set, the summary's
     /// [`RunSummary::workload`] carries FCT/slowdown statistics.
     /// `sources` may be empty iff this is set.
     pub workload: Option<Workload>,
-    /// Queue discipline at every hop ([`QdiscKind::Fifo`] keeps the
-    /// historical per-flow marking policy; see `fpk_sim::qdisc`).
-    pub qdisc: QdiscKind,
-    /// Optional byte-granular packet sizing (`None` = unit packets).
-    pub packet_bytes: Option<PacketBytes>,
     /// Fraction of the queue trace analysed for oscillation in the
     /// summary (validated by `fpk_sim::metrics`).
     pub tail_fraction: f64,
 }
 
 impl Scenario {
-    /// A single-bottleneck scenario with no faults and the default
+    /// A single-bottleneck scenario on the link `config` describes
+    /// ([`NetConfig::single_link`]), with no faults and the default
     /// oscillation tail (the final half of the trace).
     #[must_use]
     pub fn new(name: impl Into<String>, config: SimConfig, sources: Vec<SourceSpec>) -> Self {
         Self {
             name: name.into(),
-            config,
+            net: NetConfig::single_link(&config, FaultConfig::default()),
             sources,
-            faults: FaultConfig::default(),
-            topology: None,
             routes: None,
-            hop_faults: None,
             workload: None,
-            qdisc: QdiscKind::Fifo,
-            packet_bytes: None,
             tail_fraction: 0.5,
         }
     }
 
-    /// Attach fault injection (applied at every hop unless
-    /// [`Self::with_hop_faults`] overrides it).
+    /// Inject `faults` at every hop.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
+        self.set_faults(faults);
         self
     }
 
-    /// Replace the single bottleneck with a multi-hop topology.
+    /// Replace the network's links ([`Self::set_topology`]).
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
+        self.set_topology(topology);
         self
     }
 
@@ -107,23 +87,15 @@ impl Scenario {
     /// Per-hop fault injection (one [`FaultConfig`] per link).
     #[must_use]
     pub fn with_hop_faults(mut self, hop_faults: Vec<FaultConfig>) -> Self {
-        self.hop_faults = Some(hop_faults);
+        self.net.faults = hop_faults;
         self
     }
 
     /// Attach a finite-flow workload (open-loop arrivals over the
-    /// effective topology). With a workload, `sources` may be empty.
+    /// topology). With a workload, `sources` may be empty.
     #[must_use]
     pub fn with_workload(mut self, workload: Workload) -> Self {
         self.workload = Some(workload);
-        self
-    }
-
-    /// Select the queue discipline every hop runs (default:
-    /// [`QdiscKind::Fifo`], the historical per-flow marking).
-    #[must_use]
-    pub fn with_qdisc(mut self, qdisc: QdiscKind) -> Self {
-        self.qdisc = qdisc;
         self
     }
 
@@ -132,34 +104,34 @@ impl Scenario {
     /// times.
     #[must_use]
     pub fn with_packet_bytes(mut self, packet_bytes: PacketBytes) -> Self {
-        self.packet_bytes = Some(packet_bytes);
+        self.net.packet_bytes = Some(packet_bytes);
         self
     }
 
-    /// The topology this scenario runs on: the explicit one, or the
-    /// 1-link topology `config` describes.
-    #[must_use]
-    pub fn effective_topology(&self) -> Topology {
-        self.topology.clone().unwrap_or_else(|| {
-            Topology::single(self.config.mu, self.config.service, self.config.buffer)
-        })
+    /// Replace the network's links, keeping one fault entry per link: a
+    /// shorter topology drops the trailing hops' faults, a longer one
+    /// gives the new hops hop 0's fault (as [`Topology::uniform`]
+    /// repeats one link).
+    pub fn set_topology(&mut self, topology: Topology) {
+        let hop0 = self.net.faults.first().copied().unwrap_or_default();
+        self.net.faults.resize(topology.len(), hop0);
+        self.net.topology = topology;
     }
 
-    /// Assemble the [`NetConfig`] + [`FlowSpec`] list for a run under
-    /// `seed`: [`NetConfig::single_link`] of `config`, with this
-    /// scenario's topology, per-hop faults, discipline and packet sizing
-    /// layered on.
+    /// Inject `faults` at every hop (the fault axes' apply).
+    pub(crate) fn set_faults(&mut self, faults: FaultConfig) {
+        self.net.faults.clear();
+        self.net.faults.resize(self.net.topology.len(), faults);
+    }
+
+    /// The [`NetConfig`] + [`FlowSpec`] list for a run under `seed`:
+    /// `net` with its seed replaced, and one flow per source on its
+    /// route.
     ///
     /// # Errors
     /// [`NumericsError::InvalidParameter`] when `routes` is set but its
     /// length disagrees with `sources`.
     pub fn network(&self, seed: u64) -> Result<(NetConfig, Vec<FlowSpec>)> {
-        let topology = self.effective_topology();
-        let k = topology.len();
-        let faults = self
-            .hop_faults
-            .clone()
-            .unwrap_or_else(|| vec![self.faults; k]);
         if let Some(routes) = &self.routes {
             if routes.len() != self.sources.len() {
                 return Err(NumericsError::InvalidParameter {
@@ -167,6 +139,7 @@ impl Scenario {
                 });
             }
         }
+        let k = self.net.topology.len();
         let flows: Vec<FlowSpec> = self
             .sources
             .iter()
@@ -180,12 +153,8 @@ impl Scenario {
             })
             .collect();
         let net = NetConfig {
-            topology,
-            faults,
             seed,
-            qdisc: self.qdisc,
-            packet_bytes: self.packet_bytes,
-            ..NetConfig::single_link(&self.config, self.faults)
+            ..self.net.clone()
         };
         Ok((net, flows))
     }
@@ -220,18 +189,22 @@ mod tests {
     use fpk_congestion::{LinearExp, WindowAimd};
     use fpk_sim::{run_network, summarize_network, Link, Service};
 
+    fn config() -> SimConfig {
+        SimConfig {
+            mu: 50.0,
+            service: Service::Exponential,
+            buffer: None,
+            t_end: 20.0,
+            warmup: 4.0,
+            sample_interval: 0.1,
+            seed: 0,
+        }
+    }
+
     fn base() -> Scenario {
         Scenario::new(
             "unit",
-            SimConfig {
-                mu: 50.0,
-                service: Service::Exponential,
-                buffer: None,
-                t_end: 20.0,
-                warmup: 4.0,
-                sample_interval: 0.1,
-                seed: 0,
-            },
+            config(),
             vec![SourceSpec::Rate {
                 law: LinearExp::new(8.0, 0.5, 10.0),
                 lambda0: 20.0,
@@ -258,9 +231,9 @@ mod tests {
     #[test]
     fn seed_field_in_config_is_ignored() {
         let mut sc = base();
-        sc.config.seed = 1;
+        sc.net.seed = 1;
         let a = sc.run_seeded(7).unwrap();
-        sc.config.seed = 2;
+        sc.net.seed = 2;
         let b = sc.run_seeded(7).unwrap();
         assert_eq!(a.throughputs, b.throughputs);
     }
@@ -274,15 +247,21 @@ mod tests {
         let mut arena = NetArena::new();
         sc.run_seeded_in(&mut arena, 5).unwrap();
         let via_scenario = sc.run_seeded_in(&mut arena, 11).unwrap();
-        let mut cfg = sc.config.clone();
-        cfg.seed = 11;
+        let cfg = SimConfig {
+            seed: 11,
+            ..config()
+        };
         let flows: Vec<FlowSpec> = sc
             .sources
             .iter()
             .cloned()
             .map(FlowSpec::single_hop)
             .collect();
-        let direct = run_network(&NetConfig::single_link(&cfg, sc.faults), &flows).unwrap();
+        let direct = run_network(
+            &NetConfig::single_link(&cfg, FaultConfig::iid(0.02)),
+            &flows,
+        )
+        .unwrap();
         let via_full = summarize_network(&direct, sc.tail_fraction).unwrap();
         assert_eq!(via_scenario.throughputs, via_full.throughputs);
         assert_eq!(
@@ -320,10 +299,10 @@ mod tests {
             ]);
         let sc = Scenario {
             sources: vec![flow(0), flow(1), flow(2)],
-            config: SimConfig {
+            net: NetConfig {
                 t_end: 30.0,
                 warmup: 5.0,
-                ..sc.config
+                ..sc.net
             },
             ..sc
         };

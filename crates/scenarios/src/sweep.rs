@@ -10,7 +10,7 @@
 //! it on a different thread count) cannot change any result.
 
 use crate::scenario::Scenario;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// The function an [`Axis`] uses to imprint a value onto a scenario.
@@ -58,52 +58,42 @@ impl Axis {
         Self::new(name, values, |_, _| {})
     }
 
-    /// Sweep the bottleneck service rate μ (on a topology scenario,
-    /// every link's μ).
+    /// Sweep the service rate μ of every link.
     #[must_use]
     pub fn mu(values: Vec<f64>) -> Self {
         Self::new("mu", values, |sc, v| {
-            sc.config.mu = v;
-            if let Some(topology) = &mut sc.topology {
-                for link in &mut topology.links {
-                    link.mu = v;
-                }
+            for link in &mut sc.net.topology.links {
+                link.mu = v;
             }
         })
     }
 
-    /// Sweep the μ of one specific hop of a topology scenario (the index
-    /// is clamped to the last link; single-bottleneck scenarios treat
-    /// hop 0 as `config.mu`).
+    /// Sweep the μ of one specific hop (the index is clamped to the
+    /// last link).
     #[must_use]
     pub fn hop_mu(hop: usize, values: Vec<f64>) -> Self {
         Self::new(format!("mu{hop}"), values, move |sc, v| {
-            if let Some(topology) = &mut sc.topology {
-                let last = topology.len().saturating_sub(1);
-                topology.links[hop.min(last)].mu = v;
-            } else {
-                sc.config.mu = v;
-            }
+            let links = &mut sc.net.topology.links;
+            let last = links.len().saturating_sub(1);
+            links[hop.min(last)].mu = v;
         })
     }
 
     /// Sweep the hop count: resize the topology to round(v) copies of
-    /// its first link (or of the single bottleneck `config` describes).
-    /// The default all-hops routing (`routes: None`) adapts by itself.
-    /// Explicit routes that spanned the whole previous *multi-hop*
-    /// topology stretch to span the new one; all other explicit routes
-    /// (including every route on a 1-link base, where "full span" and
-    /// "pinned to hop 0" are indistinguishable) stay put, clamped into
-    /// range. Explicit per-hop faults are resized too: surviving hops
-    /// keep their entries, new hops get the scenario's default
-    /// `faults`.
+    /// its first link. The default all-hops routing (`routes: None`)
+    /// adapts by itself. Explicit routes that spanned the whole
+    /// previous *multi-hop* topology stretch to span the new one; all
+    /// other explicit routes (including every route on a 1-link base,
+    /// where "full span" and "pinned to hop 0" are indistinguishable)
+    /// stay put, clamped into range. Per-hop faults follow
+    /// [`Scenario::set_topology`]: surviving hops keep their entries,
+    /// new hops get hop 0's fault.
     #[must_use]
     pub fn hop_count(values: Vec<f64>) -> Self {
         Self::new("hops", values, |sc, v| {
             let k = (v.round().max(1.0)) as usize;
-            let old = sc.effective_topology();
-            let old_k = old.len();
-            sc.topology = Some(fpk_sim::Topology::uniform(k, old.links[0]));
+            let old_k = sc.net.topology.len();
+            sc.set_topology(fpk_sim::Topology::uniform(k, sc.net.topology.links[0]));
             if let Some(routes) = &mut sc.routes {
                 for r in routes {
                     if old_k > 1 && r.first == 0 && r.last == old_k - 1 {
@@ -114,10 +104,6 @@ impl Axis {
                     }
                 }
             }
-            let default_faults = sc.faults;
-            if let Some(hop_faults) = &mut sc.hop_faults {
-                hop_faults.resize(k, default_faults);
-            }
         })
     }
 
@@ -126,7 +112,7 @@ impl Axis {
     #[must_use]
     pub fn route_span(values: Vec<f64>) -> Self {
         Self::new("span", values, |sc, v| {
-            let k = sc.effective_topology().len();
+            let k = sc.net.topology.len();
             let span = (v.round().max(1.0) as usize).min(k);
             sc.routes = Some(vec![fpk_sim::Route::full(span); sc.sources.len()]);
         })
@@ -138,11 +124,8 @@ impl Axis {
     pub fn buffer(values: Vec<f64>) -> Self {
         Self::new("buffer", values, |sc, v| {
             let buffer = if v.is_finite() { Some(v as u64) } else { None };
-            sc.config.buffer = buffer;
-            if let Some(topology) = &mut sc.topology {
-                for link in &mut topology.links {
-                    link.buffer = buffer;
-                }
+            for link in &mut sc.net.topology.links {
+                link.buffer = buffer;
             }
         })
     }
@@ -152,22 +135,22 @@ impl Axis {
     #[must_use]
     pub fn loss_prob(values: Vec<f64>) -> Self {
         Self::new("loss_prob", values, |sc, v| {
-            sc.faults = fpk_sim::FaultConfig::Iid { loss_prob: v };
+            sc.set_faults(fpk_sim::FaultConfig::Iid { loss_prob: v });
         })
     }
 
-    /// Sweep the fault *model* by coded value: `round(v)` selects
-    /// 0 = fault-free, 1 = i.i.d. 2% loss, 2 = Gilbert–Elliott bursts
-    /// (good↔bad at 0.5/2 Hz, 0%/10% loss — same 2% long-run average
-    /// loss as code 1, concentrated in bursts), 3 = link flapping
-    /// (down 0.1 Hz, up 1 Hz — ≈9% downtime), ≥ 4 = periodic capacity
-    /// degradation (μ halved every 5 s). For other parameterisations
-    /// use [`Axis::new`] with a custom apply that sets
-    /// [`fpk_sim::FaultConfig`] directly.
+    /// Sweep the fault *model* of every hop by coded value: `round(v)`
+    /// selects 0 = fault-free, 1 = i.i.d. 2% loss, 2 = Gilbert–Elliott
+    /// bursts (good↔bad at 0.5/2 Hz, 0%/10% loss — same 2% long-run
+    /// average loss as code 1, concentrated in bursts), 3 = link
+    /// flapping (down 0.1 Hz, up 1 Hz — ≈9% downtime), ≥ 4 = periodic
+    /// capacity degradation (μ halved every 5 s). For other
+    /// parameterisations use [`Axis::new`] with a custom apply that
+    /// writes every entry of `net.faults`.
     #[must_use]
     pub fn fault_model(values: Vec<f64>) -> Self {
         Self::new("fault", values, |sc, v| {
-            sc.faults = match v.round() as i64 {
+            sc.set_faults(match v.round() as i64 {
                 0 => fpk_sim::FaultConfig::Iid { loss_prob: 0.0 },
                 1 => fpk_sim::FaultConfig::Iid { loss_prob: 0.02 },
                 2 => fpk_sim::FaultConfig::GilbertElliott {
@@ -184,7 +167,7 @@ impl Axis {
                     factor: 0.5,
                     period: 5.0,
                 },
-            };
+            });
         })
     }
 
@@ -251,7 +234,7 @@ impl Axis {
 
     /// Sweep the offered load ρ of the scenario's workload: the flow
     /// arrival rate is set to `ρ · μ_min / E[size]`, where `μ_min` is
-    /// the slowest link of the effective topology (the bottleneck) and
+    /// the slowest link of the topology (the bottleneck) and
     /// `E[size]` the mean flow size — so `ρ = 1` offers exactly the
     /// bottleneck capacity in workload packets. No-op on scenarios
     /// without a workload.
@@ -259,7 +242,8 @@ impl Axis {
     pub fn load_rho(values: Vec<f64>) -> Self {
         Self::new("rho", values, |sc, v| {
             let mu_min = sc
-                .effective_topology()
+                .net
+                .topology
                 .links
                 .iter()
                 .map(|l| l.mu)
@@ -306,7 +290,7 @@ impl Axis {
     #[must_use]
     pub fn qdisc(values: Vec<f64>) -> Self {
         Self::new("qdisc", values, |sc, v| {
-            sc.qdisc = match v.round() as i64 {
+            sc.net.qdisc = match v.round() as i64 {
                 0 => fpk_sim::QdiscKind::Fifo,
                 1 => fpk_sim::QdiscKind::ThresholdMark { threshold: 5.0 },
                 2 => fpk_sim::QdiscKind::AveragedMark { threshold: 2.5 },
@@ -330,9 +314,10 @@ impl Axis {
         Self::new("bytes", values, |sc, v| {
             let packets = v.round().max(1.0) as u64;
             let ref_bytes = sc
+                .net
                 .packet_bytes
                 .map_or(fpk_sim::Bytes(1000.0), |pb| pb.ref_bytes);
-            sc.packet_bytes = Some(fpk_sim::PacketBytes {
+            sc.net.packet_bytes = Some(fpk_sim::PacketBytes {
                 dist: fpk_sim::FlowSizeDist::Deterministic { packets },
                 ref_bytes,
             });
@@ -450,28 +435,28 @@ impl Sweep {
         let total = self.len();
         let mut cells = Vec::with_capacity(total);
         for index in 0..total {
-            // Decode the row-major index into per-axis positions (last
-            // axis fastest).
+            // Decode the row-major index into per-axis values (last axis
+            // fastest).
+            let mut coords = vec![0.0; self.axes.len()];
             let mut rem = index;
-            let mut positions = vec![0usize; self.axes.len()];
             for (k, axis) in self.axes.iter().enumerate().rev() {
-                positions[k] = rem % axis.values.len();
+                coords[k] = axis.values[rem % axis.values.len()];
                 rem /= axis.values.len();
             }
             let mut scenario = self.base.clone();
-            let mut coords = Vec::with_capacity(self.axes.len());
-            let mut label = String::new();
-            for (axis, &pos) in self.axes.iter().zip(&positions) {
-                let v = axis.values[pos];
+            for (axis, &v) in self.axes.iter().zip(&coords) {
                 (axis.apply)(&mut scenario, v);
-                coords.push(v);
-                if !label.is_empty() {
-                    label.push(',');
-                }
-                label.push_str(&format!("{}={v}", axis.name));
             }
-            if !label.is_empty() {
-                scenario.name = format!("{}[{label}]", self.base.name);
+            if !self.axes.is_empty() {
+                // `base[axis=v,…]`, whatever an apply did to the name.
+                let name = &mut scenario.name;
+                name.clear();
+                name.push_str(&self.base.name);
+                for (k, (axis, v)) in self.axes.iter().zip(&coords).enumerate() {
+                    name.push(if k == 0 { '[' } else { ',' });
+                    write!(name, "{}={v}", axis.name).expect("writing to a String cannot fail");
+                }
+                name.push(']');
             }
             cells.push(Cell {
                 index,
@@ -540,7 +525,7 @@ mod tests {
         assert_eq!(cells[2].coords, vec![10.0, 4.0]);
         assert_eq!(cells[3].coords, vec![20.0, 1.0]);
         assert_eq!(cells[2].scenario.sources.len(), 4);
-        assert_eq!(cells[3].scenario.config.mu, 20.0);
+        assert_eq!(cells[3].scenario.net.topology.links[0].mu, 20.0);
         assert_eq!(cells[4].scenario.name, "grid[mu=20,flows=2]");
     }
 
@@ -572,12 +557,19 @@ mod tests {
         let cells = sweep.cells();
         // 2 × 2 × 1 grid, delay fastest: (8,0) (8,0.1) (∞,0) (∞,0.1).
         assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].scenario.config.buffer, Some(8));
-        assert_eq!(cells[1].scenario.config.buffer, Some(8));
-        assert_eq!(cells[2].scenario.config.buffer, None);
-        assert_eq!(cells[3].scenario.config.buffer, None);
-        assert_eq!(cells[1].scenario.faults, fpk_sim::FaultConfig::iid(0.1));
-        assert_eq!(cells[0].scenario.faults, fpk_sim::FaultConfig::iid(0.0));
+        let buffer = |i: usize| cells[i].scenario.net.topology.links[0].buffer;
+        assert_eq!(buffer(0), Some(8));
+        assert_eq!(buffer(1), Some(8));
+        assert_eq!(buffer(2), None);
+        assert_eq!(buffer(3), None);
+        assert_eq!(
+            cells[1].scenario.net.faults,
+            [fpk_sim::FaultConfig::iid(0.1)]
+        );
+        assert_eq!(
+            cells[0].scenario.net.faults,
+            [fpk_sim::FaultConfig::iid(0.0)]
+        );
         match &cells[0].scenario.sources[0] {
             SourceSpec::Rate { prop_delay, .. } => assert!((prop_delay - 0.05).abs() < 1e-15),
             _ => panic!("unexpected source kind"),
@@ -593,7 +585,7 @@ mod tests {
         let cells = sweep.cells();
         assert_eq!(cells.len(), 1);
         let sc = &cells[0].scenario;
-        let topology = sc.topology.as_ref().expect("hop_count builds a topology");
+        let topology = &sc.net.topology;
         assert_eq!(topology.len(), 3);
         // The replicated link inherits the single-bottleneck parameters.
         assert_eq!(topology.links[0].mu, 50.0);
@@ -650,7 +642,7 @@ mod tests {
     fn hop_count_resizes_hop_faults_with_the_topology() {
         // A parking-lot scenario with per-hop faults swept over hop
         // count must stay runnable: surviving hops keep their fault
-        // entries, new hops inherit the scenario default.
+        // entries, new hops inherit hop 0's.
         let base = base()
             .with_topology(fpk_sim::Topology::uniform(
                 3,
@@ -660,24 +652,60 @@ mod tests {
                     buffer: None,
                 },
             ))
-            .with_faults(fpk_sim::FaultConfig::Iid { loss_prob: 0.01 })
             .with_hop_faults(vec![
                 fpk_sim::FaultConfig::Iid { loss_prob: 0.0 },
                 fpk_sim::FaultConfig::Iid { loss_prob: 0.2 },
                 fpk_sim::FaultConfig::Iid { loss_prob: 0.0 },
             ]);
-        for (k, expect) in [(2.0, vec![0.0, 0.2]), (4.0, vec![0.0, 0.2, 0.0, 0.01])] {
+        for (k, expect) in [(2.0, vec![0.0, 0.2]), (4.0, vec![0.0, 0.2, 0.0, 0.0])] {
             let cells = Sweep::new(base.clone(), 5)
                 .axis(Axis::hop_count(vec![k]))
                 .cells();
             let sc = &cells[0].scenario;
-            let probs: Vec<fpk_sim::FaultConfig> = sc.hop_faults.as_ref().unwrap().clone();
+            let probs = sc.net.faults.clone();
             let expect: Vec<fpk_sim::FaultConfig> =
                 expect.into_iter().map(fpk_sim::FaultConfig::iid).collect();
             assert_eq!(probs, expect, "k = {k}");
             // And the cell actually runs through the engine.
             assert!(sc.run_seeded(1).is_ok(), "k = {k} must validate");
         }
+    }
+
+    #[test]
+    fn fault_axes_reach_every_hop_of_a_per_hop_fault_scenario() {
+        // The fault axes document "every hop"; a base with per-hop
+        // faults must not keep its own list and drop the swept value.
+        let base = base()
+            .with_topology(fpk_sim::Topology::uniform(
+                3,
+                fpk_sim::Link {
+                    mu: 60.0,
+                    service: Service::Exponential,
+                    buffer: None,
+                },
+            ))
+            .with_hop_faults(vec![
+                fpk_sim::FaultConfig::Iid { loss_prob: 0.0 },
+                fpk_sim::FaultConfig::Iid { loss_prob: 0.2 },
+                fpk_sim::FaultConfig::Iid { loss_prob: 0.0 },
+            ]);
+        let loss = Sweep::new(base.clone(), 5)
+            .axis(Axis::loss_prob(vec![0.05]))
+            .cells();
+        let (net, _) = loss[0].scenario.network(1).unwrap();
+        assert_eq!(net.faults, vec![fpk_sim::FaultConfig::iid(0.05); 3]);
+        let model = Sweep::new(base, 5)
+            .axis(Axis::fault_model(vec![3.0]))
+            .cells();
+        let (net, _) = model[0].scenario.network(1).unwrap();
+        assert_eq!(net.faults.len(), 3);
+        assert!(
+            net.faults
+                .iter()
+                .all(|f| matches!(f, fpk_sim::FaultConfig::LinkFlap { .. })),
+            "{:?}",
+            net.faults
+        );
     }
 
     #[test]
@@ -698,20 +726,24 @@ mod tests {
             .axis(Axis::packet_bytes(vec![500.0, 1500.0]));
         let cells = sweep.cells();
         assert_eq!(cells.len(), 8);
-        assert_eq!(cells[0].scenario.qdisc, fpk_sim::QdiscKind::Fifo);
+        assert_eq!(cells[0].scenario.net.qdisc, fpk_sim::QdiscKind::Fifo);
         assert_eq!(
-            cells[2].scenario.qdisc,
+            cells[2].scenario.net.qdisc,
             fpk_sim::QdiscKind::ThresholdMark { threshold: 5.0 }
         );
         assert_eq!(
-            cells[4].scenario.qdisc,
+            cells[4].scenario.net.qdisc,
             fpk_sim::QdiscKind::AveragedMark { threshold: 2.5 }
         );
         assert!(matches!(
-            cells[6].scenario.qdisc,
+            cells[6].scenario.net.qdisc,
             fpk_sim::QdiscKind::RedMark { .. }
         ));
-        let pb = cells[1].scenario.packet_bytes.expect("bytes axis applied");
+        let pb = cells[1]
+            .scenario
+            .net
+            .packet_bytes
+            .expect("bytes axis applied");
         assert_eq!(
             pb.dist,
             fpk_sim::FlowSizeDist::Deterministic { packets: 1500 }
@@ -732,7 +764,7 @@ mod tests {
         assert!(cells.iter().all(|c| c.seed == cells[0].seed));
         assert_eq!(cells[0].seed, plain.cells()[0].seed);
         // Scenario parameters still vary; only the noise is shared.
-        assert_eq!(cells[2].scenario.config.mu, 30.0);
+        assert_eq!(cells[2].scenario.net.topology.links[0].mu, 30.0);
     }
 
     #[test]

@@ -20,16 +20,19 @@
 //!   and DECbit marking at any congested hop. The classic single
 //!   bottleneck is [`NetConfig::single_link`] with
 //!   [`FlowSpec::single_hop`] flows.
-//! * [`engine`] — the single-bottleneck run control ([`SimConfig`],
-//!   [`Service`]) and the per-hop fault model ([`FaultConfig`]).
+//! * [`engine`] — the single-bottleneck shorthand ([`SimConfig`]: one
+//!   link plus run control, turned into a [`NetConfig`] by
+//!   [`NetConfig::single_link`]), [`Service`], and the per-hop fault
+//!   model ([`FaultConfig`]).
 //! * [`workload`] — finite-flow populations: open-loop arrivals
 //!   (Poisson / heavy-tailed Pareto), flow-size distributions, Zipf
 //!   route popularity, and FCT/slowdown summaries
 //!   ([`run_network_workload`]).
 //! * [`metrics`] — fairness/oscillation summaries of a run ([`RunSummary`]):
 //!   one reduction, [`summarize_network`], which [`run_network_summary`]
-//!   applies to a full-trace run on a reusable [`NetArena`] (the sweep
-//!   path; no per-run trace allocation after the arena's first run).
+//!   applies to a run on a reusable [`NetArena`] (the sweep path; no
+//!   per-run trace allocation after the arena's first run). Every run
+//!   records its queue and control traces.
 //!
 //! Every run is reproducible from its seed; `EXPERIMENTS.md` (workspace
 //! root) records the seeds each experiment binary uses.
@@ -75,14 +78,14 @@ pub use engine::{FaultConfig, Service, SimConfig};
 pub use metrics::{run_network_summary, summarize_network, RunSummary};
 pub use network::{
     run_network, run_network_workload, FlowSpec, Link, NetArena, NetConfig, NetFlowStats,
-    NetResult, Route, Topology, TraceMode,
+    NetResult, Route, Topology,
 };
 pub use qdisc::{
     red_mark_probability, AveragedMark, Fifo, HopQdiscState, QDisc, QdiscKind, QdiscParams,
     RedMark, ThresholdMark,
 };
 pub use source::SourceSpec;
-pub use units::{Bits, BitsPerSec, Bytes, Delay};
+pub use units::Bytes;
 pub use workload::{
     ideal_fct, ideal_fct_sized, zipf_weights, ArrivalProcess, DistSummary, FlowSizeDist,
     PacketBytes, RtoPolicy, Workload, WorkloadStats,

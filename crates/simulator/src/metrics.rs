@@ -1,7 +1,7 @@
 //! Post-processing of simulation results: fairness summaries and
 //! oscillation analysis of a run's queue and control traces.
 
-use crate::network::{run_network_core, FlowSpec, NetArena, NetConfig, NetResult, TraceMode};
+use crate::network::{run_network_core, FlowSpec, NetArena, NetConfig, NetResult};
 use crate::workload::{Workload, WorkloadStats};
 use fpk_numerics::signal::{analyze_oscillation, Oscillation};
 use fpk_numerics::{NumericsError, Result};
@@ -144,9 +144,8 @@ fn net_utilization(result: &NetResult) -> f64 {
 /// Run a network simulation (with a finite-flow [`Workload`] when
 /// `workload` is `Some`) and summarise it in one step, reusing `arena`.
 ///
-/// This is the sweep path: the run records [`TraceMode::Full`]
-/// (regardless of `config.trace`), [`summarize_network`] reads the
-/// result, and the trace buffers then move back into the arena, so a
+/// This is the sweep path: [`summarize_network`] reads the result, and
+/// the trace buffers then move back into the arena, so a
 /// replication loop holding one arena allocates **no trace storage**
 /// after its first run. The output is bit-identical to
 /// `summarize_network(&run_network(..)?, ..)` on the same seed.
@@ -162,7 +161,7 @@ pub fn run_network_summary(
     workload: Option<&Workload>,
     tail_fraction: f64,
 ) -> Result<RunSummary> {
-    let out = run_network_core(arena, config, flows, workload, TraceMode::Full)?;
+    let out = run_network_core(arena, config, flows, workload)?;
     let summary = summarize_network(&out, tail_fraction);
     arena.recycle(out);
     summary
@@ -248,7 +247,6 @@ mod tests {
             warmup: 6.0,
             sample_interval: 0.1,
             seed: 42,
-            trace: crate::network::TraceMode::Full,
             qdisc: crate::qdisc::QdiscKind::Fifo,
             packet_bytes: None,
         };

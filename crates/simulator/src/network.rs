@@ -52,28 +52,6 @@ use serde::Serialize;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-/// How much trace data a run records.
-///
-/// The event dynamics (RNG draws, event order, counters, mean queues)
-/// are **identical across modes** — sampling draws no randomness — so
-/// the mode only controls what lands in [`NetResult`]'s trace fields and
-/// how much the run allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum TraceMode {
-    /// Record nothing: `trace_t`/`trace_q`/`trace_ctl` come back empty.
-    /// For consumers that only read counters and per-hop means
-    /// (throughput-only sweeps, the tandem goldens).
-    Off,
-    /// Record traces and hand them out in [`NetResult`], preallocated at
-    /// exact capacity (`⌊t_end/sample_interval⌋ + 1` samples). The
-    /// buffers move out of the [`NetArena`] without a copy;
-    /// [`crate::metrics::run_network_summary`] moves them back after
-    /// summarising, so a replication loop allocates no trace storage
-    /// after its first run.
-    #[default]
-    Full,
-}
-
 /// One link of a topology: a FIFO queue with its own service process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Link {
@@ -205,9 +183,6 @@ pub struct NetConfig {
     pub sample_interval: f64,
     /// RNG seed (the run is fully deterministic given the seed).
     pub seed: u64,
-    /// How much trace data to record ([`TraceMode::Full`] is the
-    /// `Default`, matching the engine's historical behaviour).
-    pub trace: TraceMode,
     /// Queue discipline at every hop. [`QdiscKind::Fifo`] (the default)
     /// keeps the historical per-flow marking policy; the others impose
     /// a hop-level policy that overrides each flow's own `q̂`/DECbit
@@ -221,8 +196,8 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// The classic single bottleneck: the one link `config` describes
-    /// (μ, service, buffer) with `fault` injected at it, full traces,
-    /// FIFO marking and unit packets. Pair it with
+    /// (μ, service, buffer) with `fault` injected at it, FIFO marking
+    /// and unit packets. Pair it with
     /// [`FlowSpec::single_hop`] flows.
     #[must_use]
     pub fn single_link(config: &SimConfig, fault: FaultConfig) -> Self {
@@ -233,7 +208,6 @@ impl NetConfig {
             warmup: config.warmup,
             sample_interval: config.sample_interval,
             seed: config.seed,
-            trace: TraceMode::Full,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         }
@@ -387,8 +361,11 @@ pub struct NetFlowStats {
 
 /// Result of one network run.
 ///
-/// The three trace fields are populated under [`TraceMode::Full`] only;
-/// [`TraceMode::Off`] leaves them empty.
+/// The three trace fields hold `⌊t_end/sample_interval⌋ + 1` samples,
+/// preallocated at exact capacity. Their buffers move out of the
+/// [`NetArena`] without a copy; [`crate::metrics::run_network_summary`]
+/// moves them back after summarising, so a replication loop allocates
+/// no trace storage after its first run.
 #[derive(Debug, Clone, Serialize)]
 pub struct NetResult {
     /// Trace sample times.
@@ -468,8 +445,7 @@ impl NetArena {
         Self::default()
     }
 
-    /// Move a [`TraceMode::Full`] result's trace buffers back into the
-    /// arena, so the next run reuses their capacity.
+    /// Move a result's trace buffers back into the arena, so the next run reuses their capacity.
     pub(crate) fn recycle(&mut self, result: NetResult) {
         self.trace.times = result.trace_t;
         self.trace.queues = result.trace_q;
@@ -884,7 +860,7 @@ pub(crate) struct Trace {
 impl Trace {
     /// Clear the buffers. Samples fall at t_k = k·Δ for every k with
     /// k·Δ ≤ t_end, as fresh multiples (no `t += Δ` drift).
-    fn reset(&mut self, config: &NetConfig, n_flows: usize, mode: TraceMode) {
+    fn reset(&mut self, config: &NetConfig, n_flows: usize) {
         let k = config.topology.len();
         let quotient = config.t_end / config.sample_interval;
         self.last = (quotient * (1.0 + 1e-12) + 1e-9).floor() as u64;
@@ -893,27 +869,22 @@ impl Trace {
         self.times.clear();
         reset_each(&mut self.queues, k, Vec::clear);
         self.ctl.clear();
-        if mode != TraceMode::Off {
-            self.times.reserve(n_samples);
-            for q in &mut self.queues {
-                q.reserve(n_samples);
-            }
-            self.ctl.reserve(n_samples * n_flows);
+        self.times.reserve(n_samples);
+        for q in &mut self.queues {
+            q.reserve(n_samples);
         }
+        self.ctl.reserve(n_samples * n_flows);
     }
 
-    /// The `(trace_t, trace_q, trace_ctl)` fields of the result. Full
-    /// mode moves the buffers to the caller ([`NetArena::recycle`] moves
-    /// them back); Off recorded nothing and keeps them in the arena.
-    fn take(&mut self, mode: TraceMode) -> (Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
-        match mode {
-            TraceMode::Off => Default::default(),
-            TraceMode::Full => (
-                std::mem::take(&mut self.times),
-                std::mem::take(&mut self.queues),
-                std::mem::take(&mut self.ctl),
-            ),
-        }
+    /// The `(trace_t, trace_q, trace_ctl)` fields of the result: the
+    /// buffers move to the caller ([`NetArena::recycle`] moves them
+    /// back).
+    fn take(&mut self) -> (Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
+        (
+            std::mem::take(&mut self.times),
+            std::mem::take(&mut self.queues),
+            std::mem::take(&mut self.ctl),
+        )
     }
 }
 
@@ -977,7 +948,7 @@ fn fifo_flow_marked(word: u32) -> (usize, bool) {
 /// list, non-positive rates/times, routes out of range, or `loss_prob`
 /// outside [0, 1).
 pub fn run_network(config: &NetConfig, flows: &[FlowSpec]) -> Result<NetResult> {
-    run_network_core(&mut NetArena::new(), config, flows, None, config.trace)
+    run_network_core(&mut NetArena::new(), config, flows, None)
 }
 
 /// [`run_network`] plus a finite-flow [`Workload`]: open-loop flow
@@ -1000,13 +971,7 @@ pub fn run_network_workload(
     flows: &[FlowSpec],
     workload: &Workload,
 ) -> Result<NetResult> {
-    run_network_core(
-        &mut NetArena::new(),
-        config,
-        flows,
-        Some(workload),
-        config.trace,
-    )
+    run_network_core(&mut NetArena::new(), config, flows, Some(workload))
 }
 
 /// Entry point behind every public runner: validate, resolve the
@@ -1022,7 +987,6 @@ pub(crate) fn run_network_core(
     config: &NetConfig,
     flows: &[FlowSpec],
     workload: Option<&Workload>,
-    trace: TraceMode,
 ) -> Result<NetResult> {
     config.validate(flows, workload)?;
     let qp = QdiscParams::resolve(config.qdisc);
@@ -1036,7 +1000,7 @@ pub(crate) fn run_network_core(
         (QdiscKind::RedMark { .. }, false) => Sim::<RedMark, false>::run,
         (QdiscKind::RedMark { .. }, true) => Sim::<RedMark, true>::run,
     };
-    Ok(run(arena, config, flows, workload, trace, qp))
+    Ok(run(arena, config, flows, workload, qp))
 }
 
 /// One run of the event loop, monomorphized per discipline `Q` and byte
@@ -1047,8 +1011,6 @@ struct Sim<'a, Q: QDisc, const BYTES: bool> {
     flows: &'a [FlowSpec],
     workload: Option<&'a Workload>,
     qp: QdiscParams,
-    /// Effective trace mode (`run_network_summary` forces `Full`).
-    mode: TraceMode,
     warmup: f64,
     t_end: f64,
     n_static: usize,
@@ -1073,7 +1035,6 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
         config: &'a NetConfig,
         flows: &'a [FlowSpec],
         workload: Option<&'a Workload>,
-        mode: TraceMode,
         qp: QdiscParams,
     ) -> NetResult {
         let a = std::mem::take(arena);
@@ -1082,7 +1043,6 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
             flows,
             workload,
             qp,
-            mode,
             warmup: config.warmup,
             t_end: config.t_end,
             n_static: flows.len(),
@@ -1204,7 +1164,7 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
         self.hops.reset(config);
         self.src.reset(flows, config.packet_bytes);
         self.wl.reset(workload, config.packet_bytes);
-        self.trace.reset(config, flows.len(), self.mode);
+        self.trace.reset(config, flows.len());
 
         // Side lanes for the *per-packet* event streams with at most one
         // pending instance: the sampling clock (lane 0), each hop's next
@@ -1262,12 +1222,8 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
                 .schedule_lane(self.wl.lane_arrival, gap, EventKind::FlowArrival);
         }
         // The sampling clock starts at t = 0 and schedules its
-        // successors from `on_sample`. Off mode schedules no samples at
-        // all: sampling draws no randomness and touches no dynamic
-        // state, so the counters cannot move.
-        if self.mode != TraceMode::Off {
-            self.ev.schedule_sample(0.0);
-        }
+        // successors from `on_sample`.
+        self.ev.schedule_sample(0.0);
     }
 
     /// `FPK_CHECK` horizon invariants (DESIGN §3h). Runs once, after the
@@ -1370,7 +1326,7 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
         }
         let [mean_queue, utilization, downtime_frac, recovery_time] = self.hops.finish(config);
         let workload = self.workload.map(|_| self.wl.finish(config.t_end));
-        let (trace_t, trace_q, trace_ctl) = self.trace.take(self.mode);
+        let (trace_t, trace_q, trace_ctl) = self.trace.take();
         NetResult {
             trace_t,
             trace_q,
@@ -2112,7 +2068,6 @@ mod tests {
             warmup: 12.0,
             sample_interval: 0.1,
             seed: 17,
-            trace: TraceMode::Full,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         }
@@ -2323,30 +2278,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_modes_do_not_move_counters() {
-        let mut cfg = net(2);
-        let flows = vec![window_flow(Route::full(2)), window_flow(Route::single(1))];
-        let full = run_network(&cfg, &flows).unwrap();
-        cfg.trace = TraceMode::Off;
-        let off = run_network(&cfg, &flows).unwrap();
-        assert_eq!(full.trace_ctl.len(), full.trace_t.len() * flows.len());
-        assert!(off.trace_t.is_empty() && off.trace_q.is_empty() && off.trace_ctl.is_empty());
-        for (a, b) in full.flows.iter().zip(&off.flows) {
-            assert_eq!(a.sent, b.sent);
-            assert_eq!(a.delivered, b.delivered);
-            assert_eq!(a.dropped, b.dropped);
-            assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        }
-        let full_mq: Vec<u64> = full.mean_queue.iter().map(|q| q.to_bits()).collect();
-        let off_mq: Vec<u64> = off.mean_queue.iter().map(|q| q.to_bits()).collect();
-        assert_eq!(full_mq, off_mq);
-        assert_eq!(
-            full.total_throughput.to_bits(),
-            off.total_throughput.to_bits()
-        );
-    }
-
-    #[test]
     fn arena_reuse_is_bit_identical() {
         // Run A on a fresh arena, dirty the arena with a differently
         // shaped run, then re-run A: every number must come out
@@ -2355,7 +2286,7 @@ mod tests {
         let flows = vec![window_flow(Route::full(3)), window_flow(Route::single(1))];
         let mut arena = NetArena::new();
         let mut run = |cfg: &NetConfig, flows: &[FlowSpec]| {
-            run_network_core(&mut arena, cfg, flows, None, cfg.trace).unwrap()
+            run_network_core(&mut arena, cfg, flows, None).unwrap()
         };
         let fresh = run(&cfg, &flows);
         run(&net(1), &[window_flow(Route::single(0))]);
@@ -2535,7 +2466,7 @@ mod tests {
     }
 
     /// Lossless tandem of exponential links, one per μ: 300 s horizon,
-    /// counters only.
+    /// one trace sample at each end.
     fn tandem(mu: &[f64]) -> NetConfig {
         NetConfig {
             topology: Topology {
@@ -2544,7 +2475,6 @@ mod tests {
             t_end: 300.0,
             warmup: 60.0,
             sample_interval: 300.0,
-            trace: TraceMode::Off,
             ..net(mu.len())
         }
     }

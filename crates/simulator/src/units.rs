@@ -1,213 +1,23 @@
-//! Typed physical units for the packet layer: thin `f64` newtypes with
-//! just enough arithmetic to do queueing algebra without letting a
-//! byte count leak into a time slot (the `netiken/minim` `units.rs`
-//! pattern).
-//!
-//! Every type is a thin wrapper around `f64` — zero-cost and `Copy` —
-//! generated by one macro that
-//! provides closed arithmetic (`+`, `-`, scaling by `f64`) plus the
-//! dimensionless ratio `Div<Self> -> f64`. Cross-unit physics is
-//! spelled out explicitly below: `Bits / BitsPerSec = Delay`,
-//! `BitsPerSec * Delay = Bits`, and `Bytes::to_bits`. Anything else —
-//! adding [`Bytes`] to [`Bits`], comparing a [`Delay`] with a
-//! [`Bytes`] — is a compile error:
+//! The byte unit of the packet layer: a thin `f64` newtype, so a byte
+//! count ([`crate::PacketBytes::ref_bytes`]) cannot be passed where a
+//! packet count or a time is expected. Read the magnitude with
+//! [`Bytes::get`]; there is no arithmetic on the wrapper:
 //!
 //! ```compile_fail
-//! use fpk_sim::units::{Bits, Bytes};
-//! let _ = Bytes(1.0) + Bits(8.0); // different units: no Add impl
-//! ```
-//!
-//! ```compile_fail
-//! use fpk_sim::units::{Bytes, Delay};
-//! let _ = Delay(0.1) < Bytes(1.0); // different units: no PartialOrd
-//! ```
-//!
-//! ```compile_fail
-//! use fpk_sim::units::Delay;
-//! let d = Delay(0.1);
-//! let _: f64 = d + 0.5; // raw f64 is not a Delay: no Add<f64> impl
+//! use fpk_sim::units::Bytes;
+//! let _: f64 = Bytes(1500.0) / 1000.0; // no Div<f64> impl
 //! ```
 
 use serde::Serialize;
 
-/// Generate a transparent `f64` unit newtype with closed arithmetic
-/// (`+`, `-`, `± assign`), scaling by a dimensionless `f64` (`*`, `/`),
-/// and the dimensionless ratio `Self / Self -> f64`.
-macro_rules! unit_newtype {
-    ($(#[$meta:meta])* $name:ident) => {
-        $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize,
-        )]
-        pub struct $name(pub f64);
-
-        impl $name {
-            /// The raw `f64` magnitude.
-            #[must_use]
-            pub const fn get(self) -> f64 {
-                self.0
-            }
-        }
-
-        impl core::ops::Add for $name {
-            type Output = Self;
-            fn add(self, rhs: Self) -> Self {
-                Self(self.0 + rhs.0)
-            }
-        }
-
-        impl core::ops::Sub for $name {
-            type Output = Self;
-            fn sub(self, rhs: Self) -> Self {
-                Self(self.0 - rhs.0)
-            }
-        }
-
-        impl core::ops::AddAssign for $name {
-            fn add_assign(&mut self, rhs: Self) {
-                self.0 += rhs.0;
-            }
-        }
-
-        impl core::ops::SubAssign for $name {
-            fn sub_assign(&mut self, rhs: Self) {
-                self.0 -= rhs.0;
-            }
-        }
-
-        impl core::ops::Mul<f64> for $name {
-            type Output = Self;
-            fn mul(self, rhs: f64) -> Self {
-                Self(self.0 * rhs)
-            }
-        }
-
-        impl core::ops::Mul<$name> for f64 {
-            type Output = $name;
-            fn mul(self, rhs: $name) -> $name {
-                $name(self * rhs.0)
-            }
-        }
-
-        impl core::ops::Div<f64> for $name {
-            type Output = Self;
-            fn div(self, rhs: f64) -> Self {
-                Self(self.0 / rhs)
-            }
-        }
-
-        /// Same-unit ratio: dimensionless.
-        impl core::ops::Div for $name {
-            type Output = f64;
-            fn div(self, rhs: Self) -> f64 {
-                self.0 / rhs.0
-            }
-        }
-    };
-}
-
-unit_newtype!(
-    /// A byte count (may be fractional: mean sizes, EWMA states).
-    Bytes
-);
-unit_newtype!(
-    /// A bit count.
-    Bits
-);
-unit_newtype!(
-    /// A transmission rate in bits per second.
-    BitsPerSec
-);
-unit_newtype!(
-    /// A time interval in seconds (propagation, service, queueing).
-    Delay
-);
+/// A byte count (may be fractional: mean sizes).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct Bytes(pub f64);
 
 impl Bytes {
-    /// Convert to bits (× 8).
+    /// The raw `f64` magnitude.
     #[must_use]
-    pub fn to_bits(self) -> Bits {
-        Bits(self.0 * 8.0)
-    }
-}
-
-impl Bits {
-    /// Convert to bytes (÷ 8).
-    #[must_use]
-    pub fn to_bytes(self) -> Bytes {
-        Bytes(self.0 / 8.0)
-    }
-}
-
-/// Transmission physics: a bit count over a rate is a time.
-///
-/// ```
-/// use fpk_sim::units::{Bits, BitsPerSec, Delay};
-/// let t: Delay = Bits(1.2e4) / BitsPerSec(1.0e6);
-/// assert!((t.get() - 0.012).abs() < 1e-15);
-/// ```
-impl core::ops::Div<BitsPerSec> for Bits {
-    type Output = Delay;
-    fn div(self, rhs: BitsPerSec) -> Delay {
-        Delay(self.0 / rhs.0)
-    }
-}
-
-/// Transmission physics: a rate sustained for a time moves bits.
-///
-/// ```
-/// use fpk_sim::units::{Bits, BitsPerSec, Delay};
-/// let b: Bits = BitsPerSec(1.0e6) * Delay(0.012);
-/// assert!((b.get() - 1.2e4).abs() < 1e-9);
-/// ```
-impl core::ops::Mul<Delay> for BitsPerSec {
-    type Output = Bits;
-    fn mul(self, rhs: Delay) -> Bits {
-        Bits(self.0 * rhs.0)
-    }
-}
-
-/// Bandwidth–delay product per byte granularity: `Delay * BitsPerSec`
-/// commutes with [`BitsPerSec`]` * `[`Delay`].
-impl core::ops::Mul<BitsPerSec> for Delay {
-    type Output = Bits;
-    fn mul(self, rhs: BitsPerSec) -> Bits {
-        Bits(self.0 * rhs.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arithmetic_is_closed_and_plain() {
-        let a = Bytes(1500.0);
-        let b = Bytes(500.0);
-        assert_eq!((a + b).get(), 2000.0);
-        assert_eq!((a - b).get(), 1000.0);
-        assert_eq!((a * 2.0).get(), 3000.0);
-        assert_eq!((2.0 * a).get(), 3000.0);
-        assert_eq!((a / 2.0).get(), 750.0);
-        assert_eq!(a / b, 3.0);
-        let mut c = a;
-        c += b;
-        c -= b;
-        assert_eq!(c.get(), a.get());
-    }
-
-    #[test]
-    fn ordering_follows_magnitude() {
-        assert!(Delay(0.01) < Delay(0.02));
-        assert!(BitsPerSec(1e9) > BitsPerSec(1e6));
-        assert_eq!(Bits(8.0), Bytes(1.0).to_bits());
-    }
-
-    #[test]
-    fn physics_round_trips() {
-        let rate = BitsPerSec(1e8);
-        let size = Bytes(1500.0);
-        let t = size.to_bits() / rate;
-        assert!((rate * t).to_bytes().get() - size.get() < 1e-9);
+    pub const fn get(self) -> f64 {
+        self.0
     }
 }

@@ -18,7 +18,7 @@ use fpk_repro::congestion::decbit::DecbitPolicy;
 use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::sim::{
     run_network, FaultConfig, FlowSpec, Link, NetConfig, QdiscKind, Route, Service, SimConfig,
-    SourceSpec, Topology, TraceMode,
+    SourceSpec, Topology,
 };
 
 fn main() {
@@ -50,7 +50,6 @@ fn main() {
         warmup: 60.0,
         sample_interval: 0.5,
         seed: 71,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
@@ -179,7 +178,6 @@ fn main() {
         warmup: 40.0,
         sample_interval: 0.5,
         seed: 73,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };

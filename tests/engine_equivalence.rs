@@ -26,7 +26,7 @@ use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::sim::{
     run_network, run_network_workload, ArrivalProcess, Bytes, FaultConfig, FlowSizeDist, FlowSpec,
     Link, NetConfig, NetResult, PacketBytes, QdiscKind, Route, RtoPolicy, Service, SimConfig,
-    SourceSpec, Topology, TraceMode, Workload,
+    SourceSpec, Topology, Workload,
 };
 
 /// `sources` as single-hop flows.
@@ -35,9 +35,9 @@ fn single_hop(sources: Vec<SourceSpec>) -> Vec<FlowSpec> {
 }
 
 /// The lossless tandem the pre-refactor tandem engine simulated: one
-/// infinite-buffer link per μ, no faults, counters only (no traces,
-/// one sample at each end of the horizon — sampling draws no
-/// randomness, so neither choice can move a counter).
+/// infinite-buffer link per μ, no faults, one trace sample at each end
+/// of the horizon (sampling draws no randomness, so the sample period
+/// cannot move a counter).
 fn tandem(mu: &[f64], service: Service, t_end: f64, warmup: f64, seed: u64) -> NetConfig {
     NetConfig {
         topology: Topology {
@@ -55,7 +55,6 @@ fn tandem(mu: &[f64], service: Service, t_end: f64, warmup: f64, seed: u64) -> N
         warmup,
         sample_interval: t_end,
         seed,
-        trace: TraceMode::Off,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     }
@@ -245,7 +244,6 @@ fn workload_with_zero_cap_matches_run_network() {
         warmup: 8.0,
         sample_interval: 0.1,
         seed: 2024,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
@@ -303,7 +301,6 @@ fn byte_mode_with_unity_factor_matches_unit_fast_path() {
         warmup: 8.0,
         sample_interval: 0.1,
         seed: 2024,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes,
     };
@@ -429,7 +426,6 @@ fn two_hop(
         warmup: 6.0,
         sample_interval: 0.1,
         seed: 31,
-        trace: TraceMode::Full,
         qdisc,
         packet_bytes,
     }
@@ -715,7 +711,6 @@ fn source_goldens_on_off_and_decbit() {
     let mut cfg = tandem(&[40.0, 30.0, 50.0], Service::Exponential, 40.0, 8.0, 17);
     cfg.topology.links[1].service = Service::Deterministic;
     cfg.topology.links[1].buffer = Some(15);
-    cfg.trace = TraceMode::Full;
     cfg.sample_interval = 0.1;
     let on_off = SourceSpec::OnOff {
         peak_rate: 35.0,

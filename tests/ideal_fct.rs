@@ -29,7 +29,7 @@ use fpk_repro::scenarios::{
 use fpk_repro::sim::{
     ideal_fct, ideal_fct_sized, run_network_workload, ArrivalProcess, Bytes, FaultConfig,
     FlowSizeDist, Link, NetConfig, PacketBytes, QdiscKind, Route, Service, SimConfig, Topology,
-    TraceMode, Workload,
+    Workload,
 };
 
 /// A workload-only `NetConfig` (no static flows, no faults).
@@ -41,7 +41,6 @@ fn net(topology: Topology, t_end: f64, warmup: f64, seed: u64) -> NetConfig {
         warmup,
         sample_interval: 0.1,
         seed,
-        trace: TraceMode::Off,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     }
@@ -59,15 +58,14 @@ fn idle_single_hop_fct_is_exact() {
     )
     .with_prop_delay(d)
     .with_max_flows(1);
-    let mut cfg = net(
+    let cfg = net(
         Topology::single(mu, Service::Deterministic, None),
         20.0,
         0.0,
         7,
     );
-    // Full trace on a zero-static-flow run: samples are recorded, and
-    // the control trace (stride = zero flows) comes back empty.
-    cfg.trace = TraceMode::Full;
+    // A zero-static-flow run records trace samples, and its control
+    // trace (stride = zero flows) comes back empty.
     let out = run_network_workload(&cfg, &[], &w).unwrap();
     assert!(!out.trace_t.is_empty());
     assert!(out.trace_ctl.is_empty());

@@ -18,16 +18,13 @@
 //! * the DES engine's hot-path contracts (DESIGN §"engine hot path"):
 //!   the hand-rolled indexed event queue pops any random stream in the
 //!   exact `(t, seq)` order of a reference `BinaryHeap`, and
-//!   `TraceMode::Off` runs produce bit-identical counters (and
-//!   `run_seeded` bit-identical summaries) to `TraceMode::Full` runs;
+//!   `run_network_summary` on a reused arena reproduces the summary of
+//!   a fresh run bit for bit;
 //! * the workload samplers (DESIGN §3f): interarrival and flow-size
 //!   draws average to their analytic means at any fixed seed, Zipf
 //!   route weights normalise and order by popularity, and cumulative-
 //!   weight sampling reproduces the weights exactly in the
 //!   infinite-sample (uniform grid) limit;
-//! * the typed units (DESIGN §3g): newtype arithmetic is closed and
-//!   agrees with raw `f64` arithmetic bit for bit, ordering follows
-//!   magnitude, and the bit/byte/rate/delay physics round-trips;
 //! * the RED discipline (DESIGN §3g): the marking probability stays in
 //!   `[0, max_p]` along *every* EWMA trajectory, is monotone in the
 //!   average, and the EWMA itself never escapes the hull of its
@@ -42,12 +39,12 @@ use fpk_repro::scenarios::{Axis, Ensemble, Scenario, Sweep};
 use fpk_repro::sim::event::{Event, EventKind, EventQueue};
 use fpk_repro::sim::workload::sample_cumulative;
 use fpk_repro::sim::{
-    red_mark_probability, zipf_weights, ArrivalProcess, Bits, BitsPerSec, Bytes, Delay,
-    FlowSizeDist, HopQdiscState, QDisc, QdiscParams, RedMark,
+    red_mark_probability, zipf_weights, ArrivalProcess, FlowSizeDist, HopQdiscState, QDisc,
+    QdiscParams, RedMark,
 };
 use fpk_repro::sim::{
     run_network, summarize_network, FaultConfig, FlowSpec, Link, NetConfig, QdiscKind, Route,
-    RtoPolicy, Service, SimConfig, SourceSpec, Topology, TraceMode,
+    RtoPolicy, Service, SimConfig, SourceSpec, Topology,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -318,17 +315,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn trace_modes_agree_bitwise(
+    fn summary_on_a_reused_arena_matches_a_fresh_run(
         seed_raw in 0usize..10_000,
         mu in 30.0f64..120.0,
         hops in 1usize..4,
         w0 in 1.0f64..4.0,
     ) {
-        // DESIGN §"engine hot path": the trace mode only controls what
-        // is recorded, never the dynamics. Off must reproduce Full's
-        // counters bit for bit, and `run_network_summary` on a reused
-        // arena must reproduce `summarize_network` of the fresh Full run
-        // bit for bit.
+        // DESIGN §"engine hot path": `run_network_summary` on a reused
+        // arena must reproduce `summarize_network` of a fresh run bit
+        // for bit.
         let seed = seed_raw as u64;
         let flows = vec![
             FlowSpec {
@@ -349,7 +344,7 @@ proptest! {
                 route: Route::single(0),
             },
         ];
-        let mk = |trace: TraceMode| NetConfig {
+        let cfg = NetConfig {
             topology: Topology::uniform(
                 hops,
                 Link {
@@ -363,35 +358,19 @@ proptest! {
             warmup: 1.0,
             sample_interval: 0.1,
             seed,
-            trace,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         };
-        let full = run_network(&mk(TraceMode::Full), &flows).unwrap();
-        let off = run_network(&mk(TraceMode::Off), &flows).unwrap();
-        prop_assert!(off.trace_t.is_empty() && off.trace_q.is_empty() && off.trace_ctl.is_empty());
+        let full = run_network(&cfg, &flows).unwrap();
         prop_assert_eq!(full.trace_t.len(), 61);
-        for (a, b) in full.flows.iter().zip(&off.flows) {
-            prop_assert_eq!(a.sent, b.sent);
-            prop_assert_eq!(a.delivered, b.delivered);
-            prop_assert_eq!(a.dropped, b.dropped);
-            prop_assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        }
-        let mq = |r: &fpk_repro::sim::NetResult| -> Vec<u64> {
-            r.mean_queue.iter().map(|q| q.to_bits()).collect()
-        };
-        prop_assert_eq!(mq(&full), mq(&off));
-        prop_assert_eq!(full.total_throughput.to_bits(), off.total_throughput.to_bits());
-
         let reference = summarize_network(&full, 0.5).unwrap();
-        // Dirty the arena with another seed so reuse is exercised; the
-        // summary records full traces whatever `config.trace` says.
+        // Dirty the arena with another seed so reuse is exercised.
         let mut arena = fpk_repro::sim::NetArena::new();
         let summary = |arena: &mut _, cfg: &NetConfig| {
             fpk_repro::sim::run_network_summary(arena, cfg, &flows, None, 0.5).unwrap()
         };
-        summary(&mut arena, &NetConfig { seed: seed ^ 1, ..mk(TraceMode::Full) });
-        let fast = summary(&mut arena, &mk(TraceMode::Off));
+        summary(&mut arena, &NetConfig { seed: seed ^ 1, ..cfg.clone() });
+        let fast = summary(&mut arena, &cfg);
         prop_assert_eq!(&fast.throughputs, &reference.throughputs);
         prop_assert_eq!(fast.jain.to_bits(), reference.jain.to_bits());
         prop_assert_eq!(fast.mean_queue.to_bits(), reference.mean_queue.to_bits());
@@ -558,61 +537,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn unit_arithmetic_matches_raw_f64(
-        a in -1e12f64..1e12,
-        b in -1e12f64..1e12,
-        k in 0.001f64..1e6,
-    ) {
-        // The newtypes are zero-cost wrappers: every closed operation
-        // must produce exactly the bits raw f64 arithmetic produces.
-        prop_assert_eq!((Bytes(a) + Bytes(b)).get().to_bits(), (a + b).to_bits());
-        prop_assert_eq!((Bytes(a) - Bytes(b)).get().to_bits(), (a - b).to_bits());
-        prop_assert_eq!((Delay(a) * k).get().to_bits(), (a * k).to_bits());
-        prop_assert_eq!((k * Delay(a)).get().to_bits(), (k * a).to_bits());
-        prop_assert_eq!((BitsPerSec(a) / k).get().to_bits(), (a / k).to_bits());
-        prop_assert_eq!((Bits(a) / Bits(b)).to_bits(), (a / b).to_bits());
-        let mut acc = Bytes(a);
-        acc += Bytes(b);
-        acc -= Bytes(b);
-        prop_assert_eq!(acc.get().to_bits(), ((a + b) - b).to_bits());
-    }
-
-    #[test]
-    fn unit_ordering_follows_magnitude(
-        a in -1e12f64..1e12,
-        b in -1e12f64..1e12,
-    ) {
-        prop_assert_eq!(Delay(a) < Delay(b), a < b);
-        prop_assert_eq!(Bytes(a) == Bytes(b), a == b);
-        prop_assert_eq!(
-            Bits(a).partial_cmp(&Bits(b)),
-            a.partial_cmp(&b)
-        );
-    }
-
-    #[test]
-    fn unit_physics_round_trips(
-        bytes in 1.0f64..1e9,
-        rate in 1e3f64..1e12,
-    ) {
-        // bytes → bits → transmission time at `rate` → bits → bytes.
-        // ×8 and ÷8 are exact in binary floating point, so only the
-        // rate multiply/divide pair can round — one ulp-scale slack.
-        let size = Bytes(bytes);
-        let t: Delay = size.to_bits() / BitsPerSec(rate);
-        let back = (BitsPerSec(rate) * t).to_bytes();
-        prop_assert!(
-            (back.get() - bytes).abs() <= 1e-12 * bytes,
-            "round trip {bytes} B @ {rate} b/s came back {}", back.get()
-        );
-        // Commutativity of the bandwidth-delay product.
-        prop_assert_eq!(
-            (BitsPerSec(rate) * t).get().to_bits(),
-            (t * BitsPerSec(rate)).get().to_bits()
-        );
-    }
-
-    #[test]
     fn red_probability_bounded_and_monotone(
         min_th in 0.0f64..20.0,
         span in 0.1f64..50.0,
@@ -715,7 +639,6 @@ proptest! {
             warmup: 1.0,
             sample_interval: 0.5,
             seed,
-            trace: TraceMode::Off,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         };
@@ -777,7 +700,6 @@ proptest! {
                 warmup: 1.0,
                 sample_interval: 1.0,
                 seed: seed_raw as u64 + k as u64,
-                trace: TraceMode::Off,
                 qdisc: QdiscKind::Fifo,
                 packet_bytes: None,
             };

@@ -15,7 +15,7 @@ use fpk_repro::fpk::{Density, FpProblem, FpSolver};
 use fpk_repro::numerics::Result;
 use fpk_repro::sim::{
     run_network, FaultConfig, FlowSpec, Link, NetConfig, NetResult, QdiscKind, Route, Service,
-    SimConfig, SourceSpec, Topology, TraceMode,
+    SimConfig, SourceSpec, Topology,
 };
 
 fn short_config(seed: u64) -> SimConfig {
@@ -367,7 +367,6 @@ fn des_network_parking_lot_rate_sources_smoke() {
         warmup: 3.0,
         sample_interval: 0.1,
         seed: 41,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };

@@ -11,7 +11,7 @@ use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::sim::{
     run_network, run_network_workload, ArrivalProcess, Bytes, FaultConfig, FlowSizeDist, FlowSpec,
     Link, NetConfig, PacketBytes, QdiscKind, Route, RtoPolicy, Service, SourceSpec, Topology,
-    TraceMode, Workload,
+    Workload,
 };
 
 fn base_net(t_end: f64, seed: u64) -> NetConfig {
@@ -38,7 +38,6 @@ fn base_net(t_end: f64, seed: u64) -> NetConfig {
         warmup: 1.0,
         sample_interval: 0.1,
         seed,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::RedMark {
             min_th: 2.5,
             max_th: 10.0,
