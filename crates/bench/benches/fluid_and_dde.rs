@@ -1,13 +1,12 @@
-//! Criterion benchmarks of the fluid integrators: single-source RK4,
-//! multi-source scaling in N, the delayed-feedback DDE, and the analytic
-//! return map.
+//! Criterion benchmarks of the fluid integrators: the RK4 model with one
+//! source and its scaling in N sources, the delayed-feedback DDE, and the
+//! analytic return map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_congestion::theory::ReturnMap;
 use fpk_congestion::LinearExp;
 use fpk_fluid::delay::{simulate_delayed, DelayParams};
-use fpk_fluid::multi::{simulate_multi, MultiParams};
-use fpk_fluid::single::{simulate, FluidParams};
+use fpk_fluid::{simulate, FluidParams};
 use std::hint::black_box;
 
 fn law() -> LinearExp {
@@ -19,11 +18,11 @@ fn bench_single(c: &mut Criterion) {
         let params = FluidParams {
             mu: 5.0,
             q0: 2.0,
-            lambda0: 1.0,
+            lambda0: vec![1.0],
             t_end: 10.0,
             dt: 1e-3,
         };
-        b.iter(|| simulate(&law(), black_box(&params)).expect("fluid"));
+        b.iter(|| simulate(&[law()], black_box(&params)).expect("fluid"));
     });
 }
 
@@ -32,14 +31,14 @@ fn bench_multi_scaling(c: &mut Criterion) {
     for n in [2usize, 4, 8, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let laws = vec![law(); n];
-            let params = MultiParams {
+            let params = FluidParams {
                 mu: 10.0,
                 q0: 0.0,
                 lambda0: vec![1.0; n],
                 t_end: 10.0,
                 dt: 1e-3,
             };
-            b.iter(|| simulate_multi(&laws, black_box(&params)).expect("fluid"));
+            b.iter(|| simulate(&laws, black_box(&params)).expect("fluid"));
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
 use fpk_core::delayed::{simulate_delayed_path, DelayedMcConfig};
-use fpk_fluid::single::{simulate, FluidParams};
+use fpk_fluid::{simulate, FluidParams};
 use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 use serde::Serialize;
 
@@ -30,11 +30,11 @@ pub fn run(name: &str) {
 
     // Fluid path.
     let fluid = simulate(
-        &law,
+        &[law],
         &FluidParams {
             mu,
             q0: 0.0,
-            lambda0: 1.0,
+            lambda0: vec![1.0],
             t_end,
             dt: 1e-3,
         },

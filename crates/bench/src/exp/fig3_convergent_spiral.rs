@@ -7,7 +7,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
 use fpk_fluid::phase::section_crossings;
-use fpk_fluid::single::{simulate, FluidParams};
+use fpk_fluid::{simulate, FluidParams};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,11 +25,11 @@ pub fn run(name: &str) {
     let params = FluidParams {
         mu,
         q0: 10.0,
-        lambda0: 0.5,
+        lambda0: vec![0.5],
         t_end: 150.0,
         dt: 2e-4,
     };
-    let traj = simulate(&law, &params).expect("fluid");
+    let traj = simulate(&[law], &params).expect("fluid");
     let nu = traj.nu(mu);
 
     // Decimated orbit samples.

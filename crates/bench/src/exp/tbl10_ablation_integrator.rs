@@ -15,7 +15,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
 use fpk_fluid::events::trace_events;
-use fpk_fluid::single::{simulate, FluidParams};
+use fpk_fluid::{simulate, FluidParams};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -43,11 +43,11 @@ pub fn run(name: &str) {
     for &dt in &[1e-2, 3e-3, 1e-3, 3e-4, 1e-4] {
         let start = Instant::now();
         let traj = simulate(
-            &law,
+            &[law],
             &FluidParams {
                 mu,
                 q0: 2.0,
-                lambda0: 1.0,
+                lambda0: vec![1.0],
                 t_end,
                 dt,
             },
@@ -58,7 +58,7 @@ pub fn run(name: &str) {
         let row = Row {
             dt,
             q_error: (qf - q_ref).abs(),
-            lambda_error: (lf - l_ref).abs(),
+            lambda_error: (lf[0] - l_ref).abs(),
         };
         eprintln!("dt={dt:.0e}: {} ms", fmt(wall_ms, 2));
         table.push(vec![

@@ -4,7 +4,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::fairness::jain_index;
 use fpk_congestion::LinearExp;
-use fpk_fluid::multi::{simulate_multi, MultiParams};
+use fpk_fluid::{simulate, FluidParams};
 use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 use serde::Serialize;
 
@@ -26,9 +26,9 @@ pub fn run(name: &str) {
     for n in [2usize, 3, 4, 6, 8] {
         // Fluid run from deliberately unequal starts.
         let laws = vec![LinearExp::new(1.0, 0.5, 10.0); n];
-        let traj = simulate_multi(
+        let traj = simulate(
             &laws,
-            &MultiParams {
+            &FluidParams {
                 mu,
                 q0: 0.0,
                 lambda0: (0..n).map(|i| i as f64 * 0.7).collect(),

@@ -11,7 +11,7 @@ use crate::{fmt, print_table, write_json};
 use fpk_congestion::fairness::share_prediction_error;
 use fpk_congestion::theory::sliding_share;
 use fpk_congestion::LinearExp;
-use fpk_fluid::multi::{simulate_multi, MultiParams};
+use fpk_fluid::{simulate, FluidParams};
 use fpk_scenarios::{run_cells, Axis, Ensemble, Scenario, Sweep};
 use fpk_sim::{Service, SimConfig, SourceSpec};
 use serde::Serialize;
@@ -97,9 +97,9 @@ pub fn run(name: &str) {
             .collect();
         let predicted = sliding_share(&laws, mu)?;
 
-        let traj = simulate_multi(
+        let traj = simulate(
             &laws,
-            &MultiParams {
+            &FluidParams {
                 mu,
                 q0: 0.0,
                 lambda0: vec![1.0; laws.len()],

@@ -11,9 +11,9 @@
 
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::{LinearExp, LinearLinear, RateControl};
-use fpk_fluid::delay::{cycle_summary, simulate_delayed, DelayParams, RegimeLabel};
-use fpk_fluid::multi::MultiTrajectory;
-use fpk_fluid::single::{simulate, FluidParams};
+use fpk_fluid::delay::{cycle_summary, simulate_delayed, DelayParams};
+use fpk_fluid::{simulate, FluidParams};
+use fpk_numerics::signal::Regime;
 use fpk_scenarios::{run_cells, Axis, Scenario, Sweep};
 use fpk_sim::{Service, SimConfig};
 use serde::Serialize;
@@ -26,24 +26,19 @@ struct Row {
     amplitude: f64,
 }
 
-fn run_law<L: RateControl + Copy>(law: L, tau: f64) -> (RegimeLabel, f64) {
-    let traj: MultiTrajectory = if tau == 0.0 {
-        let t = simulate(
-            &law,
+fn run_law<L: RateControl>(law: L, tau: f64) -> (Regime, f64) {
+    let traj = if tau == 0.0 {
+        simulate(
+            &[law],
             &FluidParams {
                 mu: 5.0,
                 q0: 10.0,
-                lambda0: 4.0,
+                lambda0: vec![4.0],
                 t_end: 300.0,
                 dt: 2e-3,
             },
         )
-        .expect("fluid");
-        MultiTrajectory {
-            t: t.t.clone(),
-            q: t.q.clone(),
-            lambda: t.lambda.iter().map(|&l| vec![l]).collect(),
-        }
+        .expect("fluid")
     } else {
         simulate_delayed(
             &[law],

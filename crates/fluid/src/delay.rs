@@ -37,7 +37,7 @@
 //!    unfairness and is confirmed by [`window_laws_for_delays`] +
 //!    `simulate_delayed`.
 
-use crate::multi::MultiTrajectory;
+use crate::{queue_drift, FluidTrajectory};
 use fpk_congestion::RateControl;
 use fpk_numerics::dde::DdeProblem;
 use fpk_numerics::signal::{analyze_oscillation, classify_regime, Oscillation, Regime};
@@ -90,7 +90,7 @@ impl DelayParams {
             ),
             (
                 self.taus.iter().all(|&t| t > 0.0),
-                "DelayParams: delays must be positive (use multi:: for zero delay)",
+                "DelayParams: delays must be positive (use simulate for zero delay)",
             ),
         ] {
             if !ok {
@@ -102,14 +102,15 @@ impl DelayParams {
 }
 
 /// Integrate the delayed-feedback fluid system. `laws[i]` observes the
-/// queue with lag `taus[i]`.
+/// queue with lag `taus[i]`. The trajectory records the DDE solver's
+/// steps, in the layout [`crate::simulate`] uses.
 ///
 /// # Errors
 /// Parameter validation errors plus DDE solver errors.
 pub fn simulate_delayed<L: RateControl>(
     laws: &[L],
     params: &DelayParams,
-) -> Result<MultiTrajectory> {
+) -> Result<FluidTrajectory> {
     params.validate()?;
     if laws.len() != params.lambda0.len() {
         return Err(NumericsError::DimensionMismatch {
@@ -128,7 +129,7 @@ pub fn simulate_delayed<L: RateControl>(
     let mut rhs = |_t: f64, y: &[f64], delayed: &[Vec<f64>], dydt: &mut [f64]| {
         let q_now = y[0].max(0.0);
         let total: f64 = y[1..].iter().sum();
-        dydt[0] = crate::single::queue_drift(q_now, total, mu);
+        dydt[0] = queue_drift(q_now, total, mu);
         for (i, law) in laws.iter().enumerate() {
             // Source i sees the queue as it was τ_i ago.
             let q_stale = delayed[i][0].max(0.0);
@@ -146,15 +147,15 @@ pub fn simulate_delayed<L: RateControl>(
         dim,
     };
     let traj = problem.solve(&mut rhs, params.steps)?;
-    // Repackage into MultiTrajectory, clamping the recorded queue.
-    let mut out = MultiTrajectory {
+    // Repackage into a FluidTrajectory, clamping the recorded state.
+    let mut out = FluidTrajectory {
         t: traj.t,
         q: Vec::with_capacity(traj.y.len()),
-        lambda: Vec::with_capacity(traj.y.len()),
+        lambda: Vec::with_capacity(traj.y.len() * m),
     };
     for y in traj.y {
         out.q.push(y[0].max(0.0));
-        out.lambda.push(y[1..].iter().map(|l| l.max(0.0)).collect());
+        out.lambda.extend(y[1..].iter().map(|l| l.max(0.0)));
     }
     Ok(out)
 }
@@ -166,31 +167,7 @@ pub struct CycleSummary {
     /// Oscillation statistics, `None` when the tail has settled.
     pub oscillation: Option<Oscillation>,
     /// Damped / sustained / divergent / converged classification.
-    pub regime: RegimeLabel,
-}
-
-/// Serialisable mirror of [`Regime`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum RegimeLabel {
-    /// Settled to the limit point.
-    Converged,
-    /// Oscillating with shrinking amplitude.
-    Damped,
-    /// Persistent limit cycle.
-    Sustained,
-    /// Growing oscillation.
-    Divergent,
-}
-
-impl From<Regime> for RegimeLabel {
-    fn from(r: Regime) -> Self {
-        match r {
-            Regime::Converged => RegimeLabel::Converged,
-            Regime::Damped => RegimeLabel::Damped,
-            Regime::Sustained => RegimeLabel::Sustained,
-            Regime::Divergent => RegimeLabel::Divergent,
-        }
-    }
+    pub regime: Regime,
 }
 
 /// Build the rate-equivalent laws of window-AIMD sources whose round-trip
@@ -219,12 +196,12 @@ pub fn window_laws_for_delays(
 /// # Errors
 /// Propagates signal-analysis errors (traces shorter than a few samples).
 pub fn cycle_summary(
-    traj: &MultiTrajectory,
+    traj: &FluidTrajectory,
     tail_fraction: f64,
     floor: f64,
 ) -> Result<CycleSummary> {
     let oscillation = analyze_oscillation(&traj.t, &traj.q, tail_fraction)?;
-    let regime = classify_regime(&traj.t, &traj.q, floor)?.into();
+    let regime = classify_regime(&traj.t, &traj.q, floor)?;
     Ok(CycleSummary {
         oscillation,
         regime,
@@ -293,7 +270,7 @@ mod tests {
         let traj = simulate_delayed(&[law()], &p).unwrap();
         let summary = cycle_summary(&traj, 0.3, 0.5).unwrap();
         assert!(
-            matches!(summary.regime, RegimeLabel::Damped | RegimeLabel::Converged),
+            matches!(summary.regime, Regime::Damped | Regime::Converged),
             "tiny delay should stay damped, got {:?}",
             summary.regime
         );
@@ -307,7 +284,7 @@ mod tests {
         let summary = cycle_summary(&traj, 0.3, 0.2).unwrap();
         assert_eq!(
             summary.regime,
-            RegimeLabel::Sustained,
+            Regime::Sustained,
             "{:?}",
             summary.oscillation
         );
@@ -338,7 +315,7 @@ mod tests {
         let p = params_one(3.0);
         let traj = simulate_delayed(&[law()], &p).unwrap();
         assert!(traj.q.iter().all(|&q| q >= 0.0));
-        assert!(traj.lambda.iter().flatten().all(|&l| l >= 0.0));
+        assert!(traj.lambda.iter().all(|&l| l >= 0.0));
     }
 
     #[test]

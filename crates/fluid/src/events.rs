@@ -1,6 +1,6 @@
 //! Event-driven high-accuracy fluid integration.
 //!
-//! The fixed-step RK4 integrator in [`crate::single`] smears O(dt) error
+//! The fixed-step RK4 integrator [`crate::simulate`] smears O(dt) error
 //! across each crossing of the switching line `q = q̂` and the boundary
 //! `q = 0`. This module instead integrates each smooth arc with the
 //! adaptive Dormand–Prince 5(4) pair and locates every switching event
@@ -222,7 +222,7 @@ pub fn trace_events<L: RateControl>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single::{simulate, FluidParams};
+    use crate::{simulate, FluidParams};
     use fpk_congestion::theory::ReturnMap;
     use fpk_congestion::LinearExp;
 
@@ -279,17 +279,18 @@ mod tests {
     fn events_agree_with_rk4_endpoint() {
         let trace = trace_events(&law(), 5.0, 2.0, 1.0, 40.0).unwrap();
         let rk4 = simulate(
-            &law(),
+            &[law()],
             &FluidParams {
                 mu: 5.0,
                 q0: 2.0,
-                lambda0: 1.0,
+                lambda0: vec![1.0],
                 t_end: 40.0,
                 dt: 1e-4,
             },
         )
         .unwrap();
         let (qf, lf) = rk4.final_state();
+        let lf = lf[0];
         assert!(
             (trace.final_state.0 - qf).abs() < 5e-3,
             "q: event {} vs rk4 {qf}",

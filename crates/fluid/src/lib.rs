@@ -14,8 +14,8 @@
 //! characteristic curves of the σ² = 0 hyperbolic limit (Section 5), and
 //! everything in this crate is exactly that machinery:
 //!
-//! * [`single`] — one source: trajectories Q(t), λ(t).
-//! * [`multi`] — N heterogeneous sources sharing one queue.
+//! * [`simulate`] — N ≥ 1 heterogeneous sources sharing one queue, by
+//!   fixed-step RK4: trajectories Q(t), λ_i(t) ([`FluidTrajectory`]).
 //! * [`phase`] — the (q, ν) phase plane: drift quadrants (Figure 2),
 //!   characteristic tracing, spiral section crossings (Figure 3).
 //! * [`theorem1`] — certified convergence checks combining the analytic
@@ -32,15 +32,15 @@
 //!
 //! ```
 //! use fpk_congestion::LinearExp;
-//! use fpk_fluid::single::{simulate, FluidParams};
+//! use fpk_fluid::{simulate, FluidParams};
 //!
 //! let law = LinearExp::new(1.0, 0.5, 10.0);
-//! let traj = simulate(&law, &FluidParams {
-//!     mu: 5.0, q0: 2.0, lambda0: 1.0, t_end: 60.0, dt: 1e-3,
+//! let traj = simulate(&[law], &FluidParams {
+//!     mu: 5.0, q0: 2.0, lambda0: vec![1.0], t_end: 60.0, dt: 1e-3,
 //! }).unwrap();
 //! let (qf, lf) = traj.final_state();
 //! assert!(traj.q.iter().all(|&q| q >= 0.0));
-//! assert!((qf - 10.0).abs() < 2.0 && (lf - 5.0).abs() < 1.0);
+//! assert!((qf - 10.0).abs() < 2.0 && (lf[0] - 5.0).abs() < 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,9 +48,284 @@
 
 pub mod delay;
 pub mod events;
-pub mod multi;
+mod model;
 pub mod phase;
-pub mod single;
 pub mod theorem1;
 
-pub use single::{FluidParams, FluidTrajectory};
+pub use model::{queue_drift, simulate, FluidParams, FluidTrajectory};
+
+// Unit tests of `simulate`, grouped by source count: one source (the
+// (q, λ) phase-plane system of §5) and N sources sharing the queue (§6).
+
+/// Spoils one field per case of `base` with a NaN or an infinity and
+/// checks that `simulate` rejects it, naming the field.
+#[cfg(test)]
+fn assert_non_finite_rejected_by_name(base: &FluidParams) {
+    use fpk_congestion::LinearExp;
+    use fpk_numerics::NumericsError;
+    let cases: [(&str, fn(&mut FluidParams)); 7] = [
+        ("mu", |p| p.mu = f64::INFINITY),
+        ("q0", |p| p.q0 = f64::NAN),
+        ("lambda0", |p| p.lambda0[0] = f64::NAN),
+        ("lambda0", |p| *p.lambda0.last_mut().unwrap() = f64::NAN),
+        ("lambda0", |p| p.lambda0[0] = f64::INFINITY),
+        ("t_end", |p| p.t_end = f64::INFINITY),
+        ("t_end", |p| p.t_end = f64::NAN),
+    ];
+    let n = base.lambda0.len();
+    for (field, spoil) in cases {
+        let mut bad = base.clone();
+        spoil(&mut bad);
+        match simulate(&vec![LinearExp::new(1.0, 0.5, 10.0); n], &bad) {
+            Err(NumericsError::InvalidParameter { context }) => {
+                assert!(
+                    context.split(' ').any(|w| w == field),
+                    "{n} sources, {field}: {context}"
+                );
+            }
+            other => panic!("{n} sources, {field}: expected InvalidParameter, got {other:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod single {
+    mod tests {
+        use crate::{queue_drift, simulate, FluidParams, FluidTrajectory};
+        use fpk_congestion::{LinearExp, LinearLinear};
+
+        fn std_params() -> FluidParams {
+            FluidParams {
+                mu: 5.0,
+                q0: 0.0,
+                lambda0: vec![0.0],
+                t_end: 400.0,
+                dt: 1e-3,
+            }
+        }
+
+        #[test]
+        fn params_validation() {
+            let mut p = std_params();
+            assert!(p.validate(1).is_ok());
+            p.mu = 0.0;
+            assert!(p.validate(1).is_err());
+            let mut p2 = std_params();
+            p2.q0 = -1.0;
+            assert!(p2.validate(1).is_err());
+            let mut p3 = std_params();
+            p3.dt = p3.t_end + 1.0;
+            assert!(p3.validate(1).is_err());
+        }
+
+        #[test]
+        fn non_finite_parameters_rejected_by_name() {
+            crate::assert_non_finite_rejected_by_name(&std_params());
+        }
+
+        #[test]
+        fn jrj_converges_to_target_point() {
+            // Theorem 1: limit point (q̂, μ). Convergence is algebraic, so
+            // after t = 400 expect to be within a few percent.
+            let law = LinearExp::new(1.0, 0.5, 10.0);
+            let traj = simulate(&[law], &std_params()).unwrap();
+            let (qf, lf) = traj.final_state();
+            assert!((qf - 10.0).abs() < 1.0, "q_final = {qf}");
+            assert!((lf[0] - 5.0).abs() < 0.5, "lambda_final = {lf:?}");
+        }
+
+        #[test]
+        fn queue_never_negative_and_rate_never_negative() {
+            let law = LinearExp::new(2.0, 2.0, 1.0);
+            let mut p = std_params();
+            p.lambda0 = vec![20.0]; // massive overshoot to provoke the boundary
+            p.q0 = 50.0;
+            let traj = simulate(&[law], &p).unwrap();
+            assert!(traj.q.iter().all(|&q| q >= 0.0));
+            assert!(traj.lambda.iter().all(|&l| l >= 0.0));
+        }
+
+        #[test]
+        fn empty_queue_clamp_holds_queue_at_zero() {
+            // Start with λ far below μ and a short horizon: the queue should
+            // pin at zero, not go negative.
+            let law = LinearExp::new(0.1, 0.5, 100.0);
+            let p = FluidParams {
+                mu: 10.0,
+                q0: 1.0,
+                lambda0: vec![0.0],
+                t_end: 2.0,
+                dt: 1e-4,
+            };
+            let traj = simulate(&[law], &p).unwrap();
+            let (qf, _) = traj.final_state();
+            assert_eq!(qf, 0.0);
+        }
+
+        #[test]
+        fn nu_applies_clamp() {
+            let traj = FluidTrajectory {
+                t: vec![0.0, 1.0],
+                q: vec![0.0, 5.0],
+                lambda: vec![1.0, 1.0],
+            };
+            let nu = traj.nu(5.0);
+            assert_eq!(nu[0], 0.0); // clamped: empty queue, λ < μ
+            assert_eq!(nu[1], -4.0); // normal: q > 0
+        }
+
+        #[test]
+        fn oscillation_amplitude_shrinks_for_jrj() {
+            // Convergent spiral: early queue excursions exceed late ones.
+            let law = LinearExp::new(1.0, 0.5, 10.0);
+            let traj = simulate(&[law], &std_params()).unwrap();
+            let n = traj.q.len();
+            let early_max = traj.q[..n / 4]
+                .iter()
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max);
+            let late = &traj.q[3 * n / 4..];
+            let late_max = late.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let late_min = late.iter().cloned().fold(f64::INFINITY, f64::min);
+            assert!(
+                late_max - late_min < 0.5 * (early_max - 10.0).abs().max(1.0),
+                "late band [{late_min}, {late_max}] vs early max {early_max}"
+            );
+        }
+
+        #[test]
+        fn linear_linear_keeps_oscillating() {
+            // Section 7: linear decrease gives a closed orbit even with
+            // instant feedback.
+            let law = LinearLinear::new(1.0, 1.0, 10.0);
+            let mut p = std_params();
+            p.q0 = 10.0;
+            p.lambda0 = vec![4.0]; // on the section, defect 1 -> dip 0.5 < q̂
+            let traj = simulate(&[law], &p).unwrap();
+            let n = traj.q.len();
+            let late = &traj.q[3 * n / 4..];
+            let late_max = late.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let late_min = late.iter().cloned().fold(f64::INFINITY, f64::min);
+            assert!(
+                late_max - late_min > 0.5,
+                "linear/linear should keep oscillating, band = {}",
+                late_max - late_min
+            );
+        }
+
+        #[test]
+        fn queue_drift_clamp_semantics() {
+            assert_eq!(queue_drift(0.0, 1.0, 5.0), 0.0);
+            assert_eq!(queue_drift(0.0, 7.0, 5.0), 2.0);
+            assert_eq!(queue_drift(3.0, 1.0, 5.0), -4.0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod multi {
+    mod tests {
+        use crate::{simulate, FluidParams, FluidTrajectory};
+        use fpk_congestion::fairness::jain_index;
+        use fpk_congestion::theory::sliding_share;
+        use fpk_congestion::LinearExp;
+        use fpk_numerics::NumericsError;
+
+        fn params(n: usize) -> FluidParams {
+            FluidParams {
+                mu: 10.0,
+                q0: 0.0,
+                lambda0: (0..n).map(|i| i as f64 * 0.5).collect(),
+                t_end: 600.0,
+                dt: 2e-3,
+            }
+        }
+
+        #[test]
+        fn non_finite_parameters_rejected_by_name() {
+            crate::assert_non_finite_rejected_by_name(&params(2));
+        }
+
+        #[test]
+        fn identical_sources_converge_to_equal_shares() {
+            // Section 6 / E6a: same (C0, C1) → fair (equal) split of μ,
+            // regardless of unequal starting rates.
+            let laws = vec![LinearExp::new(1.0, 0.5, 10.0); 4];
+            let traj = simulate(&laws, &params(4)).unwrap();
+            let shares = traj.mean_rates_tail(0.25);
+            let j = jain_index(&shares).unwrap();
+            assert!(j > 0.999, "Jain index {j}, shares {shares:?}");
+            let total: f64 = shares.iter().sum();
+            assert!((total - 10.0).abs() < 0.3, "total {total}");
+        }
+
+        #[test]
+        fn heterogeneous_sources_follow_sliding_share() {
+            // E6b: shares ∝ C0_i/C1_i.
+            let laws = vec![
+                LinearExp::new(1.0, 0.5, 10.0), // ratio 2
+                LinearExp::new(2.0, 0.5, 10.0), // ratio 4
+                LinearExp::new(0.5, 0.5, 10.0), // ratio 1
+            ];
+            let predicted = sliding_share(&laws, 10.0).unwrap();
+            let traj = simulate(&laws, &params(3)).unwrap();
+            let measured = traj.mean_rates_tail(0.25);
+            for (m, p) in measured.iter().zip(predicted.iter()) {
+                assert!(
+                    (m - p).abs() / p < 0.12,
+                    "measured {measured:?} vs predicted {predicted:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn aggregate_utilisation_near_capacity() {
+            let laws = vec![LinearExp::new(1.0, 0.5, 10.0); 2];
+            let traj = simulate(&laws, &params(2)).unwrap();
+            let shares = traj.mean_rates_tail(0.3);
+            let total: f64 = shares.iter().sum();
+            assert!(total > 9.0 && total < 11.0, "total {total}");
+        }
+
+        #[test]
+        fn queue_stays_non_negative() {
+            let laws = vec![LinearExp::new(3.0, 2.0, 1.0); 3];
+            let traj = simulate(&laws, &params(3)).unwrap();
+            assert!(traj.q.iter().all(|&q| q >= 0.0));
+        }
+
+        #[test]
+        fn rejects_mismatched_inputs() {
+            let laws = vec![LinearExp::standard(); 2];
+            let mut p = params(3);
+            assert!(matches!(
+                simulate(&laws, &p),
+                Err(NumericsError::DimensionMismatch { .. })
+            ));
+            let none: [LinearExp; 0] = [];
+            p.lambda0.clear();
+            assert!(matches!(
+                simulate(&none, &p),
+                Err(NumericsError::DimensionMismatch { .. })
+            ));
+            p.lambda0 = vec![1.0, 1.0];
+            p.mu = -1.0;
+            assert!(simulate(&laws, &p).is_err());
+        }
+
+        #[test]
+        fn rejects_negative_initial_rate() {
+            let laws = vec![LinearExp::standard(); 2];
+            let mut p = params(2);
+            p.lambda0 = vec![1.0, -0.5];
+            assert!(simulate(&laws, &p).is_err());
+        }
+
+        #[test]
+        fn mean_rates_tail_empty_safe() {
+            let traj = FluidTrajectory::default();
+            assert!(traj.mean_rates_tail(0.5).is_empty());
+            assert_eq!(traj.n_sources(), 0);
+        }
+    }
+}

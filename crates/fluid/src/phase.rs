@@ -15,7 +15,7 @@
 //! (Quadrant numbering follows the paper: I = {ν>0, q≤q̂},
 //! II = {ν>0, q>q̂}, III = {ν<0, q>q̂}, IV = {ν<0, q≤q̂}.)
 
-use crate::single::{simulate, FluidParams, FluidTrajectory};
+use crate::{simulate, FluidParams, FluidTrajectory};
 use fpk_congestion::RateControl;
 use fpk_numerics::Result;
 use serde::Serialize;
@@ -127,7 +127,8 @@ pub struct SectionCrossing {
 }
 
 /// Find all crossings of `q = q_hat` in a trajectory, with linear
-/// interpolation between samples.
+/// interpolation between samples. The crossing rate is the aggregate
+/// rate Λ ([`FluidTrajectory::total_rate`]).
 #[must_use]
 pub fn section_crossings(traj: &FluidTrajectory, q_hat: f64) -> Vec<SectionCrossing> {
     let mut out = Vec::new();
@@ -141,7 +142,8 @@ pub fn section_crossings(traj: &FluidTrajectory, q_hat: f64) -> Vec<SectionCross
         if d0 * d1 < 0.0 {
             let w = d0 / (d0 - d1);
             let t = traj.t[k - 1] + w * (traj.t[k] - traj.t[k - 1]);
-            let lambda = traj.lambda[k - 1] + w * (traj.lambda[k] - traj.lambda[k - 1]);
+            let (l0, l1) = (traj.total_rate(k - 1), traj.total_rate(k));
+            let lambda = l0 + w * (l1 - l0);
             out.push(SectionCrossing {
                 t,
                 lambda,
@@ -160,7 +162,7 @@ pub fn section_crossings(traj: &FluidTrajectory, q_hat: f64) -> Vec<SectionCross
 /// # Errors
 /// Propagates fluid integration errors.
 pub fn spiral_section_rates<L: RateControl>(law: &L, params: &FluidParams) -> Result<Vec<f64>> {
-    let traj = simulate(law, params)?;
+    let traj = simulate(std::slice::from_ref(law), params)?;
     Ok(section_crossings(&traj, law.q_hat())
         .into_iter()
         .filter(|c| c.upward)
@@ -228,7 +230,7 @@ mod tests {
         let params = FluidParams {
             mu: 5.0,
             q0: 10.0,
-            lambda0: 1.0,
+            lambda0: vec![1.0],
             t_end: 150.0,
             dt: 2e-4,
         };

@@ -14,7 +14,7 @@
 //! experiment table prints.
 
 use crate::phase::section_crossings;
-use crate::single::{simulate, FluidParams};
+use crate::{simulate, FluidParams};
 use fpk_congestion::theory::ReturnMap;
 use fpk_congestion::LinearExp;
 use fpk_numerics::Result;
@@ -77,11 +77,11 @@ pub fn verify(
     let params = FluidParams {
         mu,
         q0: law.q_hat,
-        lambda0,
+        lambda0: vec![lambda0],
         t_end: horizon.max(10.0 * dt),
         dt,
     };
-    let traj = simulate(&law, &params)?;
+    let traj = simulate(&[law], &params)?;
     // Downward crossings (entering the under-target half-plane) carry the
     // section rates λ < μ — note the initial point itself is *on* the
     // section and is prepended manually.

@@ -132,7 +132,7 @@ pub fn analyze_oscillation(
 
 /// Classify a trajectory as settled / damped / sustained based on the
 /// ratio of late-window to early-window oscillation amplitude.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum Regime {
     /// Amplitude decayed below the absolute floor — converged.
     Converged,

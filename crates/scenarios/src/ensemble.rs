@@ -372,35 +372,6 @@ pub fn aggregate(summaries: &[RunSummary]) -> Result<EnsembleStats> {
     accum.finish()
 }
 
-/// Variance-reduced A/B comparison of two scenarios via common random
-/// numbers: replication `r` of both scenarios runs on the *same* seed
-/// (`replication_seed(cell_seed, r)`), so the per-replication difference
-/// `metric(a) − metric(b)` cancels the shared arrival/service noise and
-/// its CI shrinks far below what independent seeds give. Returns the
-/// [`Stat`] of the paired differences.
-///
-/// # Errors
-/// Propagates the first failing replication of either scenario and the
-/// `replications == 0` validation error.
-pub fn paired_diff(
-    a: &Scenario,
-    b: &Scenario,
-    cell_seed: u64,
-    replications: usize,
-    metric: impl Fn(&RunSummary) -> f64,
-) -> Result<Stat> {
-    Ensemble::new(replications)?;
-    let mut arena = fpk_sim::NetArena::new();
-    let mut diffs = RunningStats::new();
-    for r in 0..replications {
-        let seed = Ensemble::replication_seed(cell_seed, r);
-        let sa = a.run_seeded_in(&mut arena, seed)?;
-        let sb = b.run_seeded_in(&mut arena, seed)?;
-        diffs.push(metric(&sa) - metric(&sb));
-    }
-    Ok(Stat::from_running(&diffs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,31 +497,6 @@ mod tests {
         assert_eq!(
             wl.arrived.n, 2,
             "per-run counters still see every replication"
-        );
-    }
-
-    #[test]
-    fn paired_diff_runs_both_arms_on_common_seeds() {
-        // The exact CRN property: replication r of both arms runs on
-        // the same seed, so identical scenarios produce *identically
-        // zero* paired differences — not merely small ones. (This is
-        // what distinguishes seed pairing from independent streams,
-        // where A−A would still carry the full two-run variance.)
-        let a = scenario();
-        let same = paired_diff(&a, &a, 7, 4, |s| s.mean_queue).unwrap();
-        assert_eq!(same.n, 4);
-        assert_eq!(same.mean, 0.0, "common seeds must cancel exactly");
-        assert_eq!(same.std_dev, 0.0);
-
-        // A strongly contrasted A/B pair: heavier load must lengthen
-        // the queue in *every* paired replication, so the difference
-        // comes out positive with a CI that excludes zero even at R=4.
-        let mut b = scenario();
-        b.net.topology.links[0].mu = 100.0;
-        let diff = paired_diff(&a, &b, 7, 4, |s| s.mean_queue).unwrap();
-        assert!(
-            diff.mean > diff.ci95 && diff.mean > 0.0,
-            "queue(mu=50) − queue(mu=100) must be positive beyond its CI: {diff:?}"
         );
     }
 

@@ -243,15 +243,6 @@ impl SweepReport {
         }
         Ok(merged)
     }
-
-    /// The cells whose coordinate on axis `k` equals `v` (within 1e-12).
-    #[must_use]
-    pub fn cells_where(&self, axis: usize, v: f64) -> Vec<&CellReport> {
-        self.cells
-            .iter()
-            .filter(|c| c.coords.get(axis).is_some_and(|&x| (x - v).abs() < 1e-12))
-            .collect()
-    }
 }
 
 /// One slice of a sweep grid for multi-process (checkpoint/resume)
@@ -707,13 +698,5 @@ mod tests {
                 .expect("probe index in grid");
             Ensemble::new(1)?.run(&cell.scenario, cell.seed)
         }
-    }
-
-    #[test]
-    fn cells_where_selects_by_coordinate() {
-        let report = run_sweep_on(&sweep(), 1, 2).unwrap();
-        let hits = report.cells_where(0, 30.0);
-        assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|c| c.coords[0] == 30.0));
     }
 }

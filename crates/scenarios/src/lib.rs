@@ -26,9 +26,7 @@
 //!   overrides the worker count), plus the shared
 //!   `results/<name>.json` artifact writer ([`write_json`]).
 //!   Stress-scale grids shard across processes with
-//!   [`run_sweep_shard`] / [`SweepReport::merge`], and control-law A/B
-//!   contrasts pair seeds via [`Sweep::with_common_random_numbers`] and
-//!   [`paired_diff`].
+//!   [`run_sweep_shard`] / [`SweepReport::merge`].
 //!
 //! # Example
 //!
@@ -71,9 +69,7 @@ pub mod sweep;
 pub use artifact::{
     load_sweep_report, merge_sweep_shards, results_dir, write_json, write_sweep_shard,
 };
-pub use ensemble::{
-    aggregate, paired_diff, CellAccum, Ensemble, EnsembleStats, Stat, WorkloadEnsemble,
-};
+pub use ensemble::{aggregate, CellAccum, Ensemble, EnsembleStats, Stat, WorkloadEnsemble};
 pub use exec::{
     run_cells, run_indexed, run_indexed_with, run_sweep, run_sweep_on, run_sweep_shard,
     thread_count, AxisReport, CellReport, Shard, SweepReport,

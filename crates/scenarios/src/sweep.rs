@@ -364,7 +364,6 @@ pub struct Sweep {
     base: Scenario,
     axes: Vec<Axis>,
     base_seed: u64,
-    crn: bool,
 }
 
 impl Sweep {
@@ -375,7 +374,6 @@ impl Sweep {
             base,
             axes: Vec::new(),
             base_seed,
-            crn: false,
         }
     }
 
@@ -383,19 +381,6 @@ impl Sweep {
     #[must_use]
     pub fn axis(mut self, axis: Axis) -> Self {
         self.axes.push(axis);
-        self
-    }
-
-    /// Pair the grid with common random numbers: every cell gets the
-    /// *same* cell seed (cell 0's), so replication `r` runs on an
-    /// identical seed in every cell and cross-cell differences become
-    /// paired comparisons — the shared arrival/service noise cancels,
-    /// shrinking the variance of A−B contrasts between control laws
-    /// (see [`crate::ensemble::paired_diff`]). Default off: independent
-    /// per-cell streams.
-    #[must_use]
-    pub fn with_common_random_numbers(mut self) -> Self {
-        self.crn = true;
         self
     }
 
@@ -461,7 +446,7 @@ impl Sweep {
             cells.push(Cell {
                 index,
                 coords,
-                seed: derive_seed(self.base_seed, if self.crn { 0 } else { index as u64 }),
+                seed: derive_seed(self.base_seed, index as u64),
                 scenario,
             });
         }
@@ -752,19 +737,6 @@ mod tests {
         assert_eq!(cells[1].scenario.name, "grid[qdisc=0,bytes=1500]");
         // Every combination must survive engine validation.
         assert!(cells[7].scenario.run_seeded(1).is_ok());
-    }
-
-    #[test]
-    fn crn_pairs_every_cell_on_one_seed_stream() {
-        let plain = Sweep::new(base(), 42).axis(Axis::mu(vec![10.0, 20.0, 30.0]));
-        let crn = plain.clone().with_common_random_numbers();
-        let cells = crn.cells();
-        // Every cell shares cell 0's seed — replication r is seed-paired
-        // across the whole grid.
-        assert!(cells.iter().all(|c| c.seed == cells[0].seed));
-        assert_eq!(cells[0].seed, plain.cells()[0].seed);
-        // Scenario parameters still vary; only the noise is shared.
-        assert_eq!(cells[2].scenario.net.topology.links[0].mu, 30.0);
     }
 
     #[test]

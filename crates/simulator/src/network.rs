@@ -425,8 +425,15 @@ impl NetResult {
 ///
 /// One arena serves any number of sequential runs of any shape — every
 /// buffer is cleared (capacity kept) and re-sized at the start of each
-/// run, so a replication loop ([`crate::metrics::run_network_summary`]
-/// driven by a sweep worker) stops paying per-run allocation entirely.
+/// run. A replication loop ([`crate::metrics::run_network_summary`]
+/// driven by a sweep worker) therefore reuses the event queue, the hop
+/// FIFOs, the source and workload slots and, since that function hands
+/// each result's traces back, the trace buffers. Each run still
+/// allocates the [`NetResult`]'s per-flow and per-hop vectors and the
+/// summary built from them, and a `Scenario` run also clones its
+/// `NetConfig` and builds its flow list: 18–28 small heap allocations
+/// per `Scenario::run_seeded_in` on a warm arena, counted with a
+/// counting global allocator.
 /// Output is bit-identical to a fresh-allocation run by construction:
 /// nothing read by the simulation survives the reset.
 #[derive(Debug, Default)]

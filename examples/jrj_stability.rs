@@ -11,8 +11,8 @@
 use fpk_repro::congestion::theory::{linear_linear_cycle, ReturnMap};
 use fpk_repro::congestion::{LinearExp, LinearLinear};
 use fpk_repro::fluid::phase::{direction_field, spiral_section_rates};
-use fpk_repro::fluid::single::FluidParams;
 use fpk_repro::fluid::theorem1;
+use fpk_repro::fluid::FluidParams;
 
 fn main() {
     let mu = 5.0;
@@ -49,7 +49,7 @@ fn main() {
     let params = FluidParams {
         mu,
         q0: law.q_hat,
-        lambda0: 0.5,
+        lambda0: vec![0.5],
         t_end: 120.0,
         dt: 2e-4,
     };

@@ -10,7 +10,7 @@
 use fpk_repro::congestion::fairness::{jain_index, share_prediction_error};
 use fpk_repro::congestion::theory::sliding_share;
 use fpk_repro::congestion::LinearExp;
-use fpk_repro::fluid::multi::{simulate_multi, MultiParams};
+use fpk_repro::fluid::{simulate, FluidParams};
 use fpk_repro::sim::{
     run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec,
 };
@@ -20,14 +20,14 @@ fn main() {
 
     println!("=== E6a: four identical JRJ sources (fluid) ===");
     let laws = vec![LinearExp::new(1.0, 0.5, 10.0); 4];
-    let params = MultiParams {
+    let params = FluidParams {
         mu,
         q0: 0.0,
         lambda0: vec![0.0, 1.0, 2.0, 3.0], // deliberately unequal start
         t_end: 600.0,
         dt: 2e-3,
     };
-    let traj = simulate_multi(&laws, &params).expect("fluid");
+    let traj = simulate(&laws, &params).expect("fluid");
     let shares = traj.mean_rates_tail(0.25);
     println!("  start rates (0, 1, 2, 3) → tail shares {shares:?}");
     println!(
@@ -43,14 +43,14 @@ fn main() {
         LinearExp::new(0.5, 0.5, 10.0), // C0/C1 = 1
     ];
     let predicted = sliding_share(&laws, mu).expect("theory");
-    let params = MultiParams {
+    let params = FluidParams {
         mu,
         q0: 0.0,
         lambda0: vec![1.0; 3],
         t_end: 600.0,
         dt: 2e-3,
     };
-    let traj = simulate_multi(&laws, &params).expect("fluid");
+    let traj = simulate(&laws, &params).expect("fluid");
     let measured = traj.mean_rates_tail(0.25);
     println!("  C0/C1 ratios (2, 4, 1):");
     println!("    theory   shares = {predicted:?}");

@@ -4,9 +4,8 @@
 
 use fpk_repro::congestion::theory::{sliding_share, ReturnMap};
 use fpk_repro::congestion::LinearExp;
-use fpk_repro::fluid::multi::{simulate_multi, MultiParams};
 use fpk_repro::fluid::phase::section_crossings;
-use fpk_repro::fluid::single::{simulate, FluidParams};
+use fpk_repro::fluid::{simulate, FluidParams};
 use fpk_repro::fpk::montecarlo::{simulate_ensemble, McConfig};
 use fpk_repro::fpk::solver::{FpProblem, FpSolver};
 use fpk_repro::fpk::Density;
@@ -32,11 +31,11 @@ fn analytic_return_map_matches_integrated_fluid() {
     let map = ReturnMap::new(law(), mu).unwrap();
     let analytic = map.iterate(1.5, 5).unwrap();
     let traj = simulate(
-        &law(),
+        &[law()],
         &FluidParams {
             mu,
             q0: 10.0,
-            lambda0: 1.5,
+            lambda0: vec![1.5],
             t_end: 80.0,
             dt: 2e-4,
         },
@@ -69,17 +68,18 @@ fn fp_mean_tracks_fluid_before_switching() {
     solver.run_until(t_end).unwrap();
 
     let fluid = simulate(
-        &law(),
+        &[law()],
         &FluidParams {
             mu,
             q0: 6.0,
-            lambda0: 3.0, // ν = −2
+            lambda0: vec![3.0], // ν = −2
             t_end,
             dt: 1e-4,
         },
     )
     .unwrap();
     let (qf, lf) = fluid.final_state();
+    let lf = lf[0];
     assert!(
         (solver.density().mean_q() - qf).abs() < 0.4,
         "FP mean q {} vs fluid {qf}",
@@ -137,9 +137,9 @@ fn sliding_share_theory_verified_by_fluid_and_packets() {
     let predicted = sliding_share(&laws, mu).unwrap();
 
     // Fluid.
-    let traj = simulate_multi(
+    let traj = simulate(
         &laws,
-        &MultiParams {
+        &FluidParams {
             mu,
             q0: 0.0,
             lambda0: vec![1.0, 1.0],
@@ -272,17 +272,18 @@ fn event_tracer_validates_fixed_step_integrator() {
     let law = law();
     let trace = trace_events(&law, 5.0, 2.0, 1.0, 30.0).unwrap();
     let rk4 = simulate(
-        &law,
+        &[law],
         &FluidParams {
             mu: 5.0,
             q0: 2.0,
-            lambda0: 1.0,
+            lambda0: vec![1.0],
             t_end: 30.0,
             dt: 1e-4,
         },
     )
     .unwrap();
     let (qf, lf) = rk4.final_state();
+    let lf = lf[0];
     assert!((trace.final_state.0 - qf).abs() < 1e-2);
     assert!((trace.final_state.1 - lf).abs() < 1e-2);
 }

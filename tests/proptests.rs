@@ -32,7 +32,7 @@
 
 use fpk_repro::congestion::theory::{sliding_share, ReturnMap};
 use fpk_repro::congestion::{LinearExp, WindowAimd};
-use fpk_repro::fluid::single::{simulate, FluidParams};
+use fpk_repro::fluid::{simulate, FluidParams};
 use fpk_repro::fpk::fv::{advect_sweep, CnFactor, Limiter};
 use fpk_repro::numerics::dde::DdeProblem;
 use fpk_repro::scenarios::{Axis, Ensemble, Scenario, Sweep};
@@ -247,8 +247,8 @@ proptest! {
         lambda0 in 0.0f64..15.0,
     ) {
         let law = LinearExp::new(c0, c1, q_hat);
-        let traj = simulate(&law, &FluidParams {
-            mu, q0, lambda0, t_end: 30.0, dt: 1e-3,
+        let traj = simulate(&[law], &FluidParams {
+            mu, q0, lambda0: vec![lambda0], t_end: 30.0, dt: 1e-3,
         }).unwrap();
         prop_assert!(traj.q.iter().all(|&q| q >= 0.0));
         prop_assert!(traj.lambda.iter().all(|&l| l >= 0.0));
