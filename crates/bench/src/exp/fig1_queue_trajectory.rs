@@ -7,7 +7,7 @@
 
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
-use fpk_core::delayed::{simulate_delayed_path, DelayedMcConfig};
+use fpk_core::montecarlo::{simulate_ensemble_delayed, McConfig};
 use fpk_fluid::{simulate, FluidParams};
 use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 use serde::Serialize;
@@ -41,20 +41,27 @@ pub fn run(name: &str) {
     )
     .expect("fluid");
 
-    // Langevin path: tiny delay approximates the no-delay SDE while using
-    // the same driver as the Section 7 experiments.
-    let langevin = simulate_delayed_path(
+    // The table's 0.5 s grid.
+    let grid: Vec<f64> = (0..=120).map(|k| k as f64 * 0.5).collect();
+
+    // Langevin path: one particle from a point mass. τ = dt gives one
+    // lag slot, so the control reads q one step old, not the current q
+    // of the no-delay SDE; moving fig1 to τ = 0 is left to the packet
+    // vs diffusion comparison (ROADMAP item 3).
+    let langevin = simulate_ensemble_delayed(
         &law,
-        &DelayedMcConfig {
+        &McConfig {
             mu,
             sigma2: 0.4,
-            tau: 1e-3,
+            n_particles: 1,
             dt: 1e-3,
-            t_end,
             seed,
-            init: (0.0, -4.0),
+            threads: 1,
+            init_mean: (0.0, -4.0),
+            init_std: (0.0, 0.0),
         },
-        1,
+        1e-3,
+        &grid,
     )
     .expect("langevin");
 
@@ -82,8 +89,7 @@ pub fn run(name: &str) {
     )
     .expect("packets");
 
-    // Decimate everything onto a 0.5 s grid for the table.
-    let grid: Vec<f64> = (0..=120).map(|k| k as f64 * 0.5).collect();
+    // Decimate the fluid and packet paths onto the grid.
     let sample = |ts: &[f64], qs: &[f64]| -> Vec<f64> {
         grid.iter()
             .map(|&t| {
@@ -93,7 +99,7 @@ pub fn run(name: &str) {
             .collect()
     };
     let fluid_q = sample(&fluid.t, &fluid.q);
-    let langevin_q = sample(&langevin.t, &langevin.q);
+    let langevin_q: Vec<f64> = langevin.iter().map(|s| s.q[0]).collect();
     let packet_q = sample(&packet.trace_t, &packet.trace_q[0]);
 
     let rows: Vec<Vec<String>> = grid

@@ -6,7 +6,7 @@
 
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
-use fpk_core::delayed::{ensemble_cycle_amplitude, DelayedMcConfig};
+use fpk_core::montecarlo::{ensemble_cycle_amplitude, simulate_ensemble_delayed, McConfig};
 use fpk_fluid::delay::{cycle_summary, simulate_delayed, DelayParams};
 use serde::Serialize;
 
@@ -25,6 +25,20 @@ pub fn run(name: &str) {
     let mu = 5.0;
     let law = LinearExp::new(1.0, 0.5, 10.0);
     let taus = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0];
+    // Langevin: 6 point-mass paths, one stream (`seed + k`) each, over
+    // 300 s at dt = 1e-3, q read every 20th step.
+    let dt = 1e-3;
+    let mc_cfg = McConfig {
+        mu,
+        sigma2: 0.1,
+        n_particles: 6,
+        dt,
+        seed: 55,
+        threads: 6,
+        init_mean: (10.0, -2.0),
+        init_std: (0.0, 0.0),
+    };
+    let mc_times: Vec<f64> = (0..=15_000).map(|j| (j * 20) as f64 * dt).collect();
 
     let mut rows = Vec::new();
     let mut table = Vec::new();
@@ -47,21 +61,8 @@ pub fn run(name: &str) {
             .as_ref()
             .map_or((0.0, 0.0), |o| (o.amplitude, o.period));
 
-        let (mc_amp, mc_std) = ensemble_cycle_amplitude(
-            &law,
-            &DelayedMcConfig {
-                mu,
-                sigma2: 0.1,
-                tau,
-                dt: 1e-3,
-                t_end: 300.0,
-                seed: 55,
-                init: (10.0, -2.0),
-            },
-            6,
-            20,
-        )
-        .expect("mc");
+        let snaps = simulate_ensemble_delayed(&law, &mc_cfg, tau, &mc_times).expect("mc");
+        let (mc_amp, mc_std) = ensemble_cycle_amplitude(&snaps).expect("amplitude");
 
         table.push(vec![
             fmt(tau, 2),
