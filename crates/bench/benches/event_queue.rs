@@ -4,6 +4,12 @@
 //! `BinaryHeap<Event>` using the same `(t, seq)` ordering. The two pop
 //! identical sequences (pinned by proptests); this tracks the speed gap
 //! that justifies the hand-rolled structure.
+//!
+//! `des_population` churns the same queue at the population a DES sweep
+//! actually keeps: a 1-worker `des_static` sweep averaged 10.9 pending
+//! heap events and 6.5 occupied side lanes, with about as many lane
+//! schedules (6.10 M) as heap pushes (6.27 M). The `*_100k` rows hold
+//! 512 events resident, far from that.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fpk_sim::event::{Event, EventKind, EventQueue};
@@ -70,6 +76,38 @@ fn churn_binary_heap(ts: &[f64]) -> f64 {
     last
 }
 
+/// Heap events and side lanes kept pending by `churn_des_population`.
+const DES_HEAP: usize = 11;
+const DES_LANES: usize = 7;
+
+/// Pop `ts.len()` events from a queue holding `DES_HEAP` heap events and
+/// `DES_LANES` lanes, re-arming whatever fired where it came from. Lane
+/// offsets are scaled by `DES_LANES / DES_HEAP` so lanes fire as often
+/// as the heap, as in the DES.
+fn churn_des_population(ts: &[f64]) -> f64 {
+    let lane_scale = DES_LANES as f64 / DES_HEAP as f64;
+    let mut q = EventQueue::new();
+    q.set_lane_count(DES_LANES);
+    for (i, &dt) in ts.iter().take(DES_HEAP).enumerate() {
+        q.push(dt, EventKind::Observe { flow: i });
+    }
+    for (lane, &dt) in ts.iter().take(DES_LANES).enumerate() {
+        q.schedule_lane(lane, dt * lane_scale, EventKind::Departure { hop: lane });
+    }
+    let mut now = 0.0f64;
+    for &dt in ts {
+        let e = q.pop().expect("resident events");
+        now = e.t;
+        match e.kind {
+            EventKind::Departure { hop } => {
+                q.schedule_lane(hop, now + dt * lane_scale, e.kind);
+            }
+            kind => q.push(now + dt, kind),
+        }
+    }
+    now
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     let ts = times(N);
     let mut group = c.benchmark_group("event_queue");
@@ -78,6 +116,9 @@ fn bench_event_queue(c: &mut Criterion) {
     });
     group.bench_function("binary_heap_100k", |b| {
         b.iter(|| churn_binary_heap(black_box(&ts)));
+    });
+    group.bench_function("des_population", |b| {
+        b.iter(|| churn_des_population(black_box(&ts)));
     });
     group.finish();
 }

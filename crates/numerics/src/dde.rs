@@ -35,21 +35,31 @@ impl<F: FnMut(f64, &[f64], &[Vec<f64>], &mut [f64])> DdeRhs for F {
 }
 
 /// Dense solution history: time-ordered `(t, y, dy/dt)` samples with cubic
-/// Hermite evaluation between them.
+/// Hermite evaluation between them. `y` and `dy` are flat and row-major:
+/// sample `k` occupies `[k * dim, (k + 1) * dim)`.
 #[derive(Debug, Clone, Default)]
 pub struct History {
+    dim: usize,
     t: Vec<f64>,
-    y: Vec<Vec<f64>>,
-    dy: Vec<Vec<f64>>,
+    y: Vec<f64>,
+    dy: Vec<f64>,
 }
 
 impl History {
-    /// Append a sample; times must be pushed in increasing order.
-    pub fn push(&mut self, t: f64, y: Vec<f64>, dy: Vec<f64>) {
+    /// Append a sample; times must be pushed in increasing order, and
+    /// every sample must have the first one's dimension.
+    pub fn push(&mut self, t: f64, y: &[f64], dy: &[f64]) {
         debug_assert!(self.t.last().is_none_or(|&last| t > last));
+        if self.t.is_empty() {
+            self.dim = y.len();
+        }
+        assert!(
+            y.len() == self.dim && dy.len() == self.dim,
+            "History::push: sample dimension differs from the first sample's"
+        );
         self.t.push(t);
-        self.y.push(y);
-        self.dy.push(dy);
+        self.y.extend_from_slice(y);
+        self.dy.extend_from_slice(dy);
     }
 
     /// Number of stored samples.
@@ -64,22 +74,15 @@ impl History {
         self.t.is_empty()
     }
 
-    /// Evaluate the interpolant at time `tq`, writing into `out`.
-    /// Clamps to the first/last sample outside the stored range.
-    pub fn eval(&self, tq: f64, out: &mut [f64]) {
-        let n = self.t.len();
-        debug_assert!(n > 0, "History::eval on empty history");
-        if tq <= self.t[0] {
-            out.copy_from_slice(&self.y[0]);
-            return;
-        }
-        if tq >= self.t[n - 1] {
-            out.copy_from_slice(&self.y[n - 1]);
-            return;
-        }
-        // Binary search for the bracketing interval.
+    fn row<'a>(&self, v: &'a [f64], k: usize) -> &'a [f64] {
+        &v[k * self.dim..(k + 1) * self.dim]
+    }
+
+    /// Index `lo` of the interval `[t[lo], t[lo + 1]]` holding `tq`,
+    /// which must lie strictly inside the stored range.
+    fn bracket(&self, tq: f64) -> usize {
         let mut lo = 0usize;
-        let mut hi = n - 1;
+        let mut hi = self.t.len() - 1;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             if self.t[mid] <= tq {
@@ -88,16 +91,27 @@ impl History {
                 hi = mid;
             }
         }
+        lo
+    }
+
+    /// Evaluate the interpolant at time `tq`, writing into `out`.
+    /// Clamps to the first/last sample outside the stored range.
+    pub fn eval(&self, tq: f64, out: &mut [f64]) {
+        let n = self.t.len();
+        debug_assert!(n > 0, "History::eval on empty history");
+        if tq <= self.t[0] {
+            out.copy_from_slice(self.row(&self.y, 0));
+            return;
+        }
+        if tq >= self.t[n - 1] {
+            out.copy_from_slice(self.row(&self.y, n - 1));
+            return;
+        }
+        let lo = self.bracket(tq);
+        let (y0, y1) = (self.row(&self.y, lo), self.row(&self.y, lo + 1));
+        let (d0, d1) = (self.row(&self.dy, lo), self.row(&self.dy, lo + 1));
         for i in 0..out.len() {
-            out[i] = hermite(
-                self.t[lo],
-                self.y[lo][i],
-                self.dy[lo][i],
-                self.t[hi],
-                self.y[hi][i],
-                self.dy[hi][i],
-                tq,
-            );
+            out[i] = hermite(self.t[lo], y0[i], d0[i], self.t[lo + 1], y1[i], d1[i], tq);
         }
     }
 
@@ -108,26 +122,11 @@ impl History {
             out.iter_mut().for_each(|v| *v = 0.0);
             return;
         }
-        let mut lo = 0usize;
-        let mut hi = n - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.t[mid] <= tq {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
+        let lo = self.bracket(tq);
+        let (y0, y1) = (self.row(&self.y, lo), self.row(&self.y, lo + 1));
+        let (d0, d1) = (self.row(&self.dy, lo), self.row(&self.dy, lo + 1));
         for i in 0..out.len() {
-            out[i] = hermite_deriv(
-                self.t[lo],
-                self.y[lo][i],
-                self.dy[lo][i],
-                self.t[hi],
-                self.y[hi][i],
-                self.dy[hi][i],
-                tq,
-            );
+            out[i] = hermite_deriv(self.t[lo], y0[i], d0[i], self.t[lo + 1], y1[i], d1[i], tq);
         }
     }
 }
@@ -211,7 +210,7 @@ impl DdeProblem<'_> {
                 .zip(ym.iter())
                 .map(|(p, m)| (p - m) / (2.0 * eps))
                 .collect();
-            history.push(t, y, dy);
+            history.push(t, &y, &dy);
         }
 
         let mut y = vec![0.0; dim];
@@ -235,7 +234,7 @@ impl DdeProblem<'_> {
             history.eval(self.t0 - lag, &mut delayed[k]);
         }
         rhs.eval(self.t0, &y, &delayed, &mut k1);
-        history.push(self.t0, y.clone(), k1.clone());
+        history.push(self.t0, &y, &k1);
 
         let mut t = self.t0;
         for step in 0..n_steps {
@@ -280,7 +279,7 @@ impl DdeProblem<'_> {
                 history.eval(t - lag, &mut delayed[k]);
             }
             rhs.eval(t, &y, &delayed, &mut k1);
-            history.push(t, y.clone(), k1.clone());
+            history.push(t, &y, &k1);
             traj.t.push(t);
             traj.y.push(y.clone());
             if (t - self.t1).abs() < 1e-14 {
@@ -446,8 +445,8 @@ mod tests {
     #[test]
     fn history_eval_clamps_and_interpolates() {
         let mut h = History::default();
-        h.push(0.0, vec![0.0], vec![1.0]);
-        h.push(1.0, vec![1.0], vec![1.0]);
+        h.push(0.0, &[0.0], &[1.0]);
+        h.push(1.0, &[1.0], &[1.0]);
         let mut out = [0.0];
         h.eval(-1.0, &mut out);
         assert!(approx_eq(out[0], 0.0, 0.0, 0.0));

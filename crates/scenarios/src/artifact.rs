@@ -11,15 +11,21 @@
 //! shortest-roundtrip form, so load → merge → re-serialise reproduces
 //! an unsharded report byte for byte.
 //!
-//! Loading decodes through the `Deserialize` derived on the report
-//! types, so the checkpoint schema is the struct definitions and
-//! nothing else. Fields added after checkpoints were first written are
-//! `Option`s or carry `#[serde(default)]`, so older shards keep loading.
+//! Both directions stream: [`write_json`] serialises straight into a
+//! buffered temporary file that is renamed into place when complete,
+//! and [`load_sweep_report`] decodes the file's bytes straight into a
+//! [`SweepReport`] through the `Deserialize` derived on the report
+//! types, so no JSON text or `serde::Value` tree of a whole report is
+//! held in memory, and the checkpoint schema is the struct definitions
+//! and nothing else. Fields added after checkpoints were first written
+//! are `Option`s or carry `#[serde(default)]`, so older shards keep
+//! loading.
 
 use crate::exec::{Shard, SweepReport};
 use fpk_numerics::Result;
 use serde::{Deserialize, Serialize};
 use std::fs;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Where JSON artifacts are written: the `FPK_RESULTS_DIR` environment
@@ -57,14 +63,44 @@ pub fn results_dir() -> PathBuf {
 /// Serialise `value` to `results/<name>.json` (pretty-printed) and
 /// return the path written.
 ///
+/// The JSON is streamed through a buffer into `<name>.json.tmp` in the
+/// same directory, which is renamed over `<name>.json` once complete:
+/// an interrupted write leaves no truncated artifact behind, so a
+/// resumed sweep sees a missing shard rather than a corrupt one. A
+/// write that fails or panics midway removes its temporary file.
+///
 /// # Panics
-/// Panics when serialisation or the write fails — an experiment should
-/// fail loudly rather than record nothing.
+/// Panics when creating, writing, flushing or renaming the file fails,
+/// naming the path — an experiment should fail loudly rather than
+/// record nothing.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = results_dir().join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).expect("artifact must serialise");
-    fs::write(&path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    let dir = results_dir();
+    let path = dir.join(format!("{name}.json"));
+    let tmp = dir.join(format!("{name}.json.tmp"));
+    let file = fs::File::create(&tmp).unwrap_or_else(|e| panic!("creating {}: {e}", tmp.display()));
+    let cleanup = RemoveOnDrop(&tmp);
+    // 64 KiB: a sweep report is ~1 MB, so the default 8 KiB buffer
+    // would cost over a hundred write calls per artifact.
+    let mut out = BufWriter::with_capacity(1 << 16, file);
+    serde_json::to_writer_pretty(&mut out, value)
+        .map_err(|e| e.to_string())
+        .and_then(|()| out.flush().map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| panic!("writing {}: {e}", tmp.display()));
+    drop(out);
+    fs::rename(&tmp, &path)
+        .unwrap_or_else(|e| panic!("renaming {} to {}: {e}", tmp.display(), path.display()));
+    std::mem::forget(cleanup);
     path
+}
+
+/// Deletes a half-written temporary artifact when its write unwinds.
+struct RemoveOnDrop<'a>(&'a Path);
+
+impl Drop for RemoveOnDrop<'_> {
+    fn drop(&mut self) {
+        // Best effort: the write's own panic is the error to report.
+        let _ = fs::remove_file(self.0);
+    }
 }
 
 /// Write one shard's partial report to
@@ -84,11 +120,8 @@ pub fn write_sweep_shard(report: &SweepReport, shard: Shard) -> PathBuf {
 /// checkpoint must fail loudly, not merge garbage.
 #[must_use]
 pub fn load_sweep_report(path: &Path) -> SweepReport {
-    let body =
-        fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    let value =
-        serde_json::from_str(&body).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
-    SweepReport::from_value(&value).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()))
+    let body = fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    SweepReport::from_json(&body).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()))
 }
 
 /// Load the `count` shard files of sweep `name` from the results dir
@@ -142,6 +175,37 @@ mod tests {
         assert!(path.exists());
         let _ = fs::remove_file(path);
         let _ = fs::remove_dir(override_dir);
+    }
+
+    #[test]
+    fn interrupted_write_leaves_neither_artifact_nor_temporary_file() {
+        let _guard = test_env::lock();
+        let _restore = test_env::VarGuard::capture("FPK_RESULTS_DIR");
+        /// Streams the start of an array, then fails.
+        struct Midway;
+        impl Serialize for Midway {
+            fn serialize(&self, out: &mut dyn serde::Sink) {
+                out.begin_array();
+                out.f64(1.0);
+                panic!("serialiser fails midway");
+            }
+        }
+        let dir = std::env::temp_dir().join("fpk_atomic_write_selftest");
+        let _ = fs::remove_dir_all(&dir);
+        std::env::set_var("FPK_RESULTS_DIR", &dir);
+        let caught = std::panic::catch_unwind(|| write_json("interrupted", &Midway));
+        let written = write_json("complete", &vec![1.0, 2.0]);
+        std::env::remove_var("FPK_RESULTS_DIR");
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let body = fs::read_to_string(&written).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        assert!(caught.is_err(), "the serialiser's panic propagates");
+        assert_eq!(names, ["complete.json"]);
+        assert_eq!(body, "[\n  1.0,\n  2.0\n]");
     }
 
     #[test]

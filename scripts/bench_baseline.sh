@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the six criterion benches in quick mode and merge their results
+# Run the seven criterion benches in quick mode and merge their results
 # into one machine-readable baseline, BENCH_baseline.json.
 # `scenario_grid` times the fpk-scenarios sweep runner at three grid
 # sizes sharing one short-run base workload at 5 replications per cell
@@ -11,7 +11,9 @@
 # that ratio is the regression this bench exists to catch; the group
 # overrides the quick-mode sample cap because the margin is a few
 # percent. `event_queue` pits the hand-rolled indexed event heap
-# against a reference BinaryHeap.
+# against a reference BinaryHeap, and churns it at the population a DES
+# sweep keeps (`des_population`). `artifact` writes and reloads a
+# ~1 MB sweep report shaped like perfbench's `flow_churn` artifact.
 #
 # Quick mode (FPK_BENCH_QUICK=1, honoured by the vendored criterion —
 # see DESIGN.md §Vendoring) cuts per-sample time and sample counts hard:
@@ -28,7 +30,7 @@ out="${1:-BENCH_baseline.json}"
 lines="$(mktemp)"
 trap 'rm -f "$lines"' EXIT
 
-for bench in numerics fp_solver fluid_and_dde simulator event_queue scenario_grid; do
+for bench in numerics fp_solver fluid_and_dde simulator event_queue scenario_grid artifact; do
     echo "== bench: $bench =="
     FPK_BENCH_QUICK=1 FPK_BENCH_JSON="$lines" \
         cargo bench -q -p fpk-bench --bench "$bench"
