@@ -1,6 +1,10 @@
 //! Criterion benchmarks of the fluid integrators: the RK4 model with one
 //! source and its scaling in N sources, the delayed-feedback DDE, and the
 //! analytic return map.
+//!
+//! The `fluid_multi_by_n` and `fluid_dde` groups override the quick-mode
+//! sample cap (`sample_size(30)`) so a "no slower" check has thirty
+//! samples a side.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_congestion::theory::ReturnMap;
@@ -28,6 +32,7 @@ fn bench_single(c: &mut Criterion) {
 
 fn bench_multi_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fluid_multi_by_n");
+    group.sample_size(30);
     for n in [2usize, 4, 8, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let laws = vec![law(); n];
@@ -45,7 +50,9 @@ fn bench_multi_scaling(c: &mut Criterion) {
 }
 
 fn bench_dde(c: &mut Criterion) {
-    c.bench_function("fluid_dde_10s", |b| {
+    let mut group = c.benchmark_group("fluid_dde");
+    group.sample_size(30);
+    group.bench_function("10s", |b| {
         let params = DelayParams {
             mu: 5.0,
             q0: 10.0,
@@ -56,6 +63,7 @@ fn bench_dde(c: &mut Criterion) {
         };
         b.iter(|| simulate_delayed(&[law()], black_box(&params)).expect("dde"));
     });
+    group.finish();
 }
 
 fn bench_return_map(c: &mut Criterion) {

@@ -1,6 +1,11 @@
 //! Criterion benchmarks of the numerical kernels: tridiagonal solves
 //! (the Crank–Nicolson hot path), spline fitting/evaluation, the
 //! adaptive ODE integrator and the advection sweep.
+//!
+//! The `thomas_solve` and `dopri5_oscillator` groups override the
+//! quick-mode sample cap (`sample_size(30)`): five samples cannot tell a
+//! "no slower" change from noise (`thomas_solve/128` once had its max
+//! 3.6× its min).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_core::fv::{advect_sweep, Limiter};
@@ -11,6 +16,7 @@ use std::hint::black_box;
 
 fn bench_tridiagonal(c: &mut Criterion) {
     let mut group = c.benchmark_group("thomas_solve");
+    group.sample_size(30);
     for n in [128usize, 1024, 8192] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let sub = vec![-0.5; n];
@@ -50,7 +56,9 @@ fn bench_spline(c: &mut Criterion) {
 }
 
 fn bench_dopri5(c: &mut Criterion) {
-    c.bench_function("dopri5_oscillator_100s", |b| {
+    let mut group = c.benchmark_group("dopri5_oscillator");
+    group.sample_size(30);
+    group.bench_function("100s", |b| {
         let solver = Dopri5::new(Dopri5Options {
             rtol: 1e-8,
             atol: 1e-10,
@@ -66,6 +74,7 @@ fn bench_dopri5(c: &mut Criterion) {
                 .expect("ode")
         });
     });
+    group.finish();
 }
 
 fn bench_advect(c: &mut Criterion) {

@@ -7,7 +7,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
 use fpk_fluid::phase::section_crossings;
-use fpk_fluid::{simulate, FluidParams};
+use fpk_fluid::{nu, queue, simulate, FluidParams};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,13 +30,14 @@ pub fn run(name: &str) {
         dt: 2e-4,
     };
     let traj = simulate(&[law], &params).expect("fluid");
-    let nu = traj.nu(mu);
+    let (q, nu): (Vec<f64>, _) = (queue(&traj).collect(), nu(&traj, mu));
 
     // Decimated orbit samples.
-    let step = traj.q.len() / 60;
-    let rows: Vec<Vec<String>> = (0..traj.q.len())
-        .step_by(step.max(1))
-        .map(|k| vec![fmt(traj.t[k], 1), fmt(traj.q[k], 3), fmt(nu[k], 3)])
+    let step = traj.len() / 60;
+    let dec: Vec<usize> = (0..traj.len()).step_by(step.max(1)).collect();
+    let rows: Vec<Vec<String>> = dec
+        .iter()
+        .map(|&k| vec![fmt(traj.t()[k], 1), fmt(q[k], 3), fmt(nu[k], 3)])
         .collect();
     print_table(
         "Figure 3 — convergent spiral (q, nu) orbit",
@@ -55,11 +56,10 @@ pub fn run(name: &str) {
     println!("Excursions monotonically shrinking: {shrinking}");
     assert!(shrinking, "spiral must converge (Theorem 1)");
 
-    let dec: Vec<usize> = (0..traj.q.len()).step_by(step.max(1)).collect();
     write_json(
         name,
         &Fig3 {
-            q: dec.iter().map(|&k| traj.q[k]).collect(),
+            q: dec.iter().map(|&k| q[k]).collect(),
             nu: dec.iter().map(|&k| nu[k]).collect(),
             section_rates: rates,
             excursions,

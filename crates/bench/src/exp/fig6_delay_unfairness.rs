@@ -14,6 +14,7 @@ use crate::{fmt, print_table, write_json};
 use fpk_congestion::theory::sliding_share;
 use fpk_congestion::{LinearExp, WindowAimd};
 use fpk_fluid::delay::{simulate_delayed, window_laws_for_delays, DelayParams};
+use fpk_fluid::mean_rates_tail;
 use fpk_scenarios::{run_cells, Axis, Ensemble, Scenario, Sweep};
 use fpk_sim::{Service, SimConfig, SourceSpec};
 use serde::Serialize;
@@ -80,7 +81,7 @@ pub fn run(name: &str) {
                 steps: 160_000,
             },
         )?;
-        let fluid = traj.mean_rates_tail(0.5);
+        let fluid = mean_rates_tail(&traj, 0.5).expect("tail fraction");
 
         // (b) Identical laws, pure observation delay (contrast case).
         let same = [LinearExp::new(1.0, 0.5, 10.0); 2];
@@ -95,7 +96,7 @@ pub fn run(name: &str) {
                 steps: 160_000,
             },
         )?;
-        let pure = traj2.mean_rates_tail(0.5);
+        let pure = mean_rates_tail(&traj2, 0.5).expect("tail fraction");
 
         // (c) Packet level: replicated ensemble of the cell's scenario.
         let stats = ensemble.run(&cell.scenario, cell.seed)?;

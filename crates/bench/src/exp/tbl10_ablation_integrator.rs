@@ -15,7 +15,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::LinearExp;
 use fpk_fluid::events::trace_events;
-use fpk_fluid::{simulate, FluidParams};
+use fpk_fluid::{final_state, simulate, FluidParams};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -54,11 +54,11 @@ pub fn run(name: &str) {
         )
         .expect("rk4");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (qf, lf) = traj.final_state();
+        let (q, lambda) = final_state(&traj);
         let row = Row {
             dt,
-            q_error: (qf - q_ref).abs(),
-            lambda_error: (lf[0] - l_ref).abs(),
+            q_error: (q - q_ref).abs(),
+            lambda_error: (lambda[0] - l_ref).abs(),
         };
         eprintln!("dt={dt:.0e}: {} ms", fmt(wall_ms, 2));
         table.push(vec![

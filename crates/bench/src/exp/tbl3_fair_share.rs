@@ -4,7 +4,7 @@
 use crate::{fmt, print_table, write_json};
 use fpk_congestion::fairness::jain_index;
 use fpk_congestion::LinearExp;
-use fpk_fluid::{simulate, FluidParams};
+use fpk_fluid::{mean_rates_tail, simulate, FluidParams};
 use fpk_sim::{run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec};
 use serde::Serialize;
 
@@ -37,7 +37,7 @@ pub fn run(name: &str) {
             },
         )
         .expect("fluid");
-        let fluid_shares = traj.mean_rates_tail(0.25);
+        let fluid_shares = mean_rates_tail(&traj, 0.25).expect("tail fraction");
         let fluid_jain = jain_index(&fluid_shares).expect("jain");
         let fluid_total: f64 = fluid_shares.iter().sum();
 

@@ -11,7 +11,7 @@ use crate::{fmt, print_table, write_json};
 use fpk_congestion::fairness::share_prediction_error;
 use fpk_congestion::theory::sliding_share;
 use fpk_congestion::LinearExp;
-use fpk_fluid::{simulate, FluidParams};
+use fpk_fluid::{mean_rates_tail, simulate, FluidParams};
 use fpk_scenarios::{run_cells, Axis, Ensemble, Scenario, Sweep};
 use fpk_sim::{Service, SimConfig, SourceSpec};
 use serde::Serialize;
@@ -107,7 +107,7 @@ pub fn run(name: &str) {
                 dt: 2e-3,
             },
         )?;
-        let fluid = traj.mean_rates_tail(0.25);
+        let fluid = mean_rates_tail(&traj, 0.25).expect("tail fraction");
         let fluid_gap = share_prediction_error(&fluid, &predicted)?;
 
         let stats = ensemble.run(&cell.scenario, cell.seed)?;

@@ -113,9 +113,11 @@ mod delayed {
                 &every_nth_step(10, 1e-3, 300.0),
             )
             .unwrap();
-            let t: Vec<f64> = snaps.iter().map(|s| s.t).collect();
-            let q: Vec<f64> = snaps.iter().map(|s| s.q[0]).collect();
-            let osc = fpk_numerics::signal::analyze_oscillation(&t, &q, 0.4)
+            let mut q = fpk_numerics::Series::new(1);
+            for s in &snaps {
+                q.push(s.t, [s.q[0]]);
+            }
+            let osc = fpk_numerics::signal::analyze_oscillation(&q, 0, 0.4)
                 .unwrap()
                 .expect("delayed path should oscillate");
             assert!(osc.amplitude > 1.0, "amplitude {}", osc.amplitude);

@@ -37,11 +37,12 @@
 //!    unfairness and is confirmed by [`window_laws_for_delays`] +
 //!    `simulate_delayed`.
 
-use crate::{queue_drift, FluidTrajectory};
+use crate::model::Q;
+use crate::queue_drift;
 use fpk_congestion::RateControl;
 use fpk_numerics::dde::DdeProblem;
 use fpk_numerics::signal::{analyze_oscillation, classify_regime, Oscillation, Regime};
-use fpk_numerics::{NumericsError, Result};
+use fpk_numerics::{NumericsError, Result, Series};
 use serde::Serialize;
 
 /// Parameters of a delayed-feedback fluid run.
@@ -103,22 +104,19 @@ impl DelayParams {
 
 /// Integrate the delayed-feedback fluid system. `laws[i]` observes the
 /// queue with lag `taus[i]`. The trajectory records the DDE solver's
-/// steps, in the layout [`crate::simulate`] uses.
+/// steps, clamped at zero, in the layout [`crate::simulate`] uses (row =
+/// q, then each λ_i).
 ///
 /// # Errors
 /// Parameter validation errors plus DDE solver errors.
-pub fn simulate_delayed<L: RateControl>(
-    laws: &[L],
-    params: &DelayParams,
-) -> Result<FluidTrajectory> {
+pub fn simulate_delayed<L: RateControl>(laws: &[L], params: &DelayParams) -> Result<Series> {
     params.validate()?;
     if laws.len() != params.lambda0.len() {
         return Err(NumericsError::DimensionMismatch {
             context: "simulate_delayed: laws.len() != lambda0.len()",
         });
     }
-    let m = laws.len();
-    let dim = m + 1; // state = [q, λ_1, …, λ_m]
+    let dim = laws.len() + 1; // state = [q, λ_1, …, λ_m]
     let q0 = params.q0;
     let lambda0 = params.lambda0.clone();
     let phi = move |_t: f64, out: &mut [f64]| {
@@ -146,18 +144,9 @@ pub fn simulate_delayed<L: RateControl>(
         phi: &phi,
         dim,
     };
-    let traj = problem.solve(&mut rhs, params.steps)?;
-    // Repackage into a FluidTrajectory, clamping the recorded state.
-    let mut out = FluidTrajectory {
-        t: traj.t,
-        q: Vec::with_capacity(traj.y.len()),
-        lambda: Vec::with_capacity(traj.y.len() * m),
-    };
-    for y in traj.y {
-        out.q.push(y[0].max(0.0));
-        out.lambda.extend(y[1..].iter().map(|l| l.max(0.0)));
-    }
-    Ok(out)
+    let mut traj = problem.solve(&mut rhs, params.steps)?;
+    traj.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
+    Ok(traj)
 }
 
 /// Limit-cycle summary of a delayed run's queue trace: amplitude/period
@@ -195,13 +184,9 @@ pub fn window_laws_for_delays(
 ///
 /// # Errors
 /// Propagates signal-analysis errors (traces shorter than a few samples).
-pub fn cycle_summary(
-    traj: &FluidTrajectory,
-    tail_fraction: f64,
-    floor: f64,
-) -> Result<CycleSummary> {
-    let oscillation = analyze_oscillation(&traj.t, &traj.q, tail_fraction)?;
-    let regime = classify_regime(&traj.t, &traj.q, floor)?;
+pub fn cycle_summary(traj: &Series, tail_fraction: f64, floor: f64) -> Result<CycleSummary> {
+    let oscillation = analyze_oscillation(traj, Q, tail_fraction)?;
+    let regime = classify_regime(traj, Q, floor)?;
     Ok(CycleSummary {
         oscillation,
         regime,
@@ -314,8 +299,7 @@ mod tests {
     fn queue_and_rates_stay_non_negative() {
         let p = params_one(3.0);
         let traj = simulate_delayed(&[law()], &p).unwrap();
-        assert!(traj.q.iter().all(|&q| q >= 0.0));
-        assert!(traj.lambda.iter().all(|&l| l >= 0.0));
+        assert!(traj.data().iter().all(|&v| v >= 0.0));
     }
 
     #[test]
@@ -334,7 +318,7 @@ mod tests {
             steps: 160_000,
         };
         let traj = simulate_delayed(&laws, &p).unwrap();
-        let shares = traj.mean_rates_tail(0.5);
+        let shares = crate::mean_rates_tail(&traj, 0.5).unwrap();
         let j = jain_index(&shares).unwrap();
         assert!(
             j > 0.99,
@@ -363,7 +347,7 @@ mod tests {
             steps: 160_000,
         };
         let traj = simulate_delayed(&laws, &p).unwrap();
-        let shares = traj.mean_rates_tail(0.5);
+        let shares = crate::mean_rates_tail(&traj, 0.5).unwrap();
         let j = jain_index(&shares).unwrap();
         assert!(
             j < 0.95,
@@ -392,7 +376,7 @@ mod tests {
             steps: 80_000,
         };
         let traj = simulate_delayed(&laws, &p).unwrap();
-        let shares = traj.mean_rates_tail(0.25);
+        let shares = crate::mean_rates_tail(&traj, 0.25).unwrap();
         let j = jain_index(&shares).unwrap();
         assert!(
             j > 0.995,

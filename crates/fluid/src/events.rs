@@ -8,9 +8,10 @@
 //! on the far side — the numerically "exact" characteristic tracer used
 //! to validate both the RK4 integrator and the analytic return map.
 
+use crate::queue_drift;
 use fpk_congestion::RateControl;
 use fpk_numerics::ode::{Dopri5, Dopri5Options};
-use fpk_numerics::{NumericsError, Result};
+use fpk_numerics::{NumericsError, Result, Series};
 
 /// Which smooth regime the trajectory is currently in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,22 +24,13 @@ enum Arc {
     Empty,
 }
 
-/// A precise switching event along the trajectory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Switching {
-    /// Event time.
-    pub t: f64,
-    /// Queue length at the event (≈ q̂ or 0).
-    pub q: f64,
-    /// Rate at the event.
-    pub lambda: f64,
-}
-
 /// Result of an event-driven trace.
 #[derive(Debug, Clone)]
 pub struct EventTrace {
-    /// Arc endpoints: times at which the regime changed.
-    pub switchings: Vec<Switching>,
+    /// Arc endpoints, where the regime changed: one `(q, λ)` row per
+    /// event time, `q` ≈ q̂ or 0 (the one-source fluid row, read by
+    /// [`crate::state`] and [`crate::queue`]).
+    pub switchings: Series,
     /// Final state `(q, λ)` at `t_end`.
     pub final_state: (f64, f64),
 }
@@ -94,14 +86,9 @@ pub fn trace_events<L: RateControl>(
     // A start exactly on the switching surface would fire the event at
     // t = 0; nudge it off along the direction of motion.
     if (q - q_hat).abs() < 1e-12 * (1.0 + q_hat) {
-        let dq = if q <= 0.0 && lambda < mu {
-            0.0
-        } else {
-            lambda - mu
-        };
-        q = q_hat + dq.signum() * 1e-12 * (1.0 + q_hat);
+        q = q_hat + queue_drift(q, lambda, mu).signum() * 1e-12 * (1.0 + q_hat);
     }
-    let mut switchings = Vec::new();
+    let mut switchings = Series::new(2);
 
     // Guard against Zeno-like accumulation near the limit point: cap the
     // number of arcs. Near convergence arcs get long, so this is
@@ -126,28 +113,14 @@ pub fn trace_events<L: RateControl>(
                 };
                 let out = solver
                     .integrate_with_event(&mut rhs, t, t_end, &[lambda], |_t, y| y[0] - mu)?;
-                match out.event {
-                    Some((te, ye)) => {
-                        switchings.push(Switching {
-                            t: te,
-                            q: 0.0,
-                            lambda: ye[0],
-                        });
-                        t = te;
-                        lambda = ye[0];
-                        q = 1e-14; // leave the boundary
-                    }
-                    None => {
-                        let (_, yf) = out
-                            .trajectory
-                            .last()
-                            .map(|(a, b)| (*a, b.to_vec()))
-                            .unwrap();
-                        lambda = yf[0];
-                        q = 0.0;
-                        break;
-                    }
+                lambda = out.y[0];
+                if !out.fired {
+                    q = 0.0;
+                    break;
                 }
+                switchings.push(out.t, [0.0, lambda]);
+                t = out.t;
+                q = 1e-14; // leave the boundary
             }
             Arc::Above | Arc::Below => {
                 // Full (q, λ) dynamics inside one smooth region; event =
@@ -155,11 +128,7 @@ pub fn trace_events<L: RateControl>(
                 // above (only possible in the Below arc).
                 let mut rhs = |_t: f64, y: &[f64], d: &mut [f64]| {
                     let qe = y[0].max(0.0);
-                    d[0] = if qe <= 0.0 && y[1] < mu {
-                        0.0
-                    } else {
-                        y[1] - mu
-                    };
+                    d[0] = queue_drift(qe, y[1], mu);
                     d[1] = law.g(qe, y[1]);
                 };
                 // Event function: product of signed distances — zero at
@@ -177,39 +146,21 @@ pub fn trace_events<L: RateControl>(
                     }
                 };
                 let out = solver.integrate_with_event(&mut rhs, t, t_end, &[q, lambda], event)?;
-                match out.event {
-                    Some((te, ye)) => {
-                        switchings.push(Switching {
-                            t: te,
-                            q: ye[0],
-                            lambda: ye[1],
-                        });
-                        t = te;
-                        lambda = ye[1];
-                        // Nudge off the surface in the direction of
-                        // motion so the next arc classifies correctly.
-                        let dq = if ye[0] <= 0.0 && ye[1] < mu {
-                            0.0
-                        } else {
-                            ye[1] - mu
-                        };
-                        if (ye[0] - q_hat).abs() < 1e-9 * (1.0 + q_hat) {
-                            q = q_hat + dq.signum() * 1e-12 * (1.0 + q_hat);
-                        } else {
-                            q = 0.0;
-                        }
-                    }
-                    None => {
-                        let (_, yf) = out
-                            .trajectory
-                            .last()
-                            .map(|(a, b)| (*a, b.to_vec()))
-                            .unwrap();
-                        q = yf[0];
-                        lambda = yf[1];
-                        break;
-                    }
+                let ye = out.y;
+                lambda = ye[1];
+                if !out.fired {
+                    q = ye[0];
+                    break;
                 }
+                switchings.push(out.t, [ye[0], ye[1]]);
+                t = out.t;
+                // Nudge off the surface in the direction of motion so
+                // the next arc classifies correctly.
+                q = if (ye[0] - q_hat).abs() < 1e-9 * (1.0 + q_hat) {
+                    q_hat + queue_drift(ye[0], ye[1], mu).signum() * 1e-12 * (1.0 + q_hat)
+                } else {
+                    0.0
+                };
             }
         }
     }
@@ -222,7 +173,7 @@ pub fn trace_events<L: RateControl>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, FluidParams};
+    use crate::{final_state, queue, simulate, state, FluidParams};
     use fpk_congestion::theory::ReturnMap;
     use fpk_congestion::LinearExp;
 
@@ -257,11 +208,11 @@ mod tests {
         let trace = trace_events(&law(), 5.0, 10.0, 2.0, 60.0).unwrap();
         let map = ReturnMap::new(law(), 5.0).unwrap();
         let analytic = map.iterate(2.0, 4).unwrap();
-        let numeric: Vec<f64> = trace
-            .switchings
-            .iter()
-            .filter(|s| (s.q - 10.0).abs() < 1e-6 && s.lambda < 5.0)
-            .map(|s| s.lambda)
+        let sw = &trace.switchings;
+        let numeric: Vec<f64> = (0..sw.len())
+            .map(|k| state(sw.row(k)))
+            .filter(|&(q, lam)| (q - 10.0).abs() < 1e-6 && lam[0] < 5.0)
+            .map(|(_, lam)| lam[0])
             .collect();
         assert!(numeric.len() >= 3, "need several revolutions: {numeric:?}");
         // The dense-output Hermite interpolation at crossings is
@@ -289,8 +240,8 @@ mod tests {
             },
         )
         .unwrap();
-        let (qf, lf) = rk4.final_state();
-        let lf = lf[0];
+        let (qf, lam) = final_state(&rk4);
+        let lf = lam[0];
         assert!(
             (trace.final_state.0 - qf).abs() < 5e-3,
             "q: event {} vs rk4 {qf}",
@@ -311,9 +262,9 @@ mod tests {
         let law = LinearExp::new(0.2, 0.5, 0.5);
         let trace = trace_events(&law, 5.0, 0.5, 0.0, 40.0).unwrap();
         assert!(
-            trace.switchings.iter().any(|s| s.q < 1e-6),
+            queue(&trace.switchings).any(|q| q < 1e-6),
             "expected a boundary event: {:?}",
-            &trace.switchings[..trace.switchings.len().min(5)]
+            trace.switchings
         );
         assert!(trace.final_state.0 >= 0.0);
     }

@@ -15,7 +15,9 @@
 //! everything in this crate is exactly that machinery:
 //!
 //! * [`simulate`] — N ≥ 1 heterogeneous sources sharing one queue, by
-//!   fixed-step RK4: trajectories Q(t), λ_i(t) ([`FluidTrajectory`]).
+//!   fixed-step RK4: one [`Series`](fpk_numerics::Series) row
+//!   `(Q, λ_1, …, λ_N)` per step, read through [`state`],
+//!   [`final_state`], [`queue`], [`nu`] and [`mean_rates_tail`].
 //! * [`phase`] — the (q, ν) phase plane: drift quadrants (Figure 2),
 //!   characteristic tracing, spiral section crossings (Figure 3).
 //! * [`theorem1`] — certified convergence checks combining the analytic
@@ -32,15 +34,15 @@
 //!
 //! ```
 //! use fpk_congestion::LinearExp;
-//! use fpk_fluid::{simulate, FluidParams};
+//! use fpk_fluid::{final_state, queue, simulate, FluidParams};
 //!
 //! let law = LinearExp::new(1.0, 0.5, 10.0);
 //! let traj = simulate(&[law], &FluidParams {
 //!     mu: 5.0, q0: 2.0, lambda0: vec![1.0], t_end: 60.0, dt: 1e-3,
 //! }).unwrap();
-//! let (qf, lf) = traj.final_state();
-//! assert!(traj.q.iter().all(|&q| q >= 0.0));
-//! assert!((qf - 10.0).abs() < 2.0 && (lf[0] - 5.0).abs() < 1.0);
+//! let (q, lambda) = final_state(&traj);
+//! assert!(queue(&traj).all(|q| q >= 0.0));
+//! assert!((q - 10.0).abs() < 2.0 && (lambda[0] - 5.0).abs() < 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,7 +54,9 @@ mod model;
 pub mod phase;
 pub mod theorem1;
 
-pub use model::{queue_drift, simulate, FluidParams, FluidTrajectory};
+pub use model::{
+    final_state, mean_rates_tail, nu, queue, queue_drift, simulate, state, FluidParams,
+};
 
 // Unit tests of `simulate`, grouped by source count: one source (the
 // (q, λ) phase-plane system of §5) and N sources sharing the queue (§6).
@@ -91,8 +95,9 @@ fn assert_non_finite_rejected_by_name(base: &FluidParams) {
 #[cfg(test)]
 mod single {
     mod tests {
-        use crate::{queue_drift, simulate, FluidParams, FluidTrajectory};
+        use crate::{final_state, nu, queue, queue_drift, simulate, FluidParams};
         use fpk_congestion::{LinearExp, LinearLinear};
+        use fpk_numerics::Series;
 
         fn std_params() -> FluidParams {
             FluidParams {
@@ -129,9 +134,13 @@ mod single {
             // after t = 400 expect to be within a few percent.
             let law = LinearExp::new(1.0, 0.5, 10.0);
             let traj = simulate(&[law], &std_params()).unwrap();
-            let (qf, lf) = traj.final_state();
-            assert!((qf - 10.0).abs() < 1.0, "q_final = {qf}");
-            assert!((lf[0] - 5.0).abs() < 0.5, "lambda_final = {lf:?}");
+            let (q, lambda) = final_state(&traj);
+            assert!((q - 10.0).abs() < 1.0, "q_final = {q}");
+            assert!(
+                (lambda[0] - 5.0).abs() < 0.5,
+                "lambda_final = {}",
+                lambda[0]
+            );
         }
 
         #[test]
@@ -141,8 +150,7 @@ mod single {
             p.lambda0 = vec![20.0]; // massive overshoot to provoke the boundary
             p.q0 = 50.0;
             let traj = simulate(&[law], &p).unwrap();
-            assert!(traj.q.iter().all(|&q| q >= 0.0));
-            assert!(traj.lambda.iter().all(|&l| l >= 0.0));
+            assert!(traj.data().iter().all(|&v| v >= 0.0));
         }
 
         #[test]
@@ -158,18 +166,15 @@ mod single {
                 dt: 1e-4,
             };
             let traj = simulate(&[law], &p).unwrap();
-            let (qf, _) = traj.final_state();
-            assert_eq!(qf, 0.0);
+            assert_eq!(final_state(&traj).0, 0.0);
         }
 
         #[test]
         fn nu_applies_clamp() {
-            let traj = FluidTrajectory {
-                t: vec![0.0, 1.0],
-                q: vec![0.0, 5.0],
-                lambda: vec![1.0, 1.0],
-            };
-            let nu = traj.nu(5.0);
+            let mut traj = Series::new(2);
+            traj.push(0.0, [0.0, 1.0]);
+            traj.push(1.0, [5.0, 1.0]);
+            let nu = nu(&traj, 5.0);
             assert_eq!(nu[0], 0.0); // clamped: empty queue, λ < μ
             assert_eq!(nu[1], -4.0); // normal: q > 0
         }
@@ -179,14 +184,11 @@ mod single {
             // Convergent spiral: early queue excursions exceed late ones.
             let law = LinearExp::new(1.0, 0.5, 10.0);
             let traj = simulate(&[law], &std_params()).unwrap();
-            let n = traj.q.len();
-            let early_max = traj.q[..n / 4]
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let late = &traj.q[3 * n / 4..];
-            let late_max = late.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let late_min = late.iter().cloned().fold(f64::INFINITY, f64::min);
+            let n = traj.len();
+            let early_max = queue(&traj).take(n / 4).fold(f64::NEG_INFINITY, f64::max);
+            let late = traj.tail_start(0.25, 1).unwrap();
+            let late_max = queue(&traj).skip(late).fold(f64::NEG_INFINITY, f64::max);
+            let late_min = queue(&traj).skip(late).fold(f64::INFINITY, f64::min);
             assert!(
                 late_max - late_min < 0.5 * (early_max - 10.0).abs().max(1.0),
                 "late band [{late_min}, {late_max}] vs early max {early_max}"
@@ -202,10 +204,9 @@ mod single {
             p.q0 = 10.0;
             p.lambda0 = vec![4.0]; // on the section, defect 1 -> dip 0.5 < q̂
             let traj = simulate(&[law], &p).unwrap();
-            let n = traj.q.len();
-            let late = &traj.q[3 * n / 4..];
-            let late_max = late.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let late_min = late.iter().cloned().fold(f64::INFINITY, f64::min);
+            let late = traj.tail_start(0.25, 1).unwrap();
+            let late_max = queue(&traj).skip(late).fold(f64::NEG_INFINITY, f64::max);
+            let late_min = queue(&traj).skip(late).fold(f64::INFINITY, f64::min);
             assert!(
                 late_max - late_min > 0.5,
                 "linear/linear should keep oscillating, band = {}",
@@ -225,11 +226,11 @@ mod single {
 #[cfg(test)]
 mod multi {
     mod tests {
-        use crate::{simulate, FluidParams, FluidTrajectory};
+        use crate::{mean_rates_tail, queue, simulate, FluidParams};
         use fpk_congestion::fairness::jain_index;
         use fpk_congestion::theory::sliding_share;
         use fpk_congestion::LinearExp;
-        use fpk_numerics::NumericsError;
+        use fpk_numerics::{NumericsError, Series};
 
         fn params(n: usize) -> FluidParams {
             FluidParams {
@@ -252,7 +253,7 @@ mod multi {
             // regardless of unequal starting rates.
             let laws = vec![LinearExp::new(1.0, 0.5, 10.0); 4];
             let traj = simulate(&laws, &params(4)).unwrap();
-            let shares = traj.mean_rates_tail(0.25);
+            let shares = mean_rates_tail(&traj, 0.25).unwrap();
             let j = jain_index(&shares).unwrap();
             assert!(j > 0.999, "Jain index {j}, shares {shares:?}");
             let total: f64 = shares.iter().sum();
@@ -269,7 +270,7 @@ mod multi {
             ];
             let predicted = sliding_share(&laws, 10.0).unwrap();
             let traj = simulate(&laws, &params(3)).unwrap();
-            let measured = traj.mean_rates_tail(0.25);
+            let measured = mean_rates_tail(&traj, 0.25).unwrap();
             for (m, p) in measured.iter().zip(predicted.iter()) {
                 assert!(
                     (m - p).abs() / p < 0.12,
@@ -282,7 +283,7 @@ mod multi {
         fn aggregate_utilisation_near_capacity() {
             let laws = vec![LinearExp::new(1.0, 0.5, 10.0); 2];
             let traj = simulate(&laws, &params(2)).unwrap();
-            let shares = traj.mean_rates_tail(0.3);
+            let shares = mean_rates_tail(&traj, 0.3).unwrap();
             let total: f64 = shares.iter().sum();
             assert!(total > 9.0 && total < 11.0, "total {total}");
         }
@@ -291,7 +292,7 @@ mod multi {
         fn queue_stays_non_negative() {
             let laws = vec![LinearExp::new(3.0, 2.0, 1.0); 3];
             let traj = simulate(&laws, &params(3)).unwrap();
-            assert!(traj.q.iter().all(|&q| q >= 0.0));
+            assert!(queue(&traj).all(|q| q >= 0.0));
         }
 
         #[test]
@@ -323,9 +324,21 @@ mod multi {
 
         #[test]
         fn mean_rates_tail_empty_safe() {
-            let traj = FluidTrajectory::default();
-            assert!(traj.mean_rates_tail(0.5).is_empty());
-            assert_eq!(traj.n_sources(), 0);
+            assert_eq!(mean_rates_tail(&Series::default(), 0.5), Ok(vec![]));
+        }
+
+        #[test]
+        fn mean_rates_tail_rejects_fractions_outside_unit_interval() {
+            let mut traj = Series::new(2);
+            traj.push(0.0, [0.0, 5.0]);
+            for bad in [f64::NAN, 2.0, 0.0, -1.0] {
+                let err = mean_rates_tail(&traj, bad);
+                assert!(
+                    matches!(err, Err(NumericsError::InvalidParameter { context })
+                    if context.contains("tail_fraction")),
+                    "{bad}: {err:?}"
+                );
+            }
         }
     }
 }

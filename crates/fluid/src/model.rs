@@ -7,7 +7,7 @@
 //! shares are `λ_i* ∝ C0_i/C1_i` (`fpk_congestion::theory::sliding_share`).
 
 use fpk_congestion::RateControl;
-use fpk_numerics::{NumericsError, Result};
+use fpk_numerics::{NumericsError, Result, Series};
 use serde::Serialize;
 
 /// Parameters of a fluid run.
@@ -71,99 +71,52 @@ impl FluidParams {
     }
 }
 
-/// A recorded fluid trajectory.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct FluidTrajectory {
-    /// Sample times.
-    pub t: Vec<f64>,
-    /// Queue length at each sample.
-    pub q: Vec<f64>,
-    /// Per-source rates, flat and row-major: source `i` at sample `k` is
-    /// `lambda[k * n_sources() + i]` (with one source, the source's rate
-    /// at each sample).
-    pub lambda: Vec<f64>,
+/// Column of the queue in a fluid row; one rate per source follows it.
+pub(crate) const Q: usize = 0;
+
+/// A row of [`simulate`] or [`crate::delay::simulate_delayed`] as
+/// `(q, λ)`: the one place that knows the row layout.
+#[must_use]
+pub fn state(row: &[f64]) -> (f64, &[f64]) {
+    (row[Q], &row[Q + 1..])
 }
 
-impl FluidTrajectory {
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.t.len()
-    }
+/// The final `(q, λ)` of a fluid trajectory (never empty: both
+/// integrators record their start).
+#[must_use]
+pub fn final_state(traj: &Series) -> (f64, &[f64]) {
+    state(traj.last().expect("a fluid trajectory records its start").1)
+}
 
-    /// Whether the trajectory is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.t.is_empty()
-    }
+/// The queue path of a fluid trajectory.
+pub fn queue(traj: &Series) -> impl Iterator<Item = f64> + '_ {
+    traj.col(Q)
+}
 
-    /// Number of sources (0 for an empty trajectory).
-    #[must_use]
-    pub fn n_sources(&self) -> usize {
-        if self.t.is_empty() {
-            0
-        } else {
-            self.lambda.len() / self.t.len()
-        }
-    }
+/// Queue growth rate ν = Σ λ_i − μ at each sample of a fluid trajectory,
+/// with the empty-queue clamp applied, for phase-plane plots.
+#[must_use]
+pub fn nu(traj: &Series, mu: f64) -> Vec<f64> {
+    (0..traj.len())
+        .map(|k| {
+            let (q, lam) = state(traj.row(k));
+            queue_drift(q, total(lam), mu)
+        })
+        .collect()
+}
 
-    /// The per-source rates at each sample, one row per sample.
-    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
-        self.lambda.chunks_exact(self.n_sources().max(1))
-    }
-
-    /// Aggregate arrival rate Λ = Σ λ_i at sample `k` (with one source,
-    /// that source's rate).
-    ///
-    /// # Panics
-    /// Panics when `k >= len()`.
-    #[must_use]
-    pub fn total_rate(&self, k: usize) -> f64 {
-        let n = self.n_sources();
-        total(&self.lambda[k * n..(k + 1) * n])
-    }
-
-    /// Queue growth rate ν = Λ − μ at each sample (with the empty-queue
-    /// clamp applied), for phase-plane plots.
-    #[must_use]
-    pub fn nu(&self, mu: f64) -> Vec<f64> {
-        self.q
-            .iter()
-            .zip(self.rows())
-            .map(|(&q, row)| queue_drift(q, total(row), mu))
-            .collect()
-    }
-
-    /// Time-averaged per-source rate over the final `fraction` of the run
-    /// — the throughput allocation compared against theory in E6a/E6b.
-    #[must_use]
-    pub fn mean_rates_tail(&self, fraction: f64) -> Vec<f64> {
-        let n = self.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let start = ((1.0 - fraction.clamp(0.0, 1.0)) * n as f64) as usize;
-        let start = start.min(n - 1);
-        let mut acc = vec![0.0; self.n_sources()];
-        for row in self.rows().skip(start) {
-            for (a, v) in acc.iter_mut().zip(row) {
-                *a += v;
-            }
-        }
-        let count = (n - start) as f64;
-        acc.iter_mut().for_each(|a| *a /= count);
-        acc
-    }
-
-    /// Final `(q, λ⃗)` state.
-    ///
-    /// # Panics
-    /// Panics when the trajectory is empty.
-    #[must_use]
-    pub fn final_state(&self) -> (f64, &[f64]) {
-        let q = *self.q.last().unwrap();
-        (q, &self.lambda[self.lambda.len() - self.n_sources()..])
-    }
+/// Time-averaged per-source rate over the final `fraction` of a fluid
+/// trajectory (at least its last sample) — the throughput allocation
+/// compared against theory in E6a/E6b.
+///
+/// # Errors
+/// [`NumericsError::InvalidParameter`] naming `tail_fraction` when
+/// `fraction` is NaN or outside `(0, 1]`.
+pub fn mean_rates_tail(traj: &Series, fraction: f64) -> Result<Vec<f64>> {
+    let start = traj.tail_start(fraction, 1)?;
+    Ok((Q + 1..traj.width())
+        .map(|i| traj.tail_mean(i, start))
+        .collect())
 }
 
 /// The fluid queue drift for an aggregate rate, with the empty-queue
@@ -181,12 +134,13 @@ pub fn queue_drift(q: f64, total_lambda: f64, mu: f64) -> f64 {
 
 /// Σ λ_i, exact (no added zero) for one source.
 #[inline]
-fn total(lambda: &[f64]) -> f64 {
+pub(crate) fn total(lambda: &[f64]) -> f64 {
     lambda[1..].iter().fold(lambda[0], |acc, &l| acc + l)
 }
 
 /// Integrate the fluid system with one law per source (`laws[i]` drives
-/// `lambda0[i]`), recording every step.
+/// `lambda0[i]`), recording every step: one row per sample, `q` then
+/// each `λ_i`.
 ///
 /// Integration uses fixed-step RK4: the right-hand side is discontinuous
 /// across the switching line `Q = q̂` and the boundary `Q = 0`, so an
@@ -197,21 +151,16 @@ fn total(lambda: &[f64]) -> f64 {
 ///
 /// # Errors
 /// Propagates [`FluidParams::validate`].
-pub fn simulate<L: RateControl>(laws: &[L], params: &FluidParams) -> Result<FluidTrajectory> {
+pub fn simulate<L: RateControl>(laws: &[L], params: &FluidParams) -> Result<Series> {
     params.validate(laws.len())?;
     let n = laws.len();
     let n_steps = (params.t_end / params.dt).ceil() as usize;
     let (h, mu) = (params.dt, params.mu);
     let mut q = params.q0;
     let mut lam = params.lambda0.clone();
-    let mut traj = FluidTrajectory {
-        t: Vec::with_capacity(n_steps + 1),
-        q: Vec::with_capacity(n_steps + 1),
-        lambda: Vec::with_capacity((n_steps + 1) * n),
-    };
-    traj.t.push(0.0);
-    traj.q.push(q);
-    traj.lambda.extend_from_slice(&lam);
+    let mut traj = Series::default();
+    traj.reset(n + 1, n_steps + 1);
+    traj.push(0.0, std::iter::once(q).chain(lam.iter().copied()));
 
     // RK4 on the clamped vector field: `eval` writes the rate slopes of
     // one stage into `k` and returns the queue slope.
@@ -243,9 +192,10 @@ pub fn simulate<L: RateControl>(laws: &[L], params: &FluidParams) -> Result<Flui
         for (i, l) in lam.iter_mut().enumerate() {
             *l = (*l + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])).max(0.0);
         }
-        traj.t.push((step + 1) as f64 * h);
-        traj.q.push(q);
-        traj.lambda.extend_from_slice(&lam);
+        traj.push(
+            (step + 1) as f64 * h,
+            std::iter::once(q).chain(lam.iter().copied()),
+        );
     }
     Ok(traj)
 }

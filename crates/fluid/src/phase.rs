@@ -15,9 +15,11 @@
 //! (Quadrant numbering follows the paper: I = {ν>0, q≤q̂},
 //! II = {ν>0, q>q̂}, III = {ν<0, q>q̂}, IV = {ν<0, q≤q̂}.)
 
-use crate::{simulate, FluidParams, FluidTrajectory};
+use crate::model::total;
+use crate::{simulate, state, FluidParams};
 use fpk_congestion::RateControl;
 use fpk_numerics::Result;
+use fpk_numerics::Series;
 use serde::Serialize;
 
 /// The four quadrants of Figure 2.
@@ -126,14 +128,14 @@ pub struct SectionCrossing {
     pub upward: bool,
 }
 
-/// Find all crossings of `q = q_hat` in a trajectory, with linear
-/// interpolation between samples. The crossing rate is the aggregate
-/// rate Λ ([`FluidTrajectory::total_rate`]).
+/// Find all crossings of `q = q_hat` in a fluid trajectory (row = q,
+/// then each λ_i), with linear interpolation between samples. The
+/// crossing rate is the aggregate rate Λ = Σ λ_i.
 #[must_use]
-pub fn section_crossings(traj: &FluidTrajectory, q_hat: f64) -> Vec<SectionCrossing> {
-    let mut out = Vec::new();
-    for k in 1..traj.t.len() {
-        let (q0, q1) = (traj.q[k - 1], traj.q[k]);
+pub fn section_crossings(traj: &Series, q_hat: f64) -> Vec<SectionCrossing> {
+    let (ts, mut out) = (traj.t(), Vec::new());
+    for k in 1..traj.len() {
+        let ((q0, lam0), (q1, lam1)) = (state(traj.row(k - 1)), state(traj.row(k)));
         let d0 = q0 - q_hat;
         let d1 = q1 - q_hat;
         if d0 == 0.0 {
@@ -141,8 +143,8 @@ pub fn section_crossings(traj: &FluidTrajectory, q_hat: f64) -> Vec<SectionCross
         }
         if d0 * d1 < 0.0 {
             let w = d0 / (d0 - d1);
-            let t = traj.t[k - 1] + w * (traj.t[k] - traj.t[k - 1]);
-            let (l0, l1) = (traj.total_rate(k - 1), traj.total_rate(k));
+            let t = ts[k - 1] + w * (ts[k] - ts[k - 1]);
+            let (l0, l1) = (total(lam0), total(lam1));
             let lambda = l0 + w * (l1 - l0);
             out.push(SectionCrossing {
                 t,
@@ -210,10 +212,11 @@ mod tests {
     #[test]
     fn section_crossings_of_synthetic_sine() {
         // q(t) = 10 + sin t crosses q̂ = 10 at every multiple of π.
-        let t: Vec<f64> = (0..=1000).map(|i| i as f64 * 0.01).collect();
-        let q: Vec<f64> = t.iter().map(|&t| 10.0 + t.sin()).collect();
-        let lambda = vec![5.0; t.len()];
-        let traj = FluidTrajectory { t, q, lambda };
+        let mut traj = Series::new(2);
+        for i in 0..=1000 {
+            let t = i as f64 * 0.01;
+            traj.push(t, [10.0 + t.sin(), 5.0]);
+        }
         let crossings = section_crossings(&traj, 10.0);
         // t in (0, 10]: crossings at π, 2π, 3π (~3.14, 6.28, 9.42).
         assert_eq!(crossings.len(), 3);

@@ -18,8 +18,8 @@
 //! t0 + k·τ. A fixed step that divides τ keeps those points on the grid;
 //! [`DdeProblem::solve`] snaps the step to the smallest lag when possible.
 
-use crate::interp::{hermite, hermite_deriv};
-use crate::ode::Trajectory;
+use crate::interp::hermite;
+use crate::series::Series;
 use crate::{NumericsError, Result};
 
 /// Right-hand side of a DDE. `delayed[k]` holds `y(t − lags[k])`.
@@ -35,98 +35,47 @@ impl<F: FnMut(f64, &[f64], &[Vec<f64>], &mut [f64])> DdeRhs for F {
 }
 
 /// Dense solution history: time-ordered `(t, y, dy/dt)` samples with cubic
-/// Hermite evaluation between them. `y` and `dy` are flat and row-major:
-/// sample `k` occupies `[k * dim, (k + 1) * dim)`.
-#[derive(Debug, Clone, Default)]
-pub struct History {
-    dim: usize,
-    t: Vec<f64>,
-    y: Vec<f64>,
+/// Hermite evaluation between them. The `(t, y)` samples are a [`Series`];
+/// `dy` is row-major alongside it.
+#[derive(Debug, Clone)]
+struct History {
+    y: Series,
     dy: Vec<f64>,
 }
 
 impl History {
+    fn new(dim: usize) -> Self {
+        let (y, dy) = (Series::new(dim), Vec::new());
+        Self { y, dy }
+    }
+
     /// Append a sample; times must be pushed in increasing order, and
-    /// every sample must have the first one's dimension.
-    pub fn push(&mut self, t: f64, y: &[f64], dy: &[f64]) {
-        debug_assert!(self.t.last().is_none_or(|&last| t > last));
-        if self.t.is_empty() {
-            self.dim = y.len();
-        }
-        assert!(
-            y.len() == self.dim && dy.len() == self.dim,
-            "History::push: sample dimension differs from the first sample's"
+    /// `y` and `dy` must have the history's dimension.
+    fn push(&mut self, t: f64, y: &[f64], dy: &[f64]) {
+        debug_assert!(self.y.t().last().is_none_or(|&last| t > last));
+        assert_eq!(
+            dy.len(),
+            y.len(),
+            "History::push: dy and y dimensions differ"
         );
-        self.t.push(t);
-        self.y.extend_from_slice(y);
+        self.y.push(t, y.iter().copied());
         self.dy.extend_from_slice(dy);
-    }
-
-    /// Number of stored samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.t.len()
-    }
-
-    /// Whether the history is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.t.is_empty()
-    }
-
-    fn row<'a>(&self, v: &'a [f64], k: usize) -> &'a [f64] {
-        &v[k * self.dim..(k + 1) * self.dim]
-    }
-
-    /// Index `lo` of the interval `[t[lo], t[lo + 1]]` holding `tq`,
-    /// which must lie strictly inside the stored range.
-    fn bracket(&self, tq: f64) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.t.len() - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.t[mid] <= tq {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
     }
 
     /// Evaluate the interpolant at time `tq`, writing into `out`.
     /// Clamps to the first/last sample outside the stored range.
-    pub fn eval(&self, tq: f64, out: &mut [f64]) {
-        let n = self.t.len();
-        debug_assert!(n > 0, "History::eval on empty history");
-        if tq <= self.t[0] {
-            out.copy_from_slice(self.row(&self.y, 0));
+    fn eval(&self, tq: f64, out: &mut [f64]) {
+        let (t, n) = (self.y.t(), self.y.len());
+        if tq <= t[0] || tq >= t[n - 1] {
+            out.copy_from_slice(self.y.at(tq));
             return;
         }
-        if tq >= self.t[n - 1] {
-            out.copy_from_slice(self.row(&self.y, n - 1));
-            return;
-        }
-        let lo = self.bracket(tq);
-        let (y0, y1) = (self.row(&self.y, lo), self.row(&self.y, lo + 1));
-        let (d0, d1) = (self.row(&self.dy, lo), self.row(&self.dy, lo + 1));
+        let lo = t.partition_point(|&s| s <= tq) - 1;
+        let dim = self.y.width();
+        let (d0, d1) = self.dy[lo * dim..(lo + 2) * dim].split_at(dim);
+        let (y0, y1) = (self.y.row(lo), self.y.row(lo + 1));
         for i in 0..out.len() {
-            out[i] = hermite(self.t[lo], y0[i], d0[i], self.t[lo + 1], y1[i], d1[i], tq);
-        }
-    }
-
-    /// Evaluate the interpolant derivative at `tq` (zero outside range).
-    pub fn eval_deriv(&self, tq: f64, out: &mut [f64]) {
-        let n = self.t.len();
-        if n == 0 || tq <= self.t[0] || tq >= self.t[n - 1] {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            return;
-        }
-        let lo = self.bracket(tq);
-        let (y0, y1) = (self.row(&self.y, lo), self.row(&self.y, lo + 1));
-        let (d0, d1) = (self.row(&self.dy, lo), self.row(&self.dy, lo + 1));
-        for i in 0..out.len() {
-            out[i] = hermite_deriv(self.t[lo], y0[i], d0[i], self.t[lo + 1], y1[i], d1[i], tq);
+            out[i] = hermite(t[lo], y0[i], d0[i], t[lo + 1], y1[i], d1[i], tq);
         }
     }
 }
@@ -139,7 +88,8 @@ pub struct DdeProblem<'a> {
     pub t0: f64,
     /// Final time.
     pub t1: f64,
-    /// History function φ(t) supplying the state for `t <= t0`.
+    /// History function φ(t): writes the whole state at `t <= t0` into
+    /// its output buffer, which is reused between calls.
     pub phi: &'a dyn Fn(f64, &mut [f64]),
     /// State dimension.
     pub dim: usize,
@@ -150,12 +100,13 @@ impl DdeProblem<'_> {
     /// step so the smallest lag is an integer number of steps (keeps the
     /// breaking points t0 + k·τ on the grid).
     ///
-    /// Returns the trajectory sampled at every accepted step.
+    /// Returns the trajectory sampled at `t0` and every step: the
+    /// history's own samples from `t0` on.
     ///
     /// # Errors
     /// [`NumericsError::InvalidParameter`] for non-positive lags, empty
     /// lag list, `t1 <= t0`, or `steps_hint == 0`.
-    pub fn solve<R: DdeRhs>(&self, rhs: &mut R, steps_hint: usize) -> Result<Trajectory> {
+    pub fn solve<R: DdeRhs>(&self, rhs: &mut R, steps_hint: usize) -> Result<Series> {
         if self.lags.is_empty() {
             return Err(NumericsError::InvalidParameter {
                 context: "DdeProblem: need at least one lag (use ode:: for none)",
@@ -191,34 +142,30 @@ impl DdeProblem<'_> {
         // Seed the history with φ over [t0 − max_lag, t0], sampled densely
         // enough for the interpolant.
         let tau_max = self.lags.iter().cloned().fold(0.0, f64::max);
-        let mut history = History::default();
+        let mut history = History::new(dim);
         let seed_steps = ((tau_max / h).ceil() as usize).max(2);
         // Seed strictly before t0; the t0 sample is pushed below with the
         // true RHS derivative.
+        let (mut y, mut yp, mut ym, mut dy) = (
+            vec![0.0; dim],
+            vec![0.0; dim],
+            vec![0.0; dim],
+            vec![0.0; dim],
+        );
         for s in 0..seed_steps {
             let t = self.t0 - tau_max + s as f64 * tau_max / seed_steps as f64;
-            let mut y = vec![0.0; dim];
             (self.phi)(t, &mut y);
             // Numerical derivative of φ by central difference.
             let eps = (tau_max / seed_steps as f64) * 1e-3;
-            let mut yp = vec![0.0; dim];
-            let mut ym = vec![0.0; dim];
             (self.phi)(t + eps, &mut yp);
             (self.phi)(t - eps, &mut ym);
-            let dy: Vec<f64> = yp
-                .iter()
-                .zip(ym.iter())
-                .map(|(p, m)| (p - m) / (2.0 * eps))
-                .collect();
+            for ((d, p), m) in dy.iter_mut().zip(&yp).zip(&ym) {
+                *d = (p - m) / (2.0 * eps);
+            }
             history.push(t, &y, &dy);
         }
 
-        let mut y = vec![0.0; dim];
         (self.phi)(self.t0, &mut y);
-
-        let mut traj = Trajectory::default();
-        traj.t.push(self.t0);
-        traj.y.push(y.clone());
 
         let m = self.lags.len();
         let mut delayed: Vec<Vec<f64>> = vec![vec![0.0; dim]; m];
@@ -228,12 +175,21 @@ impl DdeProblem<'_> {
         let mut k4 = vec![0.0; dim];
         let mut ytmp = vec![0.0; dim];
 
+        // The derivative at `ts`, with delayed lookups at `ts − lag`.
+        let stage = |ts: f64,
+                     ys: &[f64],
+                     kout: &mut [f64],
+                     delayed: &mut [Vec<f64>],
+                     rhs: &mut R,
+                     history: &History| {
+            for (k, &lag) in self.lags.iter().enumerate() {
+                history.eval(ts - lag, &mut delayed[k]);
+            }
+            rhs.eval(ts, ys, delayed, kout);
+        };
         // Record the initial derivative into history so the first interval
         // interpolates correctly.
-        for (k, &lag) in self.lags.iter().enumerate() {
-            history.eval(self.t0 - lag, &mut delayed[k]);
-        }
-        rhs.eval(self.t0, &y, &delayed, &mut k1);
+        stage(self.t0, &y, &mut k1, &mut delayed, rhs, &history);
         history.push(self.t0, &y, &k1);
 
         let mut t = self.t0;
@@ -243,17 +199,6 @@ impl DdeProblem<'_> {
                 break;
             }
             // RK4 stages with delayed lookups at the stage times.
-            let stage = |ts: f64,
-                         ys: &[f64],
-                         kout: &mut [f64],
-                         delayed: &mut [Vec<f64>],
-                         rhs: &mut R,
-                         history: &History| {
-                for (k, &lag) in self.lags.iter().enumerate() {
-                    history.eval(ts - lag, &mut delayed[k]);
-                }
-                rhs.eval(ts, ys, delayed, kout);
-            };
             stage(t, &y, &mut k1, &mut delayed, rhs, &history);
             for i in 0..dim {
                 ytmp[i] = y[i] + 0.5 * h_eff * k1[i];
@@ -275,17 +220,14 @@ impl DdeProblem<'_> {
                 t = self.t1;
             }
             // Derivative at the new point for the dense history.
-            for (k, &lag) in self.lags.iter().enumerate() {
-                history.eval(t - lag, &mut delayed[k]);
-            }
-            rhs.eval(t, &y, &delayed, &mut k1);
+            stage(t, &y, &mut k1, &mut delayed, rhs, &history);
             history.push(t, &y, &k1);
-            traj.t.push(t);
-            traj.y.push(y.clone());
             if (t - self.t1).abs() < 1e-14 {
                 break;
             }
         }
+        let mut traj = history.y;
+        traj.drop_front(seed_steps);
         Ok(traj)
     }
 }
@@ -312,7 +254,7 @@ mod tests {
         };
         let traj = prob.solve(&mut rhs, 200).unwrap();
         // Check a few interior points against the analytic segments.
-        for (t, y) in traj.t.iter().zip(traj.y.iter()) {
+        for (t, y) in traj.t().iter().zip(traj.col(0)) {
             let exact = if *t <= 1.0 {
                 1.0 - t
             } else {
@@ -322,9 +264,8 @@ mod tests {
             // breaking point t = τ, costing O(h²) locally; with h = 5e-3
             // that is ~2.5e-5.
             assert!(
-                approx_eq(y[0], exact, 1e-4, 5e-5),
-                "t={t}: got {} expected {exact}",
-                y[0]
+                approx_eq(y, exact, 1e-4, 5e-5),
+                "t={t}: got {y} expected {exact}"
             );
         }
     }
@@ -366,9 +307,9 @@ mod tests {
         };
         let traj = prob.solve(&mut rhs, 4000).unwrap();
         // Tail should oscillate around 1 with sustained amplitude.
-        let tail = &traj.y[traj.y.len() * 3 / 4..];
-        let max = tail.iter().map(|y| y[0]).fold(f64::NEG_INFINITY, f64::max);
-        let min = tail.iter().map(|y| y[0]).fold(f64::INFINITY, f64::min);
+        let start = traj.tail_start(0.25, 1).unwrap();
+        let max = traj.col(0).skip(start).fold(f64::NEG_INFINITY, f64::max);
+        let min = traj.col(0).skip(start).fold(f64::INFINITY, f64::min);
         assert!(max > 1.5, "max={max}");
         assert!(min < 0.5, "min={min}");
     }
@@ -407,8 +348,8 @@ mod tests {
             d[0] = -delayed[0][0] + delayed[1][0];
         };
         let traj = prob.solve(&mut rhs, 100).unwrap();
-        for (t, y) in traj.t.iter().zip(traj.y.iter()) {
-            assert!(approx_eq(y[0], 1.0, 1e-9, 1e-9), "t={t} y={}", y[0]);
+        for (t, y) in traj.t().iter().zip(traj.col(0)) {
+            assert!(approx_eq(y, 1.0, 1e-9, 1e-9), "t={t} y={y}");
         }
     }
 
@@ -444,7 +385,7 @@ mod tests {
 
     #[test]
     fn history_eval_clamps_and_interpolates() {
-        let mut h = History::default();
+        let mut h = History::new(1);
         h.push(0.0, &[0.0], &[1.0]);
         h.push(1.0, &[1.0], &[1.0]);
         let mut out = [0.0];

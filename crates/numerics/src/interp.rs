@@ -66,19 +66,6 @@ pub fn hermite(x0: f64, y0: f64, d0: f64, x1: f64, y1: f64, d1: f64, x: f64) -> 
     h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 }
 
-/// Derivative of the cubic Hermite interpolant at `x`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn hermite_deriv(x0: f64, y0: f64, d0: f64, x1: f64, y1: f64, d1: f64, x: f64) -> f64 {
-    let h = x1 - x0;
-    let t = (x - x0) / h;
-    let dh00 = 6.0 * t * t - 6.0 * t;
-    let dh10 = 3.0 * t * t - 4.0 * t + 1.0;
-    let dh01 = -6.0 * t * t + 6.0 * t;
-    let dh11 = 3.0 * t * t - 2.0 * t;
-    (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1
-}
-
 /// A natural cubic spline through tabulated points.
 ///
 /// "Natural" means the second derivative vanishes at both ends. Second
@@ -202,8 +189,6 @@ mod tests {
         for &x in &[1.0, 1.25, 1.5, 1.75, 2.0] {
             let v = hermite(1.0, f(1.0), d(1.0), 2.0, f(2.0), d(2.0), x);
             assert!(approx_eq(v, f(x), 1e-13, 1e-13), "x={x}: {v} vs {}", f(x));
-            let dv = hermite_deriv(1.0, f(1.0), d(1.0), 2.0, f(2.0), d(2.0), x);
-            assert!(approx_eq(dv, d(x), 1e-12, 1e-12));
         }
     }
 

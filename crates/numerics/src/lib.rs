@@ -18,6 +18,8 @@
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
 //! * [`roots`] — Brent root finding.
+//! * [`series`] — [`Series`], the one row-major layout of every sampled
+//!   trajectory, with step-hold lookup and the shared tail window.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
 //!   regime classification and power-law fits.
 //! * [`stats`] — running moments, histograms, empirical CDFs, KS distance.
@@ -57,8 +59,11 @@ pub mod interp;
 pub mod linalg;
 pub mod ode;
 pub mod roots;
+pub mod series;
 pub mod signal;
 pub mod stats;
+
+pub use series::Series;
 
 /// Errors produced by the numerical routines in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,6 +13,7 @@
 //! All methods operate on `&[f64]` states so callers choose dimension; the
 //! right-hand side is any `FnMut(t, y, dydt)`.
 
+use crate::series::Series;
 use crate::{NumericsError, Result};
 
 /// Right-hand side signature: fills `dydt` with F(t, y).
@@ -24,44 +25,6 @@ pub trait Rhs {
 impl<F: FnMut(f64, &[f64], &mut [f64])> Rhs for F {
     fn eval(&mut self, t: f64, y: &[f64], dydt: &mut [f64]) {
         self(t, y, dydt)
-    }
-}
-
-/// A recorded trajectory: times and the state at each time.
-#[derive(Debug, Clone, Default)]
-pub struct Trajectory {
-    /// Sample times, strictly increasing.
-    pub t: Vec<f64>,
-    /// States; `y[k]` corresponds to `t[k]`.
-    pub y: Vec<Vec<f64>>,
-}
-
-impl Trajectory {
-    /// Number of stored samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.t.len()
-    }
-
-    /// Whether the trajectory holds no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.t.is_empty()
-    }
-
-    /// Extract the time series of component `i`.
-    #[must_use]
-    pub fn component(&self, i: usize) -> Vec<f64> {
-        self.y.iter().map(|s| s[i]).collect()
-    }
-
-    /// Final state, if any samples were stored.
-    #[must_use]
-    pub fn last(&self) -> Option<(&f64, &[f64])> {
-        match (self.t.last(), self.y.last()) {
-            (Some(t), Some(y)) => Some((t, y.as_slice())),
-            _ => None,
-        }
     }
 }
 
@@ -165,11 +128,14 @@ pub struct Dopri5 {
 /// Outcome of an event-terminated integration.
 #[derive(Debug, Clone)]
 pub struct EventOutcome {
-    /// The recorded trajectory up to (and including) the stopping point.
-    pub trajectory: Trajectory,
-    /// `Some((t*, y*))` when the event function crossed zero; `None` when
-    /// integration reached `t1` without an event.
-    pub event: Option<(f64, Vec<f64>)>,
+    /// Time where the integration stopped: the located zero crossing,
+    /// or `t1`.
+    pub t: f64,
+    /// State at `t`.
+    pub y: Vec<f64>,
+    /// Whether the event function crossed zero (`false`: integration
+    /// reached `t1` without an event).
+    pub fired: bool,
 }
 
 impl Dopri5 {
@@ -179,26 +145,23 @@ impl Dopri5 {
         Self { opts }
     }
 
-    /// Integrate from `t0` to `t1`, recording every accepted step.
+    /// Integrate from `t0` to `t1`, recording the start and every
+    /// accepted step.
     ///
     /// # Errors
     /// * [`NumericsError::InvalidParameter`] for `t1 <= t0`.
     /// * [`NumericsError::NoConvergence`] when the step count budget is
     ///   exhausted or the step size underflows `h_min`.
-    pub fn integrate<R: Rhs>(
-        &self,
-        rhs: &mut R,
-        t0: f64,
-        t1: f64,
-        y0: &[f64],
-    ) -> Result<Trajectory> {
-        let out = self.drive(rhs, t0, t1, y0, None)?;
-        Ok(out.trajectory)
+    pub fn integrate<R: Rhs>(&self, rhs: &mut R, t0: f64, t1: f64, y0: &[f64]) -> Result<Series> {
+        let mut traj = Series::new(y0.len());
+        self.drive(rhs, t0, t1, y0, None, Some(&mut traj))?;
+        Ok(traj)
     }
 
     /// Integrate until either `t1` or the scalar event function `event`
-    /// crosses zero (either direction). The crossing is located to high
-    /// precision by bisection on the dense output.
+    /// crosses zero (either direction), recording only where it stopped.
+    /// The crossing is located to high precision by bisection on the
+    /// dense output.
     ///
     /// The event function is evaluated at accepted step endpoints; events
     /// entirely contained inside one step (double crossing) may be missed,
@@ -216,7 +179,7 @@ impl Dopri5 {
         mut event: E,
     ) -> Result<EventOutcome> {
         let mut boxed: &mut dyn FnMut(f64, &[f64]) -> f64 = &mut event;
-        self.drive(rhs, t0, t1, y0, Some(&mut boxed))
+        self.drive(rhs, t0, t1, y0, Some(&mut boxed), None)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -227,6 +190,7 @@ impl Dopri5 {
         t1: f64,
         y0: &[f64],
         mut event: Option<&mut &mut dyn FnMut(f64, &[f64]) -> f64>,
+        mut traj: Option<&mut Series>,
     ) -> Result<EventOutcome> {
         if !(t1 > t0) {
             return Err(NumericsError::InvalidParameter {
@@ -246,9 +210,9 @@ impl Dopri5 {
         // the floor must win in that case (clamp would panic).
         h = h.min(t1 - t0).max(o.h_min);
 
-        let mut traj = Trajectory::default();
-        traj.t.push(t);
-        traj.y.push(y.clone());
+        if let Some(traj) = traj.as_mut() {
+            traj.push(t, y.iter().copied());
+        }
 
         let mut ev_prev = event.as_mut().map(|e| e(t, &y));
 
@@ -284,9 +248,7 @@ impl Dopri5 {
                     }
                     ytmp[i] = y[i] + h * acc;
                 }
-                let (head, tail) = k.split_at_mut(s);
-                let _ = head;
-                rhs.eval(t + dp::C[s] * h, &ytmp, &mut tail[0]);
+                rhs.eval(t + dp::C[s] * h, &ytmp, &mut k[s]);
             }
 
             // 5th-order solution and embedded error estimate.
@@ -312,22 +274,16 @@ impl Dopri5 {
                     let g_new = ev(t_new, &y5);
                     let g_old = ev_prev.unwrap_or(g_new);
                     if g_old == 0.0 {
-                        traj.t.push(t_new);
-                        traj.y.push(y5.clone());
-                        return Ok(EventOutcome {
-                            trajectory: traj,
-                            event: Some((t, y.clone())),
-                        });
+                        return Ok(EventOutcome { t, y, fired: true });
                     }
                     if g_old * g_new < 0.0 {
                         // Bisect the crossing using Hermite dense output over
                         // [t, t_new]: value/slope pairs (y, k0) and (y5, k6).
                         let (te, ye) = hermite_bisect_event(t, &y, &k[0], t_new, &y5, &k[6], h, ev);
-                        traj.t.push(te);
-                        traj.y.push(ye.clone());
                         return Ok(EventOutcome {
-                            trajectory: traj,
-                            event: Some((te, ye)),
+                            t: te,
+                            y: ye,
+                            fired: true,
                         });
                     }
                     ev_prev = Some(g_new);
@@ -335,8 +291,9 @@ impl Dopri5 {
                 t = t_new;
                 y.copy_from_slice(&y5);
                 k.swap(0, 6); // FSAL
-                traj.t.push(t);
-                traj.y.push(y.clone());
+                if let Some(traj) = traj.as_mut() {
+                    traj.push(t, y.iter().copied());
+                }
 
                 // PI step controller (Hairer–Nørsett–Wanner II.4).
                 let fac = 0.9 * err_norm.powf(-0.7 / 5.0) * err_prev.powf(0.4 / 5.0);
@@ -349,10 +306,7 @@ impl Dopri5 {
                 h *= fac;
             }
         }
-        Ok(EventOutcome {
-            trajectory: traj,
-            event: None,
-        })
+        Ok(EventOutcome { t, y, fired: false })
     }
 }
 
@@ -487,9 +441,9 @@ mod tests {
         let out = solver
             .integrate_with_event(&mut f, 0.0, 10.0, &[0.0], |_t, y| y[0] - 2.5)
             .unwrap();
-        let (te, ye) = out.event.expect("event should fire");
-        assert!(approx_eq(te, 2.5, 1e-9, 1e-9), "te={te}");
-        assert!(approx_eq(ye[0], 2.5, 1e-9, 1e-9));
+        assert!(out.fired, "event should fire");
+        assert!(approx_eq(out.t, 2.5, 1e-9, 1e-9), "te={}", out.t);
+        assert!(approx_eq(out.y[0], 2.5, 1e-9, 1e-9));
     }
 
     #[test]
@@ -504,10 +458,11 @@ mod tests {
         let out = solver
             .integrate_with_event(&mut f, 0.0, 10.0, &[1.0, 0.0], |_t, y| y[0])
             .unwrap();
-        let (te, _) = out.event.expect("event should fire");
+        assert!(out.fired, "event should fire");
         assert!(
-            approx_eq(te, std::f64::consts::FRAC_PI_2, 1e-8, 1e-8),
-            "te={te}"
+            approx_eq(out.t, std::f64::consts::FRAC_PI_2, 1e-8, 1e-8),
+            "te={}",
+            out.t
         );
     }
 
@@ -518,13 +473,8 @@ mod tests {
         let out = solver
             .integrate_with_event(&mut f, 0.0, 1.0, &[1.0], |_t, y| y[0] + 10.0)
             .unwrap();
-        assert!(out.event.is_none());
-        assert!(approx_eq(
-            out.trajectory.last().unwrap().1[0],
-            (-1.0f64).exp(),
-            1e-7,
-            1e-9
-        ));
+        assert!(!out.fired);
+        assert!(approx_eq(out.y[0], (-1.0f64).exp(), 1e-7, 1e-9));
     }
 
     #[test]
@@ -533,7 +483,7 @@ mod tests {
         let traj = Dopri5::default()
             .integrate(&mut f, 0.0, 1.0, &[1.0, 0.0])
             .unwrap();
-        let c0 = traj.component(0);
+        let c0: Vec<f64> = traj.col(0).collect();
         assert_eq!(c0.len(), traj.len());
         assert!(approx_eq(c0[0], 1.0, 0.0, 0.0));
         assert!(approx_eq(c0[c0.len() - 1], 1.0f64.cos(), 1e-6, 1e-9));

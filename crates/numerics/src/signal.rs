@@ -6,6 +6,7 @@
 //! (sustained oscillations) with delay; these routines quantify which
 //! regime a simulated trajectory is in, and by how much.
 
+use crate::series::Series;
 use crate::stats::mean;
 use crate::{NumericsError, Result};
 
@@ -44,32 +45,19 @@ pub fn find_peaks(t: &[f64], x: &[f64]) -> Result<Vec<Peak>> {
     let mut run_start = 0usize; // start of the current equal-value run
     let mut i = 0usize;
     while i + 1 < n {
-        let d = (x[i + 1] - x[i])
-            .partial_cmp(&0.0)
-            .map_or(0i8, |o| match o {
-                std::cmp::Ordering::Greater => 1,
-                std::cmp::Ordering::Less => -1,
-                std::cmp::Ordering::Equal => 0,
-            });
+        // -1, 0 or 1 (0 for a NaN step too).
+        let d = (x[i + 1] - x[i]).partial_cmp(&0.0).map_or(0, |o| o as i8);
         if d == 0 {
             i += 1;
             continue; // extend the plateau; run_start stays put
         }
-        if last_dir == 1 && d == -1 {
+        if last_dir == -d {
             let idx = (run_start + i) / 2;
             peaks.push(Peak {
                 index: idx,
                 t: t[idx],
                 value: x[idx],
-                is_max: true,
-            });
-        } else if last_dir == -1 && d == 1 {
-            let idx = (run_start + i) / 2;
-            peaks.push(Peak {
-                index: idx,
-                t: t[idx],
-                value: x[idx],
-                is_max: false,
+                is_max: last_dir == 1,
             });
         }
         last_dir = d;
@@ -92,42 +80,43 @@ pub struct Oscillation {
     pub mean_level: f64,
 }
 
-/// Estimate amplitude and period of a (possibly damped) oscillation from
-/// the final `tail_fraction` of the trajectory. Returns `None` when fewer
-/// than two maxima are found there (i.e. the signal has settled).
+/// Estimate amplitude and period of a (possibly damped) oscillation of
+/// column `col` of `series` from its final `tail_fraction` (at least three
+/// samples, [`Series::tail_start`]). Returns `None` when fewer than two
+/// maxima are found there (i.e. the signal has settled).
 ///
 /// # Errors
 /// Propagates [`find_peaks`] errors; rejects `tail_fraction` outside
 /// `(0, 1]`.
 pub fn analyze_oscillation(
-    t: &[f64],
-    x: &[f64],
+    series: &Series,
+    col: usize,
     tail_fraction: f64,
 ) -> Result<Option<Oscillation>> {
-    if !(tail_fraction > 0.0 && tail_fraction <= 1.0) {
-        return Err(NumericsError::InvalidParameter {
-            context: "analyze_oscillation: tail_fraction must lie in (0, 1]",
-        });
-    }
-    let start = ((1.0 - tail_fraction) * t.len() as f64) as usize;
-    let start = start.min(t.len().saturating_sub(3));
-    let tt = &t[start..];
-    let xx = &x[start..];
-    let peaks = find_peaks(tt, xx)?;
-    let maxima: Vec<&Peak> = peaks.iter().filter(|p| p.is_max).collect();
-    let minima: Vec<&Peak> = peaks.iter().filter(|p| !p.is_max).collect();
-    if maxima.len() < 2 || minima.is_empty() {
+    let start = series.tail_start(tail_fraction, 3)?;
+    let tt = &series.t()[start..];
+    let xx: Vec<f64> = series.col(col).skip(start).collect();
+    let peaks = find_peaks(tt, &xx)?;
+    let Some((mean_max, mean_min, n_max)) = extrema_means(&peaks).filter(|e| e.2 >= 2) else {
         return Ok(None);
-    }
-    let mean_max = mean(&maxima.iter().map(|p| p.value).collect::<Vec<_>>());
-    let mean_min = mean(&minima.iter().map(|p| p.value).collect::<Vec<_>>());
-    let periods: Vec<f64> = maxima.windows(2).map(|w| w[1].t - w[0].t).collect();
+    };
+    let maxima = || peaks.iter().filter(|p| p.is_max);
+    let periods = maxima().zip(maxima().skip(1)).map(|(a, b)| b.t - a.t);
     Ok(Some(Oscillation {
         amplitude: mean_max - mean_min,
-        period: mean(&periods),
-        cycles: periods.len(),
-        mean_level: mean(xx),
+        period: periods.sum::<f64>() / (n_max - 1) as f64,
+        cycles: n_max - 1,
+        mean_level: mean(&xx),
     }))
+}
+
+/// Mean value of the maxima and of the minima among `peaks`, with the
+/// number of maxima; `None` unless both kinds occur.
+fn extrema_means(peaks: &[Peak]) -> Option<(f64, f64, usize)> {
+    let kind = |is_max: bool| peaks.iter().filter(move |p| p.is_max == is_max);
+    let (n_max, n_min) = (kind(true).count(), kind(false).count());
+    let mean = |is_max: bool, n: usize| kind(is_max).map(|p| p.value).sum::<f64>() / n as f64;
+    (n_max > 0 && n_min > 0).then(|| (mean(true, n_max), mean(false, n_min), n_max))
 }
 
 /// Classify a trajectory as settled / damped / sustained based on the
@@ -144,38 +133,34 @@ pub enum Regime {
     Divergent,
 }
 
-/// Decide the oscillation regime by comparing mean peak-to-peak amplitude
-/// in the first and last thirds of the trajectory.
+/// Decide the oscillation regime of column `col` of `series` by
+/// comparing mean peak-to-peak amplitude in the first and last thirds of
+/// the trajectory.
 ///
 /// `floor` is the absolute amplitude below which the signal counts as
 /// converged (pick it relative to the signal scale, e.g. 1% of q̂).
 ///
 /// # Errors
 /// Propagates [`find_peaks`] errors from either window.
-pub fn classify_regime(t: &[f64], x: &[f64], floor: f64) -> Result<Regime> {
-    let n = t.len();
+pub fn classify_regime(series: &Series, col: usize, floor: f64) -> Result<Regime> {
+    let (t, n) = (series.t(), series.len());
     if n < 9 {
         return Err(NumericsError::DimensionMismatch {
             context: "classify_regime: need >= 9 samples",
         });
     }
+    let x: Vec<f64> = series.col(col).collect();
     let third = n / 3;
     let amp = |lo: usize, hi: usize| -> Result<f64> {
-        let peaks = find_peaks(&t[lo..hi], &x[lo..hi])?;
-        let maxima: Vec<f64> = peaks.iter().filter(|p| p.is_max).map(|p| p.value).collect();
-        let minima: Vec<f64> = peaks
-            .iter()
-            .filter(|p| !p.is_max)
-            .map(|p| p.value)
-            .collect();
-        if maxima.is_empty() || minima.is_empty() {
+        let w = &x[lo..hi];
+        Ok(match extrema_means(&find_peaks(&t[lo..hi], w)?) {
+            Some((mean_max, mean_min, _)) => mean_max - mean_min,
             // No oscillation in this window; use the raw range.
-            let w = &x[lo..hi];
-            let max = w.iter().fold(f64::NEG_INFINITY, |m, v| m.max(*v));
-            let min = w.iter().fold(f64::INFINITY, |m, v| m.min(*v));
-            return Ok(max - min);
-        }
-        Ok(mean(&maxima) - mean(&minima))
+            None => {
+                let max = w.iter().fold(f64::NEG_INFINITY, |m, v| m.max(*v));
+                max - w.iter().fold(f64::INFINITY, |m, v| m.min(*v))
+            }
+        })
     };
     let early = amp(0, third)?;
     let late = amp(n - third, n)?;
@@ -197,16 +182,19 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
-    fn sampled<F: Fn(f64) -> f64>(f: F, t1: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
-        let ts: Vec<f64> = (0..n).map(|i| i as f64 * t1 / (n - 1) as f64).collect();
-        let xs: Vec<f64> = ts.iter().map(|&t| f(t)).collect();
-        (ts, xs)
+    fn sampled<F: Fn(f64) -> f64>(f: F, t1: f64, n: usize) -> Series {
+        let mut s = Series::new(1);
+        for i in 0..n {
+            let t = i as f64 * t1 / (n - 1) as f64;
+            s.push(t, [f(t)]);
+        }
+        s
     }
 
     #[test]
     fn peaks_of_sine() {
-        let (t, x) = sampled(|t| t.sin(), 4.0 * std::f64::consts::PI, 1000);
-        let peaks = find_peaks(&t, &x).unwrap();
+        let s = sampled(|t| t.sin(), 4.0 * std::f64::consts::PI, 1000);
+        let peaks = find_peaks(s.t(), s.data()).unwrap();
         let maxima: Vec<&Peak> = peaks.iter().filter(|p| p.is_max).collect();
         let minima: Vec<&Peak> = peaks.iter().filter(|p| !p.is_max).collect();
         assert_eq!(maxima.len(), 2);
@@ -227,8 +215,8 @@ mod tests {
 
     #[test]
     fn oscillation_of_pure_sine() {
-        let (t, x) = sampled(|t| 5.0 + 2.0 * (t * 2.0).sin(), 40.0, 4000);
-        let osc = analyze_oscillation(&t, &x, 1.0).unwrap().unwrap();
+        let s = sampled(|t| 5.0 + 2.0 * (t * 2.0).sin(), 40.0, 4000);
+        let osc = analyze_oscillation(&s, 0, 1.0).unwrap().unwrap();
         // peak-to-peak = 4, period = pi
         assert!(
             approx_eq(osc.amplitude, 4.0, 1e-2, 1e-2),
@@ -242,24 +230,23 @@ mod tests {
 
     #[test]
     fn oscillation_none_for_settled_signal() {
-        let (t, x) = sampled(|t| (-t).exp(), 20.0, 500);
+        let s = sampled(|t| (-t).exp(), 20.0, 500);
         // Tail of a decayed exponential has no maxima.
-        assert!(analyze_oscillation(&t, &x, 0.3).unwrap().is_none());
+        assert!(analyze_oscillation(&s, 0, 0.3).unwrap().is_none());
     }
 
     #[test]
     fn regime_classification() {
-        let (t, xd) = sampled(|t| (-0.3 * t).exp() * (3.0 * t).cos(), 30.0, 3000);
-        assert_eq!(classify_regime(&t, &xd, 1e-6).unwrap(), Regime::Damped);
-
-        let (t2, xs) = sampled(|t| (3.0 * t).cos(), 30.0, 3000);
-        assert_eq!(classify_regime(&t2, &xs, 1e-6).unwrap(), Regime::Sustained);
-
-        let (t3, xg) = sampled(|t| (0.2 * t).exp() * (3.0 * t).cos(), 30.0, 3000);
-        assert_eq!(classify_regime(&t3, &xg, 1e-6).unwrap(), Regime::Divergent);
-
-        let (t4, xc) = sampled(|t| 1.0 + 1e-9 * (3.0 * t).cos(), 30.0, 3000);
-        assert_eq!(classify_regime(&t4, &xc, 1e-6).unwrap(), Regime::Converged);
+        let cases: [(fn(f64) -> f64, Regime); 4] = [
+            (|t| (-0.3 * t).exp() * (3.0 * t).cos(), Regime::Damped),
+            (|t| (3.0 * t).cos(), Regime::Sustained),
+            (|t| (0.2 * t).exp() * (3.0 * t).cos(), Regime::Divergent),
+            (|t| 1.0 + 1e-9 * (3.0 * t).cos(), Regime::Converged),
+        ];
+        for (f, regime) in cases {
+            let s = sampled(f, 30.0, 3000);
+            assert_eq!(classify_regime(&s, 0, 1e-6).unwrap(), regime);
+        }
     }
 }
 

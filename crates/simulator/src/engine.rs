@@ -339,7 +339,7 @@ mod tests {
         };
         let out = run(&cfg, &[src]).unwrap();
         assert!(out.flows[0].dropped > 0, "expected drops");
-        assert!(out.trace_q[0].iter().all(|&q| q <= 15.0));
+        assert!(out.trace_q.col(0).all(|q| q <= 15.0));
         // Server saturated → throughput ≈ μ.
         assert!((out.total_throughput - cfg.mu).abs() < 0.05 * cfg.mu);
     }
@@ -455,12 +455,7 @@ mod tests {
             .unwrap();
             let f = &out.flows[0];
             let accounted = f.delivered + f.dropped;
-            let peak_window = out
-                .trace_ctl
-                .iter()
-                .copied()
-                .fold(f64::MIN, f64::max)
-                .ceil() as u64;
+            let peak_window = out.trace_ctl.col(0).fold(f64::MIN, f64::max).ceil() as u64;
             assert!(
                 f.sent >= accounted,
                 "sent {} < delivered {} + dropped {}",
@@ -493,8 +488,8 @@ mod tests {
             seed: 9,
         };
         let out = run(&cfg, &[rate_source(5.0, 0.01)]).unwrap();
-        assert_eq!(out.trace_t.len(), 1001, "expected exactly 1001 samples");
-        for (k, &t) in out.trace_t.iter().enumerate() {
+        assert_eq!(out.trace_q.len(), 1001, "expected exactly 1001 samples");
+        for (k, &t) in out.trace_q.t().iter().enumerate() {
             let expect = (k as f64 * 0.1).min(cfg.t_end);
             assert!(
                 (t - expect).abs() < 1e-9,
@@ -510,11 +505,11 @@ mod tests {
         cfg.warmup = 1.0;
         cfg.sample_interval = 0.5;
         let out = run(&cfg, &[rate_source(5.0, 0.01)]).unwrap();
-        assert!(out.trace_t.len() >= 20 && out.trace_t.len() <= 22);
-        for w in out.trace_t.windows(2) {
+        assert!(out.trace_q.len() >= 20 && out.trace_q.len() <= 22);
+        for w in out.trace_q.t().windows(2) {
             assert!((w[1] - w[0] - 0.5).abs() < 1e-9);
         }
-        assert_eq!(out.trace_ctl.len(), out.trace_t.len());
+        assert_eq!(out.trace_ctl.t(), out.trace_q.t());
     }
 }
 
@@ -690,7 +685,7 @@ mod decbit_tests {
     #[test]
     fn decbit_window_stays_bounded() {
         let out = run(&cfg(), &[decbit_src(3.0)]).unwrap();
-        let max_w = out.trace_ctl.iter().copied().fold(f64::MIN, f64::max);
+        let max_w = out.trace_ctl.col(0).fold(f64::MIN, f64::max);
         assert!(max_w < 60.0, "window should not blow up: {max_w}");
         assert!(max_w >= 1.0);
     }
@@ -730,8 +725,8 @@ mod decbit_tests {
         let var = |xs: &[f64]| fpk_numerics::stats::variance(&xs[xs.len() / 2..]);
         // Not asserting a strict ordering (different decision cadences),
         // but both must be finite and the DECbit one non-degenerate.
-        assert!(var(&out_inst.trace_ctl).is_finite());
-        assert!(var(&out_avg.trace_ctl) > 0.0);
+        assert!(var(out_inst.trace_ctl.data()).is_finite());
+        assert!(var(out_avg.trace_ctl.data()) > 0.0);
     }
 }
 
@@ -813,7 +808,7 @@ mod onoff_tests {
     #[test]
     fn trace_records_phase() {
         let out = run(&cfg(200.0), &[onoff(5.0, 0.5, 1.0)]).unwrap();
-        let phases = &out.trace_ctl;
+        let phases = out.trace_ctl.data();
         assert!(phases.contains(&1.0), "should see ON samples");
         assert!(phases.contains(&0.0), "should see OFF samples");
     }

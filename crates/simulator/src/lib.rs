@@ -32,7 +32,9 @@
 //!   one reduction, [`summarize_network`], which [`run_network_summary`]
 //!   applies to a run on a reusable [`NetArena`] (the sweep path; no
 //!   per-run trace allocation after the arena's first run). Every run
-//!   records its queue and control traces.
+//!   records its queue and control traces, each an
+//!   [`fpk_numerics::Series`]: one row per sample, one column per hop
+//!   (`trace_q`) or per flow (`trace_ctl`).
 //!
 //! Every run is reproducible from its seed; `EXPERIMENTS.md` (workspace
 //! root) records the seeds each experiment binary uses.
@@ -59,6 +61,9 @@
 //! let rerun = run_network(&net, &flows).unwrap();
 //! assert!(out.total_throughput > 0.0);
 //! assert_eq!(out.trace_q, rerun.trace_q);
+//! // One queue column per hop, one row per 0.1 s sample from t = 0.
+//! assert_eq!((out.trace_q.width(), out.trace_q.len()), (1, 51));
+//! assert!(out.trace_q.col(0).all(|q| q >= 0.0));
 //! ```
 
 #![forbid(unsafe_code)]

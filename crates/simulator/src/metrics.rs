@@ -39,23 +39,6 @@ pub struct RunSummary {
     pub recovery_time: f64,
 }
 
-/// Per-flow control-signal standard deviation over the trace tail —
-/// the same tail window as the oscillation analysis: the fraction cut,
-/// clamped to keep at least three samples.
-fn tail_ctl_std(result: &NetResult, tail_fraction: f64) -> Vec<f64> {
-    let n_flows = result.flows.len();
-    let n_samples = result.trace_ctl.len().checked_div(n_flows).unwrap_or(0);
-    let s0 = (((1.0 - tail_fraction) * n_samples as f64) as usize).min(n_samples.saturating_sub(3));
-    (0..n_flows)
-        .map(|i| {
-            let xs: Vec<f64> = (s0..n_samples)
-                .map(|s| result.trace_ctl[s * n_flows + i])
-                .collect();
-            fpk_numerics::stats::variance(&xs).sqrt()
-        })
-        .collect()
-}
-
 /// Summarise a network result into a [`RunSummary`]: Jain index over
 /// end-to-end throughputs, hop-averaged mean queue, utilisation of
 /// aggregate capacity, and oscillation analysis of the final
@@ -69,15 +52,7 @@ fn tail_ctl_std(result: &NetResult, tail_fraction: f64) -> Vec<f64> {
 /// three samples or `tail_fraction` is NaN or outside `(0, 1]`;
 /// propagates fairness-metric errors.
 pub fn summarize_network(result: &NetResult, tail_fraction: f64) -> Result<RunSummary> {
-    // Checked here rather than letting the values fall through to
-    // `analyze_oscillation`: a NaN or out-of-range fraction is a caller
-    // bug and must be reported against the summary API's contract.
-    if !(tail_fraction > 0.0 && tail_fraction <= 1.0) {
-        return Err(NumericsError::InvalidParameter {
-            context: "summarize: tail_fraction must lie in (0, 1]",
-        });
-    }
-    if result.trace_t.len() < 3 {
+    if result.trace_q.len() < 3 {
         return Err(NumericsError::InvalidParameter {
             context: "summarize: trace too short",
         });
@@ -85,8 +60,13 @@ pub fn summarize_network(result: &NetResult, tail_fraction: f64) -> Result<RunSu
     let throughputs: Vec<f64> = result.flows.iter().map(|f| f.throughput).collect();
     let jain = jain_or_unit(&throughputs)?;
     let bottleneck = result.bottleneck_hop();
-    let queue_oscillation =
-        analyze_oscillation(&result.trace_t, &result.trace_q[bottleneck], tail_fraction)?;
+    let queue_oscillation = analyze_oscillation(&result.trace_q, bottleneck, tail_fraction)?;
+    // The control signals' spread over the same tail window.
+    let ctl = &result.trace_ctl;
+    let start = ctl.tail_start(tail_fraction, 3)?;
+    let ctl_std = (0..ctl.width())
+        .map(|i| ctl.tail_var(i, start).sqrt())
+        .collect();
     // Graceful degradation: the worst per-hop downtime fraction and the
     // mean recovery time over the hops that sampled one.
     let downtime_frac = result.downtime_frac.iter().copied().fold(0.0, f64::max);
@@ -107,7 +87,7 @@ pub fn summarize_network(result: &NetResult, tail_fraction: f64) -> Result<RunSu
         utilization: net_utilization(result),
         queue_oscillation,
         total_dropped: result.flows.iter().map(|f| f.dropped).sum(),
-        ctl_std: tail_ctl_std(result, tail_fraction),
+        ctl_std,
         throughputs,
         workload: result.workload.clone(),
         downtime_frac,
@@ -174,6 +154,7 @@ mod tests {
     use crate::network::run_network;
     use crate::source::SourceSpec;
     use fpk_congestion::LinearExp;
+    use fpk_numerics::Series;
 
     /// Two adaptive rate sources on one exponential bottleneck.
     fn quick_result() -> NetResult {
@@ -220,8 +201,9 @@ mod tests {
     #[test]
     fn summarize_rejects_short_trace() {
         let mut r = quick_result();
-        r.trace_t.truncate(2);
-        r.trace_q[0].truncate(2);
+        r.trace_q = Series::new(1);
+        r.trace_q.push(0.0, [0.0]);
+        r.trace_q.push(0.05, [1.0]);
         assert!(summarize_network(&r, 0.5).is_err());
     }
 
@@ -292,9 +274,12 @@ mod tests {
             vec![Route::single(0)],
         );
         let buffers = |a: &NetArena| {
+            let (q, ctl) = (&a.trace.queues, &a.trace.ctl);
             [
-                (a.trace.times.as_ptr(), a.trace.times.capacity()),
-                (a.trace.ctl.as_ptr(), a.trace.ctl.capacity()),
+                (q.t().as_ptr(), q.capacity().0),
+                (q.data().as_ptr(), q.capacity().1),
+                (ctl.t().as_ptr(), ctl.capacity().0),
+                (ctl.data().as_ptr(), ctl.capacity().1),
             ]
         };
         for wl in [None, Some(&workload)] {

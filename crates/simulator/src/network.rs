@@ -45,7 +45,7 @@ use crate::workload::{
     ideal_fct_sized, sample_cumulative, DistSummary, FlowSizeDist, PacketBytes, RtoPolicy,
     Workload, WorkloadStats,
 };
-use fpk_numerics::{NumericsError, Result};
+use fpk_numerics::{NumericsError, Result, Series};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -361,21 +361,20 @@ pub struct NetFlowStats {
 
 /// Result of one network run.
 ///
-/// The three trace fields hold `⌊t_end/sample_interval⌋ + 1` samples,
-/// preallocated at exact capacity. Their buffers move out of the
+/// The two traces hold `⌊t_end/sample_interval⌋ + 1` samples at the same
+/// times, preallocated at exact capacity. Their buffers move out of the
 /// [`NetArena`] without a copy; [`crate::metrics::run_network_summary`]
 /// moves them back after summarising, so a replication loop allocates
 /// no trace storage after its first run.
 #[derive(Debug, Clone, Serialize)]
 pub struct NetResult {
-    /// Trace sample times.
-    pub trace_t: Vec<f64>,
-    /// Queue length of each hop at each sample: `trace_q[hop][k]`.
-    pub trace_q: Vec<Vec<f64>>,
+    /// Queue length of each hop at each sample, one column per hop
+    /// (`trace_q.row(k)[hop]`).
+    pub trace_q: Series,
     /// Per-flow control state at each sample (λ for rate sources, window
-    /// for window sources), row-major: flow `i` at sample `k` is
-    /// `trace_ctl[k * flows.len() + i]`.
-    pub trace_ctl: Vec<f64>,
+    /// for window sources), one column per flow
+    /// (`trace_ctl.row(k)[i]`).
+    pub trace_ctl: Series,
     /// Per-flow counters.
     pub flows: Vec<NetFlowStats>,
     /// Time-averaged queue length per hop after warm-up.
@@ -431,9 +430,10 @@ impl NetResult {
 /// each result's traces back, the trace buffers. Each run still
 /// allocates the [`NetResult`]'s per-flow and per-hop vectors and the
 /// summary built from them, and a `Scenario` run also clones its
-/// `NetConfig` and builds its flow list: 18–28 small heap allocations
-/// per `Scenario::run_seeded_in` on a warm arena, counted with a
-/// counting global allocator.
+/// `NetConfig` and builds its flow list: 16–22 small heap allocations
+/// per `Scenario::run_seeded_in` on a warm arena on perfbench's
+/// `des_static` and `flow_churn` cells, counted with a counting global
+/// allocator.
 /// Output is bit-identical to a fresh-allocation run by construction:
 /// nothing read by the simulation survives the reset.
 #[derive(Debug, Default)]
@@ -454,7 +454,6 @@ impl NetArena {
 
     /// Move a result's trace buffers back into the arena, so the next run reuses their capacity.
     pub(crate) fn recycle(&mut self, result: NetResult) {
-        self.trace.times = result.trace_t;
         self.trace.queues = result.trace_q;
         self.trace.ctl = result.trace_ctl;
     }
@@ -854,11 +853,10 @@ impl Wl {
 /// Trace buffers and the sampling clock.
 #[derive(Debug, Default)]
 pub(crate) struct Trace {
-    pub(crate) times: Vec<f64>,
-    /// `queues[hop][sample]`, reused across runs.
-    queues: Vec<Vec<f64>>,
-    /// Flattened control trace, stride = flow count (row per sample).
-    pub(crate) ctl: Vec<f64>,
+    /// One row of hop queue lengths per sample, reused across runs.
+    pub(crate) queues: Series,
+    /// One row of flow control states per sample, reused across runs.
+    pub(crate) ctl: Series,
     /// Next sample index to schedule, and the last inside the horizon.
     next: u64,
     last: u64,
@@ -873,25 +871,8 @@ impl Trace {
         self.last = (quotient * (1.0 + 1e-12) + 1e-9).floor() as u64;
         self.next = 0;
         let n_samples = self.last as usize + 1;
-        self.times.clear();
-        reset_each(&mut self.queues, k, Vec::clear);
-        self.ctl.clear();
-        self.times.reserve(n_samples);
-        for q in &mut self.queues {
-            q.reserve(n_samples);
-        }
-        self.ctl.reserve(n_samples * n_flows);
-    }
-
-    /// The `(trace_t, trace_q, trace_ctl)` fields of the result: the
-    /// buffers move to the caller ([`NetArena::recycle`] moves them
-    /// back).
-    fn take(&mut self) -> (Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
-        (
-            std::mem::take(&mut self.times),
-            std::mem::take(&mut self.queues),
-            std::mem::take(&mut self.ctl),
-        )
+        self.queues.reset(k, n_samples);
+        self.ctl.reset(n_flows, n_samples);
     }
 }
 
@@ -1333,11 +1314,9 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
         }
         let [mean_queue, utilization, downtime_frac, recovery_time] = self.hops.finish(config);
         let workload = self.workload.map(|_| self.wl.finish(config.t_end));
-        let (trace_t, trace_q, trace_ctl) = self.trace.take();
         NetResult {
-            trace_t,
-            trace_q,
-            trace_ctl,
+            trace_q: std::mem::take(&mut self.trace.queues),
+            trace_ctl: std::mem::take(&mut self.trace.ctl),
             total_throughput: flows.iter().map(|f| f.throughput).sum(),
             flows,
             mean_queue,
@@ -1350,7 +1329,7 @@ impl<'a, Q: QDisc, const BYTES: bool> Sim<'a, Q, BYTES> {
     }
 }
 
-// lint: hot-path arena(ev, fifos, fifo_bytes, fifo_attempt, times, queues, ctl, fcts, slowdowns, slots, free, hot)
+// lint: hot-path arena(ev, fifos, fifo_bytes, fifo_attempt, queues, ctl, fcts, slowdowns, slots, free, hot)
 impl Hops {
     /// Serve `hop`'s head of line at the hop's current (possibly
     /// degraded) capacity, scaled by its byte factor.
@@ -1924,17 +1903,16 @@ impl<Q: QDisc, const BYTES: bool> Sim<'_, Q, BYTES> {
     /// Record one trace sample and schedule the next.
     #[inline]
     fn on_sample(&mut self, t: f64) {
-        self.trace.times.push(t);
-        for hop in 0..self.hops.state.len() {
-            self.trace.queues[hop].push(self.hops.state[hop].q_len as f64);
-        }
+        let queues = self.hops.state.iter().map(|h| h.q_len as f64);
+        self.trace.queues.push(t, queues);
         let ctl = self.src.states.iter().map(|s| match s {
             SourceState::Rate { lambda } => *lambda,
             SourceState::Window { window, .. } => *window,
             SourceState::Decbit { ctl, .. } => ctl.window(),
             SourceState::OnOff { on, .. } => f64::from(u8::from(*on)),
         });
-        self.trace.ctl.extend(ctl);
+        // Same `t` for both traces: their time columns stay equal.
+        self.trace.ctl.push(t, ctl);
         if self.strict {
             // Periodic structural audit: the sample clock is the one
             // low-rate event stream that is always present.
@@ -2095,10 +2073,10 @@ mod tests {
         let cfg = net(3);
         let flows = vec![window_flow(Route::full(3))];
         let out = run_network(&cfg, &flows).unwrap();
-        assert_eq!(out.trace_q.len(), 3);
+        assert_eq!(out.trace_q.width(), 3);
         assert_eq!(out.mean_queue.len(), 3);
         assert_eq!(out.utilization.len(), 3);
-        assert_eq!(out.trace_q[0].len(), out.trace_t.len());
+        assert_eq!(out.trace_q.len(), out.trace_ctl.len());
         assert!(out.mean_queue.iter().all(|&q| q >= 0.0));
         assert!(out.flows[0].delivered > 0);
         assert_eq!(out.flows[0].hops, 3);
@@ -2147,7 +2125,7 @@ mod tests {
         let flows = vec![window_flow(Route::full(2))];
         let out = run_network(&cfg, &flows).unwrap();
         assert!(out.flows[0].dropped > 0, "tiny hop-1 buffer must drop");
-        assert!(out.trace_q[1].iter().all(|&q| q <= 2.0));
+        assert!(out.trace_q.col(1).all(|q| q <= 2.0));
     }
 
     #[test]
@@ -2193,9 +2171,8 @@ mod tests {
     #[test]
     fn bottleneck_hop_is_argmax_mean_queue() {
         let r = NetResult {
-            trace_t: vec![],
-            trace_q: vec![],
-            trace_ctl: vec![],
+            trace_q: Series::default(),
+            trace_ctl: Series::default(),
             flows: vec![],
             mean_queue: vec![1.0, 4.0, 4.0, 2.0],
             total_throughput: 0.0,
@@ -2298,7 +2275,6 @@ mod tests {
         let fresh = run(&cfg, &flows);
         run(&net(1), &[window_flow(Route::single(0))]);
         let reused = run(&cfg, &flows);
-        assert_eq!(fresh.trace_t, reused.trace_t);
         assert_eq!(fresh.trace_q, reused.trace_q);
         assert_eq!(fresh.trace_ctl, reused.trace_ctl);
         for (a, b) in fresh.flows.iter().zip(&reused.flows) {

@@ -16,6 +16,7 @@ use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::fluid::delay::{
     cycle_summary, simulate_delayed, window_laws_for_delays, DelayParams,
 };
+use fpk_repro::fluid::mean_rates_tail;
 use fpk_repro::sim::{
     run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec,
 };
@@ -58,7 +59,7 @@ fn main() {
         steps: 160_000,
     };
     let traj = simulate_delayed(&[law, law], &params).expect("DDE");
-    let shares = traj.mean_rates_tail(0.5);
+    let shares = mean_rates_tail(&traj, 0.5).expect("tail fraction");
     println!(
         "  delays (0.5, 2.0): shares = ({:.3}, {:.3}), Jain = {:.4}",
         shares[0],
@@ -83,7 +84,7 @@ fn main() {
         steps: 160_000,
     };
     let traj = simulate_delayed(&laws, &params).expect("DDE");
-    let shares = traj.mean_rates_tail(0.5);
+    let shares = mean_rates_tail(&traj, 0.5).expect("tail fraction");
     println!(
         "  fluid DDE measured: ({:.3}, {:.3}) — ratio {:.2} (predicted 3.0)",
         shares[0],

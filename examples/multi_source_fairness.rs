@@ -10,7 +10,7 @@
 use fpk_repro::congestion::fairness::{jain_index, share_prediction_error};
 use fpk_repro::congestion::theory::sliding_share;
 use fpk_repro::congestion::LinearExp;
-use fpk_repro::fluid::{simulate, FluidParams};
+use fpk_repro::fluid::{mean_rates_tail, simulate, FluidParams};
 use fpk_repro::sim::{
     run_network, FaultConfig, FlowSpec, NetConfig, Service, SimConfig, SourceSpec,
 };
@@ -28,7 +28,7 @@ fn main() {
         dt: 2e-3,
     };
     let traj = simulate(&laws, &params).expect("fluid");
-    let shares = traj.mean_rates_tail(0.25);
+    let shares = mean_rates_tail(&traj, 0.25).expect("tail fraction");
     println!("  start rates (0, 1, 2, 3) → tail shares {shares:?}");
     println!(
         "  Jain index = {:.5} (1 = perfectly fair)",
@@ -51,7 +51,7 @@ fn main() {
         dt: 2e-3,
     };
     let traj = simulate(&laws, &params).expect("fluid");
-    let measured = traj.mean_rates_tail(0.25);
+    let measured = mean_rates_tail(&traj, 0.25).expect("tail fraction");
     println!("  C0/C1 ratios (2, 4, 1):");
     println!("    theory   shares = {predicted:?}");
     println!("    measured shares = {measured:?}");

@@ -13,7 +13,7 @@
 
 use fpk_repro::congestion::theory::ReturnMap;
 use fpk_repro::congestion::LinearExp;
-use fpk_repro::fluid::{simulate, FluidParams};
+use fpk_repro::fluid::{final_state, simulate, FluidParams};
 use fpk_repro::fpk::solver::{FpProblem, FpSolver};
 use fpk_repro::fpk::Density;
 use fpk_repro::sim::{
@@ -37,8 +37,8 @@ fn main() {
         dt: 1e-3,
     };
     let traj = simulate(&[law], &params).expect("fluid integration");
-    let (qf, lf) = traj.final_state();
-    let lf = lf[0];
+    let (qf, lam) = final_state(&traj);
+    let lf = lam[0];
     println!(
         "[fluid] after t = {}: Q = {qf:.3} (target {}), lambda = {lf:.3} (mu = {mu})",
         params.t_end, law.q_hat

@@ -5,7 +5,7 @@
 use fpk_repro::congestion::theory::{sliding_share, ReturnMap};
 use fpk_repro::congestion::LinearExp;
 use fpk_repro::fluid::phase::section_crossings;
-use fpk_repro::fluid::{simulate, FluidParams};
+use fpk_repro::fluid::{final_state, mean_rates_tail, simulate, FluidParams};
 use fpk_repro::fpk::montecarlo::{simulate_ensemble, McConfig};
 use fpk_repro::fpk::solver::{FpProblem, FpSolver};
 use fpk_repro::fpk::Density;
@@ -78,8 +78,8 @@ fn fp_mean_tracks_fluid_before_switching() {
         },
     )
     .unwrap();
-    let (qf, lf) = fluid.final_state();
-    let lf = lf[0];
+    let (qf, lam) = final_state(&fluid);
+    let lf = lam[0];
     assert!(
         (solver.density().mean_q() - qf).abs() < 0.4,
         "FP mean q {} vs fluid {qf}",
@@ -148,7 +148,7 @@ fn sliding_share_theory_verified_by_fluid_and_packets() {
         },
     )
     .unwrap();
-    let fluid = traj.mean_rates_tail(0.25);
+    let fluid = mean_rates_tail(&traj, 0.25).unwrap();
     for (f, p) in fluid.iter().zip(predicted.iter()) {
         assert!(
             (f - p).abs() / p < 0.05,
@@ -249,7 +249,8 @@ fn window_map_sawtooth_matches_packet_simulator() {
         &[SourceSpec::Window { aimd, w0: 2.0 }],
     )
     .unwrap();
-    let tail = &out.trace_ctl[out.trace_ctl.len() / 2..];
+    let ctl = out.trace_ctl.data();
+    let tail = &ctl[ctl.len() / 2..];
     let mean_w = tail.iter().sum::<f64>() / tail.len() as f64;
     let peak_w = tail.iter().cloned().fold(f64::MIN, f64::max);
     // Map-level prediction vs packet measurement: same scale (within
@@ -282,8 +283,8 @@ fn event_tracer_validates_fixed_step_integrator() {
         },
     )
     .unwrap();
-    let (qf, lf) = rk4.final_state();
-    let lf = lf[0];
+    let (qf, lam) = final_state(&rk4);
+    let lf = lam[0];
     assert!((trace.final_state.0 - qf).abs() < 1e-2);
     assert!((trace.final_state.1 - lf).abs() < 1e-2);
 }

@@ -129,8 +129,8 @@ fn single_link_goldens_mixed_sources_with_loss() {
         ],
         "per-flow counters moved off the pre-refactor engine"
     );
-    assert_eq!(out.trace_q[0].len(), 401);
-    let qsum: f64 = out.trace_q[0].iter().sum();
+    assert_eq!(out.trace_q.len(), 401);
+    let qsum: f64 = out.trace_q.col(0).sum();
     assert_eq!(qsum.to_bits(), 0x40ab_6a00_0000_0000, "trace_q sum");
     assert_eq!(
         out.mean_queue[0].to_bits(),
@@ -142,8 +142,11 @@ fn single_link_goldens_mixed_sources_with_loss() {
         0x4047_a000_0000_0000,
         "total_throughput"
     );
-    let last_row = out.trace_ctl.len() - out.flows.len();
-    let ctl_last: Vec<u64> = out.trace_ctl[last_row..]
+    let ctl_last: Vec<u64> = out
+        .trace_ctl
+        .last()
+        .unwrap()
+        .1
         .iter()
         .map(|v| v.to_bits())
         .collect();
@@ -183,8 +186,8 @@ fn single_link_goldens_deterministic_window() {
     .unwrap();
     let f = &out.flows[0];
     assert_eq!((f.sent, f.delivered, f.dropped), (1871, 1861, 0));
-    assert_eq!(out.trace_q[0].len(), 301);
-    let qsum: f64 = out.trace_q[0].iter().sum();
+    assert_eq!(out.trace_q.len(), 301);
+    let qsum: f64 = out.trace_q.col(0).sum();
     assert_eq!(qsum.to_bits(), 0x40a0_b400_0000_0000);
     assert_eq!(out.mean_queue[0].to_bits(), 0x401d_06a7_ef9d_b2c6);
 }
@@ -258,7 +261,6 @@ fn workload_with_zero_cap_matches_run_network() {
     .with_max_flows(0);
     let capped = run_network_workload(&net, &flows, &off).unwrap();
 
-    assert_eq!(plain.trace_t, capped.trace_t);
     assert_eq!(plain.trace_q, capped.trace_q);
     assert_eq!(plain.trace_ctl, capped.trace_ctl);
     assert_eq!(
@@ -315,7 +317,6 @@ fn byte_mode_with_unity_factor_matches_unit_fast_path() {
     )
     .unwrap();
 
-    assert_eq!(unit.trace_t, bytes.trace_t);
     assert_eq!(unit.trace_q, bytes.trace_q);
     assert_eq!(unit.trace_ctl, bytes.trace_ctl);
     assert_eq!(unit.mean_queue[0].to_bits(), bytes.mean_queue[0].to_bits());
@@ -355,7 +356,7 @@ fn fingerprint(out: &NetResult) -> String {
         s += &format!("flow{i} {} {} {}\n", f.sent, f.delivered, f.dropped);
     }
     for h in 0..out.mean_queue.len() {
-        let qsum: f64 = out.trace_q.get(h).map_or(0.0, |q| q.iter().sum());
+        let qsum: f64 = out.trace_q.col(h).sum();
         s += &format!(
             "hop{h} {} {} {} {} {}\n",
             b(out.mean_queue[h]),
@@ -365,8 +366,8 @@ fn fingerprint(out: &NetResult) -> String {
             b(qsum)
         );
     }
-    let ctl: f64 = out.trace_ctl.iter().sum();
-    s += &format!("trace {} {}\n", out.trace_t.len(), b(ctl));
+    let ctl: f64 = out.trace_ctl.data().iter().sum();
+    s += &format!("trace {} {}\n", out.trace_q.len(), b(ctl));
     if let Some(w) = &out.workload {
         s += &format!(
             "wl {} {} {} {} {} {} {} {} {} {} {} {}\n",

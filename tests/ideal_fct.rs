@@ -67,8 +67,8 @@ fn idle_single_hop_fct_is_exact() {
     // A zero-static-flow run records trace samples, and its control
     // trace (stride = zero flows) comes back empty.
     let out = run_network_workload(&cfg, &[], &w).unwrap();
-    assert!(!out.trace_t.is_empty());
-    assert!(out.trace_ctl.is_empty());
+    assert!(!out.trace_q.is_empty());
+    assert!(out.trace_ctl.data().is_empty());
     let stats = out.workload.expect("workload stats");
     assert_eq!(stats.arrived, 1);
     assert_eq!(stats.completed_clean, 1);

@@ -250,8 +250,7 @@ proptest! {
         let traj = simulate(&[law], &FluidParams {
             mu, q0, lambda0: vec![lambda0], t_end: 30.0, dt: 1e-3,
         }).unwrap();
-        prop_assert!(traj.q.iter().all(|&q| q >= 0.0));
-        prop_assert!(traj.lambda.iter().all(|&l| l >= 0.0));
+        prop_assert!(traj.data().iter().all(|&v| v >= 0.0));
     }
 }
 
@@ -362,7 +361,7 @@ proptest! {
             packet_bytes: None,
         };
         let full = run_network(&cfg, &flows).unwrap();
-        prop_assert_eq!(full.trace_t.len(), 61);
+        prop_assert_eq!(full.trace_q.len(), 61);
         let reference = summarize_network(&full, 0.5).unwrap();
         // Dirty the arena with another seed so reuse is exercised.
         let mut arena = fpk_repro::sim::NetArena::new();
