@@ -57,7 +57,7 @@ pub fn run(name: &str) {
             n_particles: 1,
             dt: 1e-3,
             seed,
-            threads: 1,
+            threads: fpk_numerics::exec::thread_count(),
             init_mean: (0.0, -4.0),
             init_std: (0.0, 0.0),
         },

@@ -34,7 +34,7 @@ pub fn run(name: &str) {
         n_particles: 6,
         dt,
         seed: 55,
-        threads: 6,
+        threads: fpk_numerics::exec::thread_count(),
         init_mean: (10.0, -2.0),
         init_std: (0.0, 0.0),
     };

@@ -39,7 +39,7 @@ pub fn run(name: &str) {
             n_particles: 120_000,
             dt: 1e-3,
             seed: 31,
-            threads: 8,
+            threads: fpk_numerics::exec::thread_count(),
             init_mean: (3.0, -3.0),
             init_std: (1.2, 0.6),
         },

@@ -21,10 +21,10 @@
 //!
 //! Time runs on an integer step clock: every step is exactly `dt`, and a
 //! snapshot time `t` is reached after `round(t/dt)` steps, so snapshot
-//! times must lie on the dt grid. The ensemble runs in parallel with
-//! `std::thread::scope`, one deterministic RNG stream (`seed + chunk`)
-//! per chunk, so results are bit-reproducible for a fixed (seed, thread
-//! count) pair and statistically identical across thread counts.
+//! times must lie on the dt grid. The particles split over at most 8
+//! fixed RNG streams (stream `c` seeded `seed + c`) that run as jobs of
+//! `fpk_numerics::exec::run_indexed`, so results are bit-reproducible
+//! for a fixed (seed, particle count) whatever the worker count.
 //!
 //! Gaussian noise comes from a 128-layer ziggurat (`Ziggurat`, Marsaglia
 //! & Tsang 2000 in Doornik's ZIGNOR layout) over the vendored
@@ -36,6 +36,7 @@
 //! ensemble to a Box–Muller reference in moments and two-sample KS.
 
 use fpk_congestion::RateControl;
+use fpk_numerics::exec::run_indexed;
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -51,9 +52,9 @@ pub struct McConfig {
     pub n_particles: usize,
     /// Euler–Maruyama step.
     pub dt: f64,
-    /// Base RNG seed; each worker chunk derives `seed + chunk_index`.
+    /// Base RNG seed; the particles of stream `c` draw from `seed + c`.
     pub seed: u64,
-    /// Number of worker threads (1 = sequential).
+    /// Worker threads that run the streams; wall time only, never bits.
     pub threads: usize,
     /// Initial mean (q, ν) of the ensemble.
     pub init_mean: (f64, f64),
@@ -155,6 +156,10 @@ impl McSnapshot {
     }
 }
 
+/// RNG streams per ensemble (fewer for fewer particles), fixed so the
+/// bits do not depend on the worker count.
+const STREAMS: usize = 8;
+
 /// Simulate the Markov (τ = 0) ensemble, recording snapshots at the
 /// requested times: [`simulate_ensemble_delayed`] with no feedback lag.
 ///
@@ -189,9 +194,9 @@ pub fn simulate_ensemble_delayed<L: RateControl + Sync>(
     let snapshot_steps = cfg.validate(tau, snapshot_times)?;
     let lag = (tau / cfg.dt).ceil() as usize;
     let n = cfg.n_particles;
-    let chunk = n.div_ceil(cfg.threads.min(n));
-    // One stream per non-empty chunk: `threads` chunks of `chunk` may
-    // overshoot `n` (10 particles on 8 threads fill only 5 chunks of 2).
+    let chunk = n.div_ceil(STREAMS.min(n));
+    // One stream per non-empty chunk: `STREAMS` chunks of `chunk` may
+    // overshoot `n` (10 particles fill only 5 chunks of 2).
     let streams = n.div_ceil(chunk);
     let zig = Ziggurat::new();
     let stepper = Stepper {
@@ -202,84 +207,67 @@ pub fn simulate_ensemble_delayed<L: RateControl + Sync>(
         noise: cfg.sigma2.sqrt() * cfg.dt.sqrt(),
     };
 
-    // Pre-allocate snapshot stores.
+    // Stream `c` returns its q and ν samples as two flat buffers,
+    // snapshot-major: one `count`-long run per snapshot.
+    let runs = run_indexed(streams, cfg.threads, |c| {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64));
+        let count = chunk.min(n - c * chunk);
+        let mut qs = vec![0.0f64; count];
+        let mut nus = vec![0.0f64; count];
+        // A zero spread is a point mass and draws nothing.
+        let mut draw = |mean: f64, std: f64| {
+            if std == 0.0 {
+                mean
+            } else {
+                mean + std * zig.sample(&mut rng)
+            }
+        };
+        for p in 0..count {
+            qs[p] = draw(cfg.init_mean.0, cfg.init_std.0).max(0.0);
+            nus[p] = draw(cfg.init_mean.1, cfg.init_std.1).max(-cfg.mu);
+        }
+        // Slot-major ring of past queue values, `lag` slots of `count`;
+        // slot `head` holds every particle's q(t − τ).
+        let mut ring: Vec<f64> = qs.repeat(lag);
+        let mut head = 0usize;
+        let mut done = 0u64;
+        let mut q_out = Vec::with_capacity(count * snapshot_steps.len());
+        let mut nu_out = Vec::with_capacity(count * snapshot_steps.len());
+        for &target in &snapshot_steps {
+            while done < target {
+                if lag == 0 {
+                    stepper.step::<false>(&mut rng, &mut qs, &mut nus, &mut []);
+                } else {
+                    let slot = &mut ring[head * count..(head + 1) * count];
+                    stepper.step::<true>(&mut rng, &mut qs, &mut nus, slot);
+                    head = (head + 1) % lag;
+                }
+                done += 1;
+            }
+            q_out.extend_from_slice(&qs);
+            nu_out.extend_from_slice(&nus);
+        }
+        (q_out, nu_out)
+    });
+
     let mut snaps: Vec<McSnapshot> = snapshot_times
         .iter()
         .map(|&t| McSnapshot {
             t,
-            q: vec![0.0; n],
-            nu: vec![0.0; n],
+            q: Vec::with_capacity(n),
+            nu: Vec::with_capacity(n),
         })
         .collect();
-
-    // Split the per-snapshot buffers into per-chunk windows so worker
-    // threads write disjoint slices.
-    let mut snap_views: Vec<Vec<(&mut [f64], &mut [f64])>> = Vec::with_capacity(streams);
-    {
-        // Decompose each snapshot's q/nu into `streams` chunks.
-        let mut remaining: Vec<(&mut [f64], &mut [f64])> = snaps
-            .iter_mut()
-            .map(|s| (s.q.as_mut_slice(), s.nu.as_mut_slice()))
-            .collect();
-        for c in 0..streams {
-            let size = chunk.min(n - c * chunk);
-            let mut this_chunk = Vec::with_capacity(remaining.len());
-            let mut rest = Vec::with_capacity(remaining.len());
-            for (q, nu) in remaining {
-                let (q_head, q_tail) = q.split_at_mut(size);
-                let (nu_head, nu_tail) = nu.split_at_mut(size);
-                this_chunk.push((q_head, nu_head));
-                rest.push((q_tail, nu_tail));
-            }
-            snap_views.push(this_chunk);
-            remaining = rest;
+    // Stream by stream, so each stream's buffers are freed once copied
+    // and the samples are not held twice over.
+    for (q_out, nu_out) in runs {
+        let count = q_out.len() / snaps.len();
+        let parts = q_out.chunks_exact(count).zip(nu_out.chunks_exact(count));
+        for (s, (q, nu)) in snaps.iter_mut().zip(parts) {
+            s.q.extend_from_slice(q);
+            s.nu.extend_from_slice(nu);
         }
     }
-
-    std::thread::scope(|scope| {
-        for (c, mut views) in snap_views.into_iter().enumerate() {
-            let stepper = &stepper;
-            let snapshot_steps = &snapshot_steps;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64));
-                let count = views.first().map_or(0, |(q, _)| q.len());
-                let mut qs = vec![0.0f64; count];
-                let mut nus = vec![0.0f64; count];
-                // A zero spread is a point mass and draws nothing.
-                let mut draw = |mean: f64, std: f64| {
-                    if std == 0.0 {
-                        mean
-                    } else {
-                        mean + std * stepper.zig.sample(&mut rng)
-                    }
-                };
-                for p in 0..count {
-                    qs[p] = draw(cfg.init_mean.0, cfg.init_std.0).max(0.0);
-                    nus[p] = draw(cfg.init_mean.1, cfg.init_std.1).max(-cfg.mu);
-                }
-                // Slot-major ring of past queue values, `lag` slots of
-                // `count`; slot `head` holds every particle's q(t − τ).
-                let mut ring: Vec<f64> = qs.repeat(lag);
-                let mut head = 0usize;
-                let mut done = 0u64;
-                for (si, &target) in snapshot_steps.iter().enumerate() {
-                    while done < target {
-                        if lag == 0 {
-                            stepper.step::<false>(&mut rng, &mut qs, &mut nus, &mut []);
-                        } else {
-                            let slot = &mut ring[head * count..(head + 1) * count];
-                            stepper.step::<true>(&mut rng, &mut qs, &mut nus, slot);
-                            head = (head + 1) % lag;
-                        }
-                        done += 1;
-                    }
-                    let (q_out, nu_out) = &mut views[si];
-                    q_out.copy_from_slice(&qs);
-                    nu_out.copy_from_slice(&nus);
-                }
-            });
-        }
-    });
     Ok(snaps)
 }
 
@@ -572,19 +560,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn different_thread_counts_agree_statistically() {
-        // Chunk boundaries shift with the thread count, so individual
-        // particles differ; ensemble statistics must not.
+    fn different_thread_counts_agree_exactly() {
+        // The particles always run on the same streams; the worker
+        // count only changes which thread runs a stream.
         let law = LinearExp::new(1.0, 0.5, 10.0);
-        let mut c1 = cfg();
-        c1.n_particles = 20_000;
-        c1.threads = 2;
-        let mut c2 = c1.clone();
-        c2.threads = 5;
-        let a = simulate_ensemble(&law, &c1, &[1.0]).unwrap();
-        let b = simulate_ensemble(&law, &c2, &[1.0]).unwrap();
-        assert!((a[0].mean_q() - b[0].mean_q()).abs() < 0.05);
-        assert!((a[0].var_q() - b[0].var_q()).abs() < 0.1);
+        let mut c = cfg();
+        c.n_particles = 20_000;
+        c.threads = 1;
+        let serial = simulate_ensemble(&law, &c, &[0.5, 1.0]).unwrap();
+        for threads in [2, 5, 8, 13] {
+            c.threads = threads;
+            let par = simulate_ensemble(&law, &c, &[0.5, 1.0]).unwrap();
+            for (a, b) in serial.iter().zip(&par) {
+                assert_eq!(a.q, b.q, "{threads} workers moved q");
+                assert_eq!(a.nu, b.nu, "{threads} workers moved ν");
+            }
+        }
     }
 
     #[test]
@@ -633,10 +624,10 @@ pub(crate) mod tests {
 
     #[test]
     fn uneven_chunking_keeps_every_particle() {
-        // `threads` chunks of `n.div_ceil(threads)` overshoot n here
-        // (10 on 8 threads fills 5 chunks of 2; 5 on 4 fills 3).
+        // The 8 stream chunks of `n.div_ceil(8)` overshoot n here (10
+        // fills 5 chunks of 2, 13 fills 7 of 2); 5 runs one per stream.
         let law = LinearExp::new(1.0, 0.5, 10.0);
-        for (n, threads) in [(10, 8), (5, 4)] {
+        for (n, threads) in [(10, 8), (13, 3), (5, 4)] {
             let mut c = cfg();
             c.n_particles = n;
             c.threads = threads;

@@ -198,8 +198,8 @@ impl DdeProblem<'_> {
             if h_eff <= 0.0 {
                 break;
             }
-            // RK4 stages with delayed lookups at the stage times.
-            stage(t, &y, &mut k1, &mut delayed, rhs, &history);
+            // RK4 stages with delayed lookups at the stage times; `k1`
+            // is the derivative at (t, y) that went into the history.
             for i in 0..dim {
                 ytmp[i] = y[i] + 0.5 * h_eff * k1[i];
             }

@@ -12,8 +12,10 @@
 //!   with dense output and event location.
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
-//! * [`exec`] — the `FPK_THREADS` worker-count accessor every parallel
-//!   layer sizes itself from.
+//! * [`exec`] — the one parallel executor (`run_indexed[_with]`, jobs
+//!   striped over scoped workers, results in job order) and the
+//!   `FPK_THREADS` worker-count accessor every parallel layer sizes
+//!   itself from.
 //! * [`linalg`] — tridiagonal (Thomas) and banded solvers.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.

@@ -19,10 +19,11 @@
 //! * [`Ensemble`] — R replications per cell aggregated into
 //!   mean / std-dev / 95% CI per `RunSummary` field, streamed through
 //!   [`CellAccum`] so huge grids never hold per-replication summaries.
-//! * [`run_sweep`] — a parallel executor that stripes cells over
-//!   scoped worker threads (one `NetArena` scratch per worker) with the
-//!   `montecarlo.rs` determinism policy: bit-identical output for a
-//!   fixed base seed regardless of thread count (`FPK_THREADS`
+//! * [`run_sweep`] — stripes cells over scoped worker threads (one
+//!   `NetArena` scratch per worker) on the shared executor
+//!   [`run_indexed_with`], re-exported from `fpk_numerics::exec`:
+//!   bit-identical output for a fixed base seed regardless of thread
+//!   count (`FPK_THREADS`
 //!   overrides the worker count), plus the shared
 //!   `results/<name>.json` artifact writer ([`write_json`]).
 //!   Stress-scale grids shard across processes with

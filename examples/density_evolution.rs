@@ -11,6 +11,7 @@ use fpk_repro::congestion::LinearExp;
 use fpk_repro::fpk::montecarlo::{simulate_ensemble, McConfig};
 use fpk_repro::fpk::solver::{FpProblem, FpSolver};
 use fpk_repro::fpk::Density;
+use fpk_repro::numerics::exec::thread_count;
 use fpk_repro::numerics::stats::ks_sample_vs_density;
 
 fn heatmap(d: &Density, rows: usize, cols: usize) {
@@ -64,7 +65,7 @@ fn main() {
             n_particles: 40_000,
             dt: 2e-3,
             seed: 99,
-            threads: 4,
+            threads: thread_count(),
             init_mean: (3.0, -3.0),
             init_std: (1.2, 0.6),
         },

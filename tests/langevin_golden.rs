@@ -2,10 +2,12 @@
 //! paths, the limit-cycle amplitude reduction over them, and a Markov
 //! (τ = 0) ensemble.
 //!
-//! The constants were captured from the separate delayed-path driver and
-//! the float-clock ensemble that `simulate_ensemble_delayed` replaced,
-//! so each one proves that the one engine reproduces the old runs bit
-//! for bit. A fingerprint is a sample count plus one 64-bit FNV-1a hash
+//! The path constants were captured from the separate delayed-path
+//! driver that `simulate_ensemble_delayed` replaced, so each one proves
+//! that the one engine reproduces the old runs bit for bit. The Markov
+//! constant was captured from the thread-chunked ensemble on 8 threads,
+//! the split that the fixed 8 RNG streams reproduce at any worker
+//! count. A fingerprint is a sample count plus one 64-bit FNV-1a hash
 //! over the `f64::to_bits` of every value, so a one-ulp move anywhere
 //! fails.
 
@@ -30,7 +32,8 @@ fn law() -> LinearExp {
     LinearExp::new(1.0, 0.5, 10.0)
 }
 
-/// Point-mass paths at (10, −2), one stream (`seed + k`) per path.
+/// Point-mass paths at (10, −2), one stream (`seed + k`) per path (up
+/// to 8 paths).
 fn paths(n: usize, sigma2: f64, seed: u64) -> McConfig {
     McConfig {
         mu: 5.0,
@@ -77,27 +80,34 @@ fn cycle_amplitude_is_pinned() {
 
 #[test]
 fn markov_ensemble_is_pinned() {
-    // 2,000 particles on 3 streams, 1,500 whole steps of 2e-3 to t = 3.
-    let snaps = simulate_ensemble(
-        &law(),
-        &McConfig {
-            mu: 5.0,
-            sigma2: 0.4,
-            n_particles: 2_000,
-            dt: 2e-3,
-            seed: 42,
-            threads: 3,
-            init_mean: (3.0, -3.0),
-            init_std: (1.2, 0.6),
-        },
-        &[3.0],
-    )
-    .unwrap();
-    let got = format!(
-        "n={} q={:016x} nu={:016x}",
-        snaps[0].q.len(),
-        fnv1a(&snaps[0].q),
-        fnv1a(&snaps[0].nu)
-    );
-    assert_eq!(got, "n=2000 q=2c845236aac46df8 nu=dcc449f3536fbc82");
+    // 2,000 particles on 8 streams of 250, 1,500 whole steps of 2e-3 to
+    // t = 3. The worker count only decides which thread runs a stream,
+    // so every width must give the same bits.
+    for threads in [1, 2, 3, 8] {
+        let snaps = simulate_ensemble(
+            &law(),
+            &McConfig {
+                mu: 5.0,
+                sigma2: 0.4,
+                n_particles: 2_000,
+                dt: 2e-3,
+                seed: 42,
+                threads,
+                init_mean: (3.0, -3.0),
+                init_std: (1.2, 0.6),
+            },
+            &[3.0],
+        )
+        .unwrap();
+        let got = format!(
+            "n={} q={:016x} nu={:016x}",
+            snaps[0].q.len(),
+            fnv1a(&snaps[0].q),
+            fnv1a(&snaps[0].nu)
+        );
+        assert_eq!(
+            got, "n=2000 q=cab40cbe50902f28 nu=0c0f48a8c83e573c",
+            "{threads} workers"
+        );
+    }
 }
