@@ -1,17 +1,15 @@
 //! Criterion benchmarks of the numerical kernels: tridiagonal solves
-//! (the Crank–Nicolson hot path), spline fitting/evaluation, the
-//! adaptive ODE integrator and the advection sweep.
+//! (the Crank–Nicolson hot path), spline fitting/evaluation and the
+//! advection sweep.
 //!
-//! The `thomas_solve` and `dopri5_oscillator` groups override the
-//! quick-mode sample cap (`sample_size(30)`): five samples cannot tell a
-//! "no slower" change from noise (`thomas_solve/128` once had its max
-//! 3.6× its min).
+//! The `thomas_solve` group overrides the quick-mode sample cap
+//! (`sample_size(30)`): five samples cannot tell a "no slower" change
+//! from noise (`thomas_solve/128` once had its max 3.6× its min).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_core::fv::{advect_sweep, Limiter};
 use fpk_numerics::interp::CubicSpline;
 use fpk_numerics::linalg::solve_tridiagonal;
-use fpk_numerics::ode::{Dopri5, Dopri5Options};
 use std::hint::black_box;
 
 fn bench_tridiagonal(c: &mut Criterion) {
@@ -55,28 +53,6 @@ fn bench_spline(c: &mut Criterion) {
     });
 }
 
-fn bench_dopri5(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dopri5_oscillator");
-    group.sample_size(30);
-    group.bench_function("100s", |b| {
-        let solver = Dopri5::new(Dopri5Options {
-            rtol: 1e-8,
-            atol: 1e-10,
-            ..Default::default()
-        });
-        let mut f = |_t: f64, y: &[f64], d: &mut [f64]| {
-            d[0] = y[1];
-            d[1] = -y[0];
-        };
-        b.iter(|| {
-            solver
-                .integrate(&mut f, 0.0, 100.0, black_box(&[1.0, 0.0]))
-                .expect("ode")
-        });
-    });
-    group.finish();
-}
-
 fn bench_advect(c: &mut Criterion) {
     c.bench_function("advect_sweep_1024", |b| {
         let n = 1024;
@@ -101,6 +77,6 @@ fn bench_advect(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_tridiagonal, bench_spline, bench_dopri5, bench_advect
+    targets = bench_tridiagonal, bench_spline, bench_advect
 }
 criterion_main!(benches);

@@ -84,7 +84,7 @@ experiments! {
     tbl7_ablation_grid: "ablation",
         "grid/Δt refinement convergence";
     tbl10_ablation_integrator: "ablation",
-        "fixed-step RK4 vs event-driven Dormand–Prince on the switching system";
+        "fixed-step RK4 vs the closed-form arc tracer on the switching system";
     fig_fct_vs_load: "extension",
         "finite-flow FCT/slowdown vs offered load; deterministic-size rows pinned to Pollaczek–Khinchine (DESIGN §3f)";
     fig_marking_compare: "extension",

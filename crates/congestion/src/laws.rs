@@ -8,7 +8,7 @@
 //! * [`WindowAimd`] — Jacobson's window rule of Eq. 1 with its
 //!   rate-equivalent mapping (`λ = w / RTT`).
 
-use crate::law::RateControl;
+use crate::law::{Affine, RateControl};
 use serde::Serialize;
 
 /// Linear increase / exponential decrease (the JRJ algorithm, Eq. 2):
@@ -43,24 +43,17 @@ impl LinearExp {
 }
 
 impl RateControl for LinearExp {
-    fn g(&self, q: f64, lambda: f64) -> f64 {
+    #[inline]
+    fn regime(&self, q: f64) -> Affine {
         if q > self.q_hat {
-            -self.c1 * lambda
+            Affine::proportional(-self.c1)
         } else {
-            self.c0
+            Affine::linear(self.c0)
         }
     }
 
     fn q_hat(&self) -> f64 {
         self.q_hat
-    }
-
-    fn name(&self) -> &'static str {
-        "linear-increase/exponential-decrease (JRJ)"
-    }
-
-    fn is_multiplicative_decrease(&self) -> bool {
-        true
     }
 }
 
@@ -95,29 +88,18 @@ impl LinearLinear {
 }
 
 impl RateControl for LinearLinear {
-    fn g(&self, q: f64, lambda: f64) -> f64 {
+    #[inline]
+    fn regime(&self, q: f64) -> Affine {
         if q > self.q_hat {
             // The floor keeps λ from integrating below zero.
-            if lambda > 0.0 {
-                -self.c1
-            } else {
-                0.0
-            }
+            Affine::linear(-self.c1).floored(0.0)
         } else {
-            self.c0
+            Affine::linear(self.c0)
         }
     }
 
     fn q_hat(&self) -> f64 {
         self.q_hat
-    }
-
-    fn name(&self) -> &'static str {
-        "linear-increase/linear-decrease"
-    }
-
-    fn is_multiplicative_decrease(&self) -> bool {
-        false
     }
 }
 
@@ -151,25 +133,18 @@ impl Mimd {
 }
 
 impl RateControl for Mimd {
-    fn g(&self, q: f64, lambda: f64) -> f64 {
+    #[inline]
+    fn regime(&self, q: f64) -> Affine {
         if q > self.q_hat {
-            -self.c1 * lambda
+            Affine::proportional(-self.c1)
         } else {
             // Floor the probe so a source at λ = 0 can still start up.
-            self.a * lambda.max(1e-6)
+            Affine::proportional(self.a).floored(1e-6)
         }
     }
 
     fn q_hat(&self) -> f64 {
         self.q_hat
-    }
-
-    fn name(&self) -> &'static str {
-        "multiplicative-increase/multiplicative-decrease"
-    }
-
-    fn is_multiplicative_decrease(&self) -> bool {
-        true
     }
 }
 
@@ -221,20 +196,13 @@ impl WindowAimd {
 }
 
 impl RateControl for WindowAimd {
-    fn g(&self, q: f64, lambda: f64) -> f64 {
-        self.to_rate_law().g(q, lambda)
+    #[inline]
+    fn regime(&self, q: f64) -> Affine {
+        self.to_rate_law().regime(q)
     }
 
     fn q_hat(&self) -> f64 {
         self.q_hat
-    }
-
-    fn name(&self) -> &'static str {
-        "window AIMD (rate-equivalent)"
-    }
-
-    fn is_multiplicative_decrease(&self) -> bool {
-        true
     }
 }
 
@@ -288,18 +256,108 @@ mod tests {
         assert!((factor - w.d).abs() < 1e-12);
     }
 
+    /// `(λ(h), ∫₀ʰ λ)` of `dλ/dt = g(q, λ)` by RK4 in `n` fixed steps.
+    fn integrate(law: &impl RateControl, q: f64, lambda0: f64, h: f64, n: usize) -> (f64, f64) {
+        let dt = h / n as f64;
+        let (mut l, mut area) = (lambda0, 0.0);
+        for _ in 0..n {
+            let k1 = law.g(q, l);
+            let k2 = law.g(q, l + 0.5 * dt * k1);
+            let k3 = law.g(q, l + 0.5 * dt * k2);
+            let k4 = law.g(q, l + dt * k3);
+            // ∫λ over the step: RK4 on A' = λ with the same stages.
+            area += dt / 6.0 * (6.0 * l + dt * (k1 + k2 + k3));
+            l += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+        }
+        (l, area)
+    }
+
+    /// Smooth arcs are checked at 2·10⁴ steps to 1e-10; an arc through
+    /// a floor's kink takes 10⁶ steps and a looser `rtol`.
+    fn check_arc(law: &impl RateControl, q: f64, lambda0: f64, h: f64, rtol: f64) {
+        let regime = law.regime(q);
+        let (l, area) = regime.arc(lambda0, h);
+        let n = if rtol < 1e-9 { 20_000 } else { 1_000_000 };
+        let (l_num, area_num) = integrate(law, q, lambda0, h, n);
+        for (what, exact, num) in [("lambda", l, l_num), ("area", area, area_num)] {
+            assert!(
+                (exact - num).abs() <= rtol * num.abs().max(lambda0),
+                "{regime:?} from {lambda0} over {h}: {what} {exact} vs integrated {num}"
+            );
+        }
+        // `time_to` inverts the arc.
+        let half = regime.arc(lambda0, 0.5 * h).0;
+        let t = regime.time_to(lambda0, half).expect("reachable");
+        let back = regime.arc(lambda0, t).0;
+        assert!(
+            t <= 0.5 * h * (1.0 + 1e-12) && (back - half).abs() <= 1e-12 * half.abs().max(lambda0),
+            "{regime:?}: time_to {t} lands on {back}, not {half}"
+        );
+    }
+
     #[test]
-    fn law_names_distinct() {
-        let names = [
-            LinearExp::standard().name(),
-            LinearLinear::new(1.0, 1.0, 1.0).name(),
-            Mimd::new(1.0, 1.0, 1.0).name(),
-            WindowAimd::new(1.0, 0.5, 0.1, 1.0).name(),
-        ];
-        for i in 0..names.len() {
-            for j in i + 1..names.len() {
-                assert_ne!(names[i], names[j]);
-            }
+    fn arcs_match_fine_integration_of_g() {
+        let window = WindowAimd::new(1.0, 0.5, 0.2, 10.0);
+        for (q, lambda0, h) in [(0.0, 2.0, 3.0), (20.0, 8.0, 3.0)] {
+            check_arc(&LinearExp::standard(), q, lambda0, h, 1e-10);
+            check_arc(&window, q, lambda0, 0.1 * h, 1e-10);
+            check_arc(&Mimd::new(0.3, 0.6, 4.0), q, lambda0, h, 1e-10);
+        }
+        let ll = LinearLinear::new(1.0, 3.0, 5.0);
+        check_arc(&ll, 0.0, 2.0, 3.0, 1e-10);
+        // Falls to its stop at λ = 0 at h = 2/3, mid-arc.
+        check_arc(&ll, 6.0, 2.0, 3.0, 1e-5);
+        // Starts below the probe floor: held at a·1e-6 until λ = 1e-6.
+        check_arc(&Mimd::new(0.3, 0.6, 4.0), 0.0, 0.0, 10.0, 1e-6);
+    }
+
+    #[test]
+    fn floors_stop_and_release_exactly() {
+        let ll = LinearLinear::new(1.0, 3.0, 5.0).regime(6.0);
+        assert_eq!(ll.arc(2.0, 3.0), (0.0, 2.0 / 3.0));
+        assert_eq!(ll.arc(0.0, 3.0), (0.0, 0.0));
+        assert_eq!(ll.time_to(2.0, -1.0), None);
+        let mimd = Mimd::new(0.3, 0.6, 4.0).regime(0.0);
+        let out = 1e-6 / (0.3 * 1e-6);
+        let (l, area) = mimd.arc(0.0, out);
+        assert!((l - 1e-6).abs() < 1e-18 && (area - 0.5e-6 * out).abs() < 1e-18);
+        assert!((mimd.time_to(0.0, 1e-6).unwrap() - out).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unclamped_increase_arc_from_q_hat_lands_on_the_mirror() {
+        // From (q̂, λ0 < μ) the increase arc returns to q̂ after
+        // t = 2(μ − λ0)/C0, at λ = 2μ − λ0 (Eq. 18's parabola).
+        let (law, mu) = (LinearExp::standard(), 5.0);
+        for lambda0 in [0.0, 1.5, 4.0, 4.99] {
+            let t_up = 2.0 * (mu - lambda0) / law.c0;
+            let (l, area) = law.regime(law.q_hat).arc(lambda0, t_up);
+            assert!((l - (2.0 * mu - lambda0)).abs() < 1e-12, "{lambda0}: {l}");
+            assert!(
+                (area - mu * t_up).abs() < 1e-12,
+                "{lambda0}: q moved by {}",
+                area - mu * t_up
+            );
+        }
+    }
+
+    #[test]
+    fn regimes_keep_the_bits_of_the_branch_formulas() {
+        let (exp, mimd) = (LinearExp::new(2.0, 0.5, 10.0), Mimd::new(0.3, 0.6, 4.0));
+        for lambda in [0.0, 1e-7, 0.3, 7.0, 1e3] {
+            assert_eq!(exp.g(11.0, lambda).to_bits(), (-0.5 * lambda).to_bits());
+            assert_eq!(exp.g(1.0, lambda).to_bits(), 2.0f64.to_bits());
+            assert_eq!(
+                mimd.g(1.0, lambda).to_bits(),
+                (0.3 * lambda.max(1e-6)).to_bits()
+            );
+            let dt = 0.2;
+            let down = exp.regime(11.0).arc(lambda, dt).0;
+            assert_eq!(down.to_bits(), (lambda * (-0.5 * dt).exp()).to_bits());
+            assert_eq!(
+                exp.regime(1.0).arc(lambda, dt).0.to_bits(),
+                (lambda + 2.0 * dt).to_bits()
+            );
         }
     }
 }

@@ -18,7 +18,9 @@
 //! # Modules
 //!
 //! * [`law`] — the [`law::RateControl`] trait shared by the fluid model,
-//!   the Fokker–Planck solver and the discrete-event simulator.
+//!   the Fokker–Planck solver and the discrete-event simulator, and
+//!   [`law::Affine`], one regime `a + b·λ` of a law with its closed-form
+//!   arc.
 //! * [`laws`] — concrete laws: [`laws::LinearExp`] (JRJ),
 //!   [`laws::LinearLinear`], [`laws::Mimd`], window↔rate conversion.
 //! * [`theory`] — Section 5/6 theory: the single-source return map on the
@@ -54,5 +56,5 @@ pub mod laws;
 pub mod theory;
 pub mod window_map;
 
-pub use law::RateControl;
+pub use law::{Affine, RateControl};
 pub use laws::{LinearExp, LinearLinear, Mimd, WindowAimd};

@@ -50,6 +50,7 @@
 //! shares, and [`sliding_share`] returns the exact split for arbitrary
 //! parameters. This is the quantitative content of Section 6.
 
+use crate::law::RateControl;
 use crate::laws::{LinearExp, LinearLinear};
 use fpk_numerics::roots::brent;
 use fpk_numerics::{NumericsError, Result};
@@ -127,10 +128,12 @@ impl ReturnMap {
         }
 
         // ---- Increase phase: parabola dipping below q̂. ----
+        let (up, down) = (self.law.regime(q_hat), self.law.regime(f64::INFINITY));
         let defect = mu - lambda0;
         let q_dip = defect * defect / (2.0 * c0); // depth of the dip below q̂
         let (t_up, lambda_peak, q_min, hit_empty) = if q_dip <= q_hat {
-            // Unclamped: symmetric parabola, λ mirrors about μ.
+            // Unclamped: symmetric parabola, λ mirrors about μ (where the
+            // increase arc lands, written exactly).
             (2.0 * defect / c0, 2.0 * mu - lambda0, q_hat - q_dip, false)
         } else {
             // The dip reaches q = 0: queue sticks at empty (ν clamped to 0
@@ -143,12 +146,14 @@ impl ReturnMap {
             // q(t) = C0 t²/2 = q̂ ⇒ t = sqrt(2 q̂ / C0).
             let t_rise = defect / c0;
             let t_refill = (2.0 * q_hat / c0).sqrt();
-            (t_rise + t_refill, mu + c0 * t_refill, 0.0, true)
+            (t_rise + t_refill, up.arc(mu, t_refill).0, 0.0, true)
         };
 
         // ---- Decrease phase: exponential decay of λ above q̂. ----
         // q(t) − q̂ = (λ1/C1)(1 − e^{−C1 t}) − μ t, return when this hits 0
-        // at t2 > 0. Define h(t) = λ1 (1 − e^{−C1 t}) − μ C1 t.
+        // at t2 > 0. Define h(t) = λ1 (1 − e^{−C1 t}) − μ C1 t: C1 times
+        // the decrease arc's ∫λ − μt, in the operation order the pinned
+        // return times were computed in.
         let lambda1 = lambda_peak;
         let h = |t: f64| lambda1 * (1.0 - (-c1 * t).exp()) - mu * c1 * t;
         // h'(0) = C1(λ1 − μ) > 0, h → −∞; bracket the positive root.
@@ -170,7 +175,7 @@ impl ReturnMap {
             }
         }
         let t_down = brent(h, lo, hi, 1e-13 * (1.0 + hi), 200)?;
-        let lambda_next = lambda1 * (-c1 * t_down).exp();
+        let lambda_next = down.arc(lambda1, t_down).0;
 
         // Peak queue: at λ(t) = μ, t_pk = ln(λ1/μ)/C1.
         let t_pk = (lambda1 / mu).ln() / c1;
@@ -239,8 +244,9 @@ impl ReturnMap {
 
 /// One revolution of the **linear/linear** law's fluid system starting at
 /// `(q̂, λ0)` with `λ0 < μ`, assuming the q = 0 boundary is not hit.
-/// Returns `(λ_next, period)`. Analytically `λ_next = λ0` exactly — the
-/// orbit is closed, demonstrating oscillation without feedback delay.
+/// Returns `(λ_next, period)`, λ_next read off the law's two arcs.
+/// Analytically `λ_next = λ0` — the orbit is closed, demonstrating
+/// oscillation without feedback delay.
 ///
 /// # Errors
 /// [`NumericsError::InvalidParameter`] when parameters are non-positive,
@@ -268,7 +274,9 @@ pub fn linear_linear_cycle(law: &LinearLinear, mu: f64, lambda0: f64) -> Result<
     // (dλ/dt = −c1) mirrors it back in time 2·defect/c1.
     let t_up = 2.0 * defect / law.c0;
     let t_down = 2.0 * defect / law.c1;
-    Ok((lambda0, t_up + t_down))
+    let lambda1 = law.regime(law.q_hat).arc(lambda0, t_up).0;
+    let lambda_next = law.regime(f64::INFINITY).arc(lambda1, t_down).0;
+    Ok((lambda_next, t_up + t_down))
 }
 
 /// The sliding-mode equilibrium share of each JRJ source (Section 6):

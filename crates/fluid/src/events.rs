@@ -1,24 +1,26 @@
-//! Event-driven high-accuracy fluid integration.
+//! Event-driven exact fluid tracing.
 //!
 //! The fixed-step RK4 integrator [`crate::simulate`] smears O(dt) error
 //! across each crossing of the switching line `q = q̂` and the boundary
-//! `q = 0`. This module instead integrates each smooth arc with the
-//! adaptive Dormand–Prince 5(4) pair and locates every switching event
-//! to ~1e-12 with the solver's dense output, restarting the integration
-//! on the far side — the numerically "exact" characteristic tracer used
-//! to validate both the RK4 integrator and the analytic return map.
+//! `q = 0`. This module instead marches from arc to arc. Inside one
+//! regime the law's closed-form arc ([`Affine::arc`]) gives λ(t) and
+//! q(t) = q₀ + ∫λ − μt. λ is monotone along an arc, so q is convex or
+//! concave, with its one extremum where λ = μ ([`Affine::time_to`]).
+//! Each side of the extremum is monotone in q, which brackets every
+//! crossing of q̂ and of 0 for [`brent`]. The result is the accuracy
+//! reference used to validate both the RK4 integrator and the analytic
+//! return map.
 
-use crate::queue_drift;
-use fpk_congestion::RateControl;
-use fpk_numerics::ode::{Dopri5, Dopri5Options};
+use fpk_congestion::{Affine, RateControl};
+use fpk_numerics::roots::brent;
 use fpk_numerics::{NumericsError, Result, Series};
 
 /// Which smooth regime the trajectory is currently in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Arc {
-    /// q > q̂ — the decrease branch of the law.
+    /// q > q̂, or on q̂ moving up — the decrease branch of the law.
     Above,
-    /// 0 < q ≤ q̂ — the increase branch.
+    /// 0 ≤ q ≤ q̂ — the increase branch.
     Below,
     /// q = 0 with λ < μ — queue pinned empty, λ climbing.
     Empty,
@@ -28,20 +30,23 @@ enum Arc {
 #[derive(Debug, Clone)]
 pub struct EventTrace {
     /// Arc endpoints, where the regime changed: one `(q, λ)` row per
-    /// event time, `q` ≈ q̂ or 0 (the one-source fluid row, read by
+    /// event time, `q` = q̂ or 0 (the one-source fluid row, read by
     /// [`crate::state`] and [`crate::queue`]).
     pub switchings: Series,
     /// Final state `(q, λ)` at `t_end`.
     pub final_state: (f64, f64),
 }
 
+/// Arcs a trace may take; only a pathological law gets near it.
+const MAX_ARCS: usize = 100_000;
+
 /// Trace the single-source fluid system from `(q0, λ0)` to `t_end`,
 /// resolving every crossing of `q = q̂` and every visit to the empty
 /// queue exactly.
 ///
 /// # Errors
-/// Invalid parameters or integrator failures (step-size underflow on
-/// pathological laws).
+/// Invalid parameters; [`NumericsError::NoConvergence`] when the trace
+/// takes more than 100 000 arcs.
 pub fn trace_events<L: RateControl>(
     law: &L,
     mu: f64,
@@ -73,109 +78,104 @@ pub fn trace_events<L: RateControl>(
         }
     }
     let q_hat = law.q_hat();
-    let solver = Dopri5::new(Dopri5Options {
-        rtol: 1e-10,
-        atol: 1e-12,
-        max_steps: 10_000_000,
-        ..Default::default()
-    });
-
-    let mut t = 0.0;
-    let mut q = q0;
-    let mut lambda = lambda0;
-    // A start exactly on the switching surface would fire the event at
-    // t = 0; nudge it off along the direction of motion.
-    if (q - q_hat).abs() < 1e-12 * (1.0 + q_hat) {
-        q = q_hat + queue_drift(q, lambda, mu).signum() * 1e-12 * (1.0 + q_hat);
-    }
+    let (up, down) = (law.regime(q_hat), law.regime(f64::INFINITY));
+    let (mut t, mut q, mut lambda) = (0.0, q0, lambda0);
+    // On the switching line the direction of motion picks the side.
+    let mut arc = if q > q_hat || (q == q_hat && lambda > mu) {
+        Arc::Above
+    } else if q <= 0.0 && lambda < mu {
+        Arc::Empty
+    } else {
+        Arc::Below
+    };
     let mut switchings = Series::new(2);
 
-    // Guard against Zeno-like accumulation near the limit point: cap the
-    // number of arcs. Near convergence arcs get long, so this is
-    // generous.
-    for _arc in 0..100_000 {
-        if t >= t_end - 1e-12 {
-            break;
+    for _ in 0..MAX_ARCS {
+        // (q̂, μ) is the limit point: each regime pushes the trajectory
+        // back onto it, so it rests there.
+        if t >= t_end || (q == q_hat && lambda == mu) {
+            return Ok(EventTrace {
+                switchings,
+                final_state: (q, lambda),
+            });
         }
-        let arc = if q > q_hat {
-            Arc::Above
-        } else if q <= 0.0 && lambda < mu {
-            Arc::Empty
+        let span = t_end - t;
+        if arc == Arc::Empty {
+            // λ climbs along the increase arc with q pinned at 0.
+            let Some(h) = up.time_to(lambda, mu).filter(|&h| h <= span) else {
+                lambda = up.arc(lambda, span).0;
+                t = t_end;
+                continue;
+            };
+            t += h;
+            lambda = mu;
+            arc = Arc::Below;
         } else {
-            Arc::Below
-        };
-        match arc {
-            Arc::Empty => {
-                // λ grows under the increase branch with q pinned at 0
-                // until λ = μ; both branches: integrate dλ/dt = g(0, λ).
-                let mut rhs = |_t: f64, y: &[f64], d: &mut [f64]| {
-                    d[0] = law.g(0.0, y[0]);
-                };
-                let out = solver
-                    .integrate_with_event(&mut rhs, t, t_end, &[lambda], |_t, y| y[0] - mu)?;
-                lambda = out.y[0];
-                if !out.fired {
-                    q = 0.0;
-                    break;
-                }
-                switchings.push(out.t, [0.0, lambda]);
-                t = out.t;
-                q = 1e-14; // leave the boundary
-            }
-            Arc::Above | Arc::Below => {
-                // Full (q, λ) dynamics inside one smooth region; event =
-                // crossing of q̂ (either direction) or hitting q = 0 from
-                // above (only possible in the Below arc).
-                let mut rhs = |_t: f64, y: &[f64], d: &mut [f64]| {
-                    let qe = y[0].max(0.0);
-                    d[0] = queue_drift(qe, y[1], mu);
-                    d[1] = law.g(qe, y[1]);
-                };
-                // Event function: product of signed distances — zero at
-                // either surface. To keep crossings simple we pick the
-                // surface by arc: Above → q − q̂; Below → whichever of
-                // q − q̂ (recross) or q (empty) comes first, detected via
-                // min distance with sign bookkeeping: use q·(q − q̂)
-                // scaled — it vanishes at both surfaces and changes sign
-                // crossing either (for q in (0, q̂) the product is
-                // negative; outside positive).
-                let event = |_t: f64, y: &[f64]| -> f64 {
-                    match arc {
-                        Arc::Above => y[0] - q_hat,
-                        _ => y[0] * (y[0] - q_hat),
-                    }
-                };
-                let out = solver.integrate_with_event(&mut rhs, t, t_end, &[q, lambda], event)?;
-                let ye = out.y;
-                lambda = ye[1];
-                if !out.fired {
-                    q = ye[0];
-                    break;
-                }
-                switchings.push(out.t, [ye[0], ye[1]]);
-                t = out.t;
-                // Nudge off the surface in the direction of motion so
-                // the next arc classifies correctly.
-                q = if (ye[0] - q_hat).abs() < 1e-9 * (1.0 + q_hat) {
-                    q_hat + queue_drift(ye[0], ye[1], mu).signum() * 1e-12 * (1.0 + q_hat)
-                } else {
-                    0.0
-                };
+            let (regime, levels) = if arc == Arc::Above {
+                (&down, &[q_hat][..])
+            } else {
+                (&up, &[0.0, q_hat][..])
+            };
+            let Some((h, level)) = first_crossing(regime, mu, q, lambda, span, levels)? else {
+                let (l, area) = regime.arc(lambda, span);
+                q = (q + area - mu * span).max(0.0);
+                lambda = l;
+                t = t_end;
+                continue;
+            };
+            t += h;
+            q = level;
+            lambda = regime.arc(lambda, h).0;
+            arc = match arc {
+                Arc::Above => Arc::Below,
+                _ if level == q_hat => Arc::Above,
+                _ => Arc::Empty,
+            };
+        }
+        switchings.push(t, [q, lambda]);
+    }
+    Err(NumericsError::NoConvergence {
+        context: "trace_events",
+        iterations: MAX_ARCS,
+    })
+}
+
+/// The first time within `span` at which q(h) = q0 + ∫λ − μh, along
+/// `regime`'s arc from `lambda0`, crosses one of `levels`, with the level
+/// crossed. A level that q starts on is one it is leaving.
+fn first_crossing(
+    regime: &Affine,
+    mu: f64,
+    q0: f64,
+    lambda0: f64,
+    span: f64,
+    levels: &[f64],
+) -> Result<Option<(f64, f64)>> {
+    let q = |h: f64| q0 + regime.arc(lambda0, h).1 - mu * h;
+    // q' = λ − μ changes sign at most once, where λ = μ: q is monotone
+    // on each side of that extremum.
+    let extremum = regime.time_to(lambda0, mu).filter(|&h| h > 0.0 && h < span);
+    let (mut u, mut qu) = (0.0, q0);
+    for v in extremum.into_iter().chain([span]) {
+        let qv = q(v);
+        for &level in levels {
+            let (du, dv) = (qu - level, qv - level);
+            if du != 0.0 && (dv == 0.0 || (du > 0.0) != (dv > 0.0)) {
+                let tol = 4.0 * f64::EPSILON * (1.0 + v);
+                return Ok(Some((brent(|h| q(h) - level, u, v, tol, 200)?, level)));
             }
         }
+        (u, qu) = (v, qv);
     }
-    Ok(EventTrace {
-        switchings,
-        final_state: (q.max(0.0), lambda),
-    })
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{final_state, queue, simulate, state, FluidParams};
-    use fpk_congestion::theory::ReturnMap;
-    use fpk_congestion::LinearExp;
+    use fpk_congestion::theory::{linear_linear_cycle, ReturnMap};
+    use fpk_congestion::{LinearExp, LinearLinear};
 
     fn law() -> LinearExp {
         LinearExp::new(1.0, 0.5, 10.0)
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn events_match_analytic_return_map() {
         // Downward crossings of q̂ (λ < μ) must agree with the analytic
-        // map to ~1e-9 — far tighter than the fixed-step integrator.
+        // map to root-finding accuracy.
         let trace = trace_events(&law(), 5.0, 10.0, 2.0, 60.0).unwrap();
         let map = ReturnMap::new(law(), 5.0).unwrap();
         let analytic = map.iterate(2.0, 4).unwrap();
@@ -215,14 +215,56 @@ mod tests {
             .map(|(_, lam)| lam[0])
             .collect();
         assert!(numeric.len() >= 3, "need several revolutions: {numeric:?}");
-        // The dense-output Hermite interpolation at crossings is
-        // third-order in the local step: ~1e-8 at these tolerances —
-        // still ~10⁵× tighter than the fixed-step integrator.
         for (k, (a, n)) in analytic[1..].iter().zip(numeric.iter()).enumerate() {
             assert!(
-                (a - n).abs() < 1e-6,
+                (a - n).abs() < 1e-10,
                 "revolution {k}: analytic {a} vs event-driven {n}"
             );
+        }
+    }
+
+    /// `(t, λ)` at each downward crossing of `q_hat` (λ < μ).
+    fn downward_crossings(trace: &EventTrace, q_hat: f64, mu: f64) -> Vec<(f64, f64)> {
+        let sw = &trace.switchings;
+        (0..sw.len())
+            .map(|k| (sw.t()[k], state(sw.row(k))))
+            .filter(|&(_, (q, lam))| q == q_hat && lam[0] < mu)
+            .map(|(t, (_, lam))| (t, lam[0]))
+            .collect()
+    }
+
+    #[test]
+    fn linear_linear_orbit_closes() {
+        // No contraction without a proportional decrease: every downward
+        // crossing of q̂ returns to λ0, one closed-orbit period apart.
+        let law = LinearLinear::new(1.0, 2.0, 10.0);
+        let (lambda_next, period) = linear_linear_cycle(&law, 5.0, 4.0).unwrap();
+        let trace = trace_events(&law, 5.0, 10.0, 4.0, 20.0).unwrap();
+        let crossings = downward_crossings(&trace, 10.0, 5.0);
+        assert!(crossings.len() >= 6, "{crossings:?}");
+        let mut t_prev = 0.0;
+        for (t, lam) in crossings {
+            assert!((lam - lambda_next).abs() < 1e-12, "t = {t}: λ = {lam}");
+            assert!(
+                (t - t_prev - period).abs() < 1e-12,
+                "t = {t}: period {}",
+                t - t_prev
+            );
+            t_prev = t;
+        }
+    }
+
+    #[test]
+    fn clamped_revolutions_match_the_return_map() {
+        // Dips that reach q = 0 follow the map's empty-queue branch.
+        let law = LinearExp::new(0.2, 0.5, 0.5);
+        let trace = trace_events(&law, 5.0, 0.5, 0.0, 40.0).unwrap();
+        let map = ReturnMap::new(law, 5.0).unwrap();
+        let analytic = map.iterate(0.0, 3).unwrap();
+        let crossings = downward_crossings(&trace, 0.5, 5.0);
+        assert!(crossings.len() >= 2, "{crossings:?}");
+        for ((_, lam), a) in crossings.iter().zip(&analytic[1..]) {
+            assert!((lam - a).abs() < 1e-10, "traced {lam} vs map {a}");
         }
     }
 

@@ -24,8 +24,9 @@
 //!   return map of `fpk-congestion::theory` with numerical integration.
 //! * [`delay`] — delayed feedback (Section 7): DDE integration, limit
 //!   cycle detection, per-source throughput under heterogeneous delays.
-//! * [`events`] — event-driven Dormand–Prince tracer resolving every
-//!   switching-surface crossing to ~1e-12 (the accuracy reference).
+//! * [`events`] — the exact event tracer: it marches the law's
+//!   closed-form arcs and finds every switching-surface crossing by
+//!   root finding (the accuracy reference).
 //!
 //! # Example
 //!

@@ -109,7 +109,7 @@ impl DdeProblem<'_> {
     pub fn solve<R: DdeRhs>(&self, rhs: &mut R, steps_hint: usize) -> Result<Series> {
         if self.lags.is_empty() {
             return Err(NumericsError::InvalidParameter {
-                context: "DdeProblem: need at least one lag (use ode:: for none)",
+                context: "DdeProblem: need at least one lag",
             });
         }
         if self.lags.iter().any(|&l| !(l > 0.0)) {

@@ -8,8 +8,6 @@
 //! # Modules
 //!
 //! * [`grid`] — uniform cell-centred 1-D and 2-D grids with ghost cells.
-//! * [`ode`] — the adaptive Dormand–Prince RK45 initial-value integrator
-//!   with dense output and event location.
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
 //! * [`exec`] — the one parallel executor (`run_indexed[_with]`, jobs
@@ -59,7 +57,6 @@ pub mod exec;
 pub mod grid;
 pub mod interp;
 pub mod linalg;
-pub mod ode;
 pub mod roots;
 pub mod series;
 pub mod signal;

@@ -2,7 +2,7 @@
 //! feedback epochs) and window-based (Eq. 1, DECbit/Jacobson style).
 
 use fpk_congestion::decbit::{DecbitPolicy, DecbitWindow};
-use fpk_congestion::{LinearExp, WindowAimd};
+use fpk_congestion::{LinearExp, RateControl, WindowAimd};
 use serde::Serialize;
 
 /// Static description of one flow.
@@ -161,17 +161,13 @@ impl SourceSpec {
     }
 }
 
-/// Apply one rate update: integrate the JRJ law over `dt` given the
-/// (stale) observed queue length. Linear increase integrates to
+/// Apply one rate update: the JRJ law's arc over `dt` in the regime the
+/// (stale) observed queue length selects. Linear increase integrates to
 /// `λ += C0·dt`; exponential decrease to `λ *= exp(−C1·dt)` — the exact
 /// solutions of Eq. 2 over the sampling interval.
 #[must_use]
 pub fn rate_update(law: &LinearExp, lambda: f64, observed_queue: f64, dt: f64) -> f64 {
-    if observed_queue > law.q_hat {
-        lambda * (-law.c1 * dt).exp()
-    } else {
-        lambda + law.c0 * dt
-    }
+    law.regime(observed_queue).arc(lambda, dt).0
 }
 
 /// Apply one ack to a window source. Returns the new state (by mutating)

@@ -1,13 +1,13 @@
 //! Bit-exact pins for the fluid model: the fixed-step RK4 integrator of
 //! `fluid::simulate`, the delayed-feedback DDE of
-//! `fluid::delay::simulate_delayed` and the event-driven Dormand–Prince
-//! tracer `fluid::events::trace_events`.
+//! `fluid::delay::simulate_delayed` and the closed-form arc tracer
+//! `fluid::events::trace_events`.
 //!
 //! The RK4 constants were captured from the separate single-source and
 //! N-source RK4 loops that `simulate` replaced, so each one proves that a
 //! run through the merged integrator reproduces the old loop bit for bit;
-//! the event-trace constants from the tracer that recorded every
-//! Dormand–Prince step and kept its switchings as a list of structs.
+//! the event-trace constants from the tracer that marches from one
+//! closed-form arc to the next.
 //! A fingerprint is the sample count plus one 64-bit FNV-1a hash over the
 //! `f64::to_bits` of every `t`, every `q` and every λ (row-major: source
 //! `i` at sample `k`, then source `i + 1`), so a one-ulp move anywhere
@@ -130,13 +130,13 @@ fn delayed_one_source_is_pinned() {
 
 #[test]
 fn event_traces_are_pinned() {
-    // Table 10's reference run (its only Dormand–Prince caller), then a
-    // run that drains the queue, so the empty-queue arc is pinned too.
+    // Table 10's reference run, then a run that drains the queue, so the
+    // empty-queue arc is pinned too.
     for (law, q0, lambda0, pin) in [
         (LinearExp::new(1.0, 0.5, 10.0), 2.0, 1.0,
-         "n=17 t=14573fd8b582f4b8 q=e80e9a52ca105aca l=2ad6a90cb81a9fca end=(40244253d9bcef2b, 40148303b30e736a)"),
+         "n=17 t=4188c4ff83425d29 q=512abbf6808f6381 l=899c05a02bb8a39b end=(40244253d05338d2, 40148305a144f5bc)"),
         (LinearExp::new(0.2, 0.5, 0.5), 0.5, 0.0,
-         "n=8 t=035feee3d188f344 q=053d649ca2dd1490 l=e3bbc86b78967700 end=(3fdaafc04a835189, 401554ae0fbf616a)"),
+         "n=8 t=845e1eab83aca652 q=28c3a2d5e02421c5 l=4a3fcffef4e6f1b8 end=(3fdaafbbaca9b7c0, 401554adeef96b8b)"),
     ] {
         let trace = trace_events(&law, 5.0, q0, lambda0, 40.0).unwrap();
         let (q, lambda) = trace.final_state;
